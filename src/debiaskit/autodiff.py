@@ -3,8 +3,9 @@
 A ``Tape`` records one forward pass as a topologically ordered list of
 nodes; ``Tape.backward`` replays it in reverse and accumulates adjoints.
 Tapes are throwaway values: build a graph, differentiate it, discard it.
-Nothing is shared between tapes, so independent tapes may live on
-different threads.
+Backward closures capture arrays, never nodes, so a dropped tape is freed
+by reference counting without waiting for the cycle collector. Nothing is
+shared between tapes, so independent tapes may live on different threads.
 """
 
 from __future__ import annotations
@@ -275,11 +276,12 @@ def logsumexp(a: Node, axis: int = -1) -> Node:
 def take_per_row(a: Node, idx: np.ndarray) -> Node:
     """Pick ``a[i, idx[i]]`` for each row of a 2-D node."""
     idx = np.asarray(idx, dtype=np.int64)
-    rows_ix = np.arange(a.value.shape[0])
-    val = a.value[rows_ix, idx]
+    av = a.value
+    rows_ix = np.arange(av.shape[0])
+    val = av[rows_ix, idx]
 
     def bw(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(av)
         out[rows_ix, idx] = g
         return (out,)
 
@@ -289,10 +291,11 @@ def take_per_row(a: Node, idx: np.ndarray) -> Node:
 def rows(a: Node, idx: np.ndarray) -> Node:
     """Select rows ``a[idx]`` (duplicates allowed; grads accumulate)."""
     idx = np.asarray(idx, dtype=np.int64)
-    val = a.value[idx]
+    av = a.value
+    val = av[idx]
 
     def bw(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(av)
         np.add.at(out, idx, g)
         return (out,)
 
@@ -300,10 +303,11 @@ def rows(a: Node, idx: np.ndarray) -> Node:
 
 
 def slice_cols(a: Node, start: int, stop: int) -> Node:
-    val = a.value[:, start:stop]
+    av = a.value
+    val = av[:, start:stop]
 
     def bw(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros_like(av)
         out[:, start:stop] = g
         return (out,)
 

@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .data import LabeledDataset
+from .data import LabeledDataset, check_schema_version, read_f64le
 from .optim import make_optimizer
 
 # loss value at the probability floor 1e-12; caps -log p
@@ -189,9 +189,103 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
     return math.ceil(n / batch_size)
 
 
-def _gce_graph_loss(tape, logits, y, tau, weights):
-    p = ad.exp(ad.take_per_row(ad.log_softmax(logits), np.asarray(y, dtype=np.int64)))
-    return weighted_mean_loss(gce_loss(p, tau), weights)
+@dataclass
+class MlpPass:
+    """One batch through the MLP, kept for ``mlp_backward``.
+
+    ``acts[i]`` is the input to linear layer i (the batch for i = 0) and
+    ``pre[i]`` the pre-activation of hidden layer i.
+    """
+
+    params: MlpParams
+    acts: list[np.ndarray]
+    pre: list[np.ndarray]
+    log_probs: np.ndarray          # (B, C) log-softmax of the (offset) logits
+    labels: np.ndarray
+    log_p_y: np.ndarray            # (B,) log-probability of the true class
+    loss: str
+    tau: float
+
+    def xent(self) -> np.ndarray:
+        """Per-sample cross-entropy capped at XENT_MAX, as ``softmax_xent``."""
+        return np.minimum(-self.log_p_y, XENT_MAX)
+
+
+def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
+                     loss: str = "xent", tau: float = 0.7,
+                     logit_offset: np.ndarray | None = None) -> MlpPass:
+    """Closed-form forward of the ReLU MLP for an xent or GCE loss.
+
+    Performs the numpy operations of the tape graph (``_forward_graph``,
+    then ``softmax_xent`` or GCE on the true-class probability) in the same
+    order, so every value matches the tape bit for bit.
+    """
+    if loss not in ("xent", "gce"):
+        raise ValueError(f"unknown loss {loss!r}")
+    if loss == "gce" and not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0,1], got {tau}")
+    y = np.asarray(y, dtype=np.int64)
+    if np.any(y < 0) or np.any(y >= params.layer_sizes[-1]):
+        raise ValueError("label out of range")
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    acts, pre = [h], []
+    n_layers = len(params.arrays) // 2
+    for i in range(n_layers):
+        h = h @ params.arrays[2 * i] + params.arrays[2 * i + 1]
+        if i < n_layers - 1:
+            pre.append(h)
+            h = np.maximum(h, 0.0)
+            acts.append(h)
+    if logit_offset is not None:
+        h = h + logit_offset
+    log_probs = log_softmax_numpy(h)
+    return MlpPass(params, acts, pre, log_probs, y,
+                   log_probs[np.arange(h.shape[0]), y], loss, float(tau))
+
+
+def mlp_backward(fwd: MlpPass, weights: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Weighted mean loss (1/B) sum(w_n loss_n) and its parameter gradients.
+
+    Replays the tape's reverse sweep op for op, except that no adjoint is
+    formed for the input batch. Raises ``TrainingDiverged`` on a non-finite
+    loss before any gradient is formed, and ``ad.GradientError`` on a
+    non-finite gradient.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if np.any(w < 0):
+        raise ValueError("negative weight")
+    n = fwd.log_p_y.shape[0]
+    if w.shape != (n,):
+        raise ValueError("weights/losses length mismatch")
+    if fwd.loss == "xent":
+        losses = fwd.xent()
+    else:
+        p = np.exp(fwd.log_p_y)
+        p_floored = np.maximum(p, P_FLOOR)
+        losses = (1.0 - p_floored ** fwd.tau) / fwd.tau
+    lval = float((losses * w).sum() * (1.0 / n))
+    if not math.isfinite(lval):
+        raise TrainingDiverged(f"non-finite loss {lval}")
+    g = np.full(n, 1.0 / n) * w
+    if fwd.loss == "xent":
+        g = -(g * (-fwd.log_p_y <= XENT_MAX))
+    else:
+        g = -(g / fwd.tau) * fwd.tau * p_floored ** (fwd.tau - 1.0)
+        g = g * (p >= P_FLOOR) * p
+    g_lp = np.zeros_like(fwd.log_probs)
+    g_lp[np.arange(n), fwd.labels] = g
+    g = g_lp - np.exp(fwd.log_probs) * g_lp.sum(axis=-1, keepdims=True)
+    arrays = fwd.params.arrays
+    grads = [None] * len(arrays)
+    for i in range(len(arrays) // 2 - 1, -1, -1):
+        grads[2 * i] = fwd.acts[i].T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ arrays[2 * i].T) * (fwd.pre[i - 1] > 0.0)
+    for k, gk in enumerate(grads):
+        if not np.all(np.isfinite(gk)):
+            raise ad.GradientError(f"non-finite gradient of parameter array {k}")
+    return lval, grads
 
 
 def train(ds: LabeledDataset, cfg: TrainConfig, *,
@@ -233,27 +327,17 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
             idx = next(sampler)
             xb, yb = ds.features[idx], ds.labels[idx]
             w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
-            tape = ad.Tape()
-            leaves = [tape.leaf(a) for a in params.arrays]
-            logits = _forward_graph(tape, leaves, xb)
-            if logit_offset is not None:
-                logits = logits + tape.const(logit_offset[idx])
-            if loss == "xent":
-                batch_loss = weighted_mean_loss(softmax_xent(logits, yb), w)
-            elif loss == "gce":
-                batch_loss = _gce_graph_loss(tape, logits, yb, tau, w)
-            else:
-                raise ValueError(f"unknown loss {loss!r}")
-            lval = batch_loss.item()
-            if not math.isfinite(lval):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} step {step}: {lval}")
-            grads = tape.backward(batch_loss, wrt=leaves)
+            fwd = mlp_loss_forward(
+                params, xb, yb, loss=loss, tau=tau,
+                logit_offset=None if logit_offset is None else logit_offset[idx])
+            try:
+                lval, grads = mlp_backward(fwd, w)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
             opt.step(params.arrays, grads)
             loss_total += lval * len(idx)
             # uncapped cross-entropy of the raw logits, for divergence tracking
-            lp = logits.value - _lse(logits.value)
-            xent_total += float(-lp[np.arange(len(idx)), yb].sum())
+            xent_total += float((-fwd.log_p_y).sum())
             seen += len(idx)
             step += 1
         stats = {
@@ -270,11 +354,6 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
                 f"(loss spiking on rare conflicting samples); lower t_bias or tau")
         history.append(stats if eval_fn is None else eval_fn(epoch, params, stats))
     return params, history
-
-
-def _lse(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m
 
 
 # --- checkpoints: model.json + params.f64le ---------------------------------
@@ -295,8 +374,10 @@ def save_model(params: MlpParams, out_dir: str | Path,
 def load_model(in_dir: str | Path) -> tuple[MlpParams, dict]:
     src = Path(in_dir)
     meta = json.loads((src / "model.json").read_text())
+    check_schema_version(meta, src / "model.json")
     sizes = meta["layer_sizes"]
-    raw = np.frombuffer((src / "params.f64le").read_bytes(), dtype="<f8").astype(np.float64)
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    raw = read_f64le(src / "params.f64le", count)
     arrays = []
     pos = 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

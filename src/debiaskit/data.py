@@ -207,6 +207,21 @@ def split(ds: LabeledDataset, train_fraction: float, seed: int):
 
 # --- serialization: meta.json + data.f64le (little-endian doubles) ---------
 
+def check_schema_version(meta: dict, path: Path) -> None:
+    version = meta.get("schema_version")
+    if version != 1:
+        raise ValueError(f"{path}: schema_version must be 1, got {version!r}")
+
+
+def read_f64le(path: Path, count: int) -> np.ndarray:
+    """Exactly ``count`` little-endian doubles from ``path``, as float64."""
+    data = path.read_bytes()
+    if len(data) != 8 * count:
+        raise ValueError(f"{path}: expected {8 * count} bytes ({count} doubles), "
+                         f"found {len(data)}")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64)
+
+
 def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,8 +251,10 @@ def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
 def load_dataset(in_dir: str | Path) -> LabeledDataset:
     src = Path(in_dir)
     meta = json.loads((src / "meta.json").read_text())
+    check_schema_version(meta, src / "meta.json")
     n, d = meta["n"], meta["feature_dim"]
-    raw = np.frombuffer((src / "data.f64le").read_bytes(), dtype="<f8").astype(np.float64)
+    n_columns = 4 if "bias" in meta["columns"] else 2
+    raw = read_f64le(src / "data.f64le", n * d + (n_columns - 1) * n)
     pos = 0
 
     def take(count):

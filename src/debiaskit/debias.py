@@ -12,21 +12,19 @@ Two families of training-time corrections:
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from . import autodiff as ad
-from .classifier import (GceConfig, MlpParams, TrainConfig, _forward_graph,
-                         init_mlp, log_softmax_numpy, mlp_final_hidden,
-                         mlp_forward, shuffle_batches, softmax_numpy,
-                         softmax_xent, steps_per_epoch, train,
-                         weighted_mean_loss)
+from .classifier import (GceConfig, MlpParams, TrainConfig, TrainingDiverged,
+                         init_mlp, mlp_backward, mlp_final_hidden, mlp_forward,
+                         mlp_loss_forward, shuffle_batches, softmax_numpy,
+                         softmax_xent, steps_per_epoch, train)
 from .data import LabeledDataset, estimate_p_y_given_b
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
+from .optim import make_optimizer
 
 SCHEMES = ("vanilla", "oracle-ub", "oracle-yb", "biased-confidence",
            "lff", "pgd", "vcae")
@@ -55,8 +53,8 @@ class SampleWeights:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
+            raise ValueError("weights must be finite and positive")
         if self.provenance == "biased-confidence" and self.gamma is not None:
             lo, hi = ((10.0 / self.gamma, 10.0) if self.rescaled
                       else (1.0, self.gamma))
@@ -112,7 +110,6 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
     """
     if t_bias < 1:
         raise ValueError("t_bias must be >= 1")
-    from dataclasses import replace
     bias_cfg = replace(cfg, epochs=t_bias)
     params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
                       abort_xent_above=COLLAPSE_XENT)
@@ -365,7 +362,6 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
     psi = init_mlp(sizes, int(seeds[0]))
     theta = init_mlp(sizes, int(seeds[1]))
-    from .optim import make_optimizer
     opt_psi = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     sampler = shuffle_batches(n, cfg.batch_size, int(seeds[2]), cfg.shuffle)
@@ -384,27 +380,17 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
         for _ in range(n_steps):
             idx = next(sampler)
             xb, yb = train_ds.features[idx], train_ds.labels[idx]
+            fwd_b = mlp_loss_forward(psi, xb, yb, loss="gce", tau=gce.tau)
+            fwd_d = mlp_loss_forward(theta, xb, yb)
             # ratio weights from current losses, before either update
-            lb = softmax_xent(mlp_forward(psi, xb), yb)
-            ld = softmax_xent(mlp_forward(theta, xb), yb)
-            w = lff_weight(lb, ld)
-
-            tape_b = ad.Tape()
-            leaves_b = [tape_b.leaf(a) for a in psi.arrays]
-            logits_b = _forward_graph(tape_b, leaves_b, xb)
-            from .classifier import _gce_graph_loss
-            loss_b = _gce_graph_loss(tape_b, logits_b, yb, gce.tau,
-                                     np.ones(len(idx)))
-            opt_psi.step(psi.arrays, tape_b.backward(loss_b, wrt=leaves_b))
-
-            tape_d = ad.Tape()
-            leaves_d = [tape_d.leaf(a) for a in theta.arrays]
-            logits_d = _forward_graph(tape_d, leaves_d, xb)
-            loss_d = weighted_mean_loss(softmax_xent(logits_d, yb), w)
-            lval = loss_d.item()
-            if not math.isfinite(lval):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            opt_theta.step(theta.arrays, tape_d.backward(loss_d, wrt=leaves_d))
+            w = lff_weight(fwd_b.xent(), fwd_d.xent())
+            try:
+                _, grads_b = mlp_backward(fwd_b, np.ones(len(idx)))
+                lval, grads_d = mlp_backward(fwd_d, w)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch}") from None
+            opt_psi.step(psi.arrays, grads_b)
+            opt_theta.step(theta.arrays, grads_d)
             loss_total += lval * len(idx)
             seen += len(idx)
         acc, ba, bc = evaluate_accuracy(theta, test_ds)

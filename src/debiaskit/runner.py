@@ -65,6 +65,11 @@ class RunConfig:
             raise ConfigError("need either a dataset spec or a dataset path")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if (not isinstance(self.t_bias, (int, np.integer)) or isinstance(self.t_bias, bool)
+                or self.t_bias < 1):
+            raise ConfigError(f"t_bias must be an integer >= 1, got {self.t_bias!r}")
+        if not (isinstance(self.gamma, (int, float)) and self.gamma > 1.0):
+            raise ConfigError(f"gamma must be a number above 1, got {self.gamma!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -224,35 +229,31 @@ def run_experiment(cfg: RunConfig) -> dict:
 SWEEP_AXES = ("gamma", "t_bias")
 
 
-def _sweep_point(args):
-    cfg_dict, axis, value = args
-    cfg = RunConfig.from_dict(cfg_dict)
-    if axis == "t_bias":
-        value = int(value)
-    point = replace(cfg, **{axis: value},
-                    out_dir=str(Path(cfg.out_dir) / f"{axis}={value:g}"))
-    run_experiment(point)
-    return value, point.out_dir
-
-
 def run_sweep(cfg: RunConfig, axis: str, values: list[float],
               jobs: int = 1) -> Path:
-    """One experiment per axis value plus a merged long-format CSV."""
+    """One experiment per axis value plus a merged long-format CSV.
+
+    Every point's config is built, and so checked, before any point runs.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    if axis == "t_bias":  # integral floats such as 2.0 name an integer t_bias
+        values = [int(v) if float(v).is_integer() else v for v in values]
     out = Path(cfg.out_dir)
+    points = [replace(cfg, **{axis: v}, out_dir=str(out / f"{axis}={v:g}"))
+              for v in values]
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(cfg.to_dict(), axis, v) for v in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            list(pool.map(run_experiment, points))
     else:
-        results = [_sweep_point(t) for t in tasks]
+        for point in points:
+            run_experiment(point)
     merged = []
-    for value, point_dir in sorted(results, key=lambda r: values.index(r[0])):
-        with (Path(point_dir) / "metrics.csv").open() as fh:
+    for value, point in zip(values, points):
+        with (Path(point.out_dir) / "metrics.csv").open() as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 merged.append([axis, f"{value:g}", row["seed"], row["epoch"],

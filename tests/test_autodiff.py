@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,23 @@ def test_nan_adjoint_raises():
         bad = ad.log(x)  # -inf forward; reverse sweep must refuse
         with pytest.raises(ad.GradientError):
             t.backward(bad, wrt=[x])
+
+
+def test_used_tape_is_freed_without_the_cycle_collector():
+    """No backward closure holds a node, so a tape is freed by reference
+    counting alone once its last handle is dropped."""
+    gc.disable()
+    try:
+        t = ad.Tape()
+        x = t.leaf(np.arange(12.0).reshape(3, 4))
+        picked = ad.take_per_row(ad.rows(x, np.array([2, 0, 0])), np.array([1, 3, 0]))
+        out = (picked * ad.slice_cols(x, 1, 2).reshape((3,))).sum()
+        t.backward(out, wrt=[x])
+        ref = weakref.ref(t)
+        del t, x, picked, out
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_values_unchanged_by_backward():

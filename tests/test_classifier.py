@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
-from debiaskit.classifier import (GceConfig, TrainConfig, _forward_graph,
-                                  gce_loss, init_mlp, load_model, mlp_forward,
-                                  save_model, softmax_numpy, softmax_xent,
+from debiaskit.classifier import (XENT_MAX, GceConfig, TrainConfig, _forward_graph,
+                                  gce_loss, init_mlp, load_model, mlp_backward,
+                                  mlp_forward, mlp_loss_forward, save_model,
+                                  shuffle_batches, softmax_numpy, softmax_xent,
                                   train, weighted_mean_loss, TrainingDiverged)
-from debiaskit.data import GenConfig, generate_two_factor, unbiased_config
+from debiaskit.data import GenConfig, LabeledDataset, generate_two_factor, unbiased_config
 from debiaskit.metrics import evaluate_accuracy
+from debiaskit.optim import make_optimizer
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, rel_err, tape_loss_and_grads
 
 
 # --- forward pass -----------------------------------------------------------
@@ -207,3 +210,148 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["optimizer"] == "adam"
     for a, b in zip(params.arrays, back.arrays):
         assert a.tobytes() == b.tobytes()
+
+
+def test_load_model_rejects_truncated_params(tmp_path):
+    save_model(init_mlp([6, 4, 3], seed=9), tmp_path / "m")
+    path = tmp_path / "m" / "params.f64le"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"params\.f64le.*expected 344 bytes.*found 336"):
+        load_model(tmp_path / "m")
+
+
+def test_load_model_rejects_wrong_schema_version(tmp_path):
+    save_model(init_mlp([6, 4, 3], seed=9), tmp_path / "m")
+    meta_path = tmp_path / "m" / "model.json"
+    meta = json.loads(meta_path.read_text())
+    meta["schema_version"] = 2
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"model\.json.*schema_version"):
+        load_model(tmp_path / "m")
+
+
+# --- closed-form step against the tape ---------------------------------------
+
+@st.composite
+def _step_cases(draw):
+    dim = draw(st.sampled_from([1, 3, 20, 768]))
+    hidden = draw(st.lists(st.integers(1, 12), max_size=3))
+    classes = draw(st.integers(2, 10))
+    batch = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return dict(dim=dim, hidden=hidden, classes=classes, batch=batch, seed=seed,
+                loss=draw(st.sampled_from(["xent", "gce"])),
+                tau=draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 1.0])),
+                offset=draw(st.booleans()), extreme=draw(st.booleans()))
+
+
+@given(_step_cases())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_step_matches_tape_bitwise(case):
+    """Loss and every gradient equal the tape's to the bit, including samples
+    whose xent hits the cap and whose GCE probability hits the floor."""
+    rng = np.random.default_rng(case["seed"])
+    params = init_mlp([case["dim"], *case["hidden"], case["classes"]], case["seed"])
+    for a in params.arrays:
+        a += rng.normal(scale=0.3, size=a.shape)
+    x = rng.normal(size=(case["batch"], case["dim"]))
+    y = rng.integers(0, case["classes"], size=case["batch"])
+    w = rng.uniform(0.05, 20.0, size=case["batch"])
+    offset = rng.normal(scale=3.0, size=(case["batch"], case["classes"])) \
+        if case["offset"] or case["extreme"] else None
+    if case["extreme"]:  # push half the true classes far below the others
+        offset[::2][np.arange(len(y[::2])), y[::2]] -= 80.0
+
+    want_loss, want = tape_loss_and_grads(params.arrays, x, y, w, loss=case["loss"],
+                                          tau=case["tau"], logit_offset=offset)
+    fwd = mlp_loss_forward(params, x, y, loss=case["loss"], tau=case["tau"],
+                           logit_offset=offset)
+    got_loss, got = mlp_backward(fwd, w)
+    if case["extreme"]:
+        assert np.any(fwd.xent() == XENT_MAX)
+        assert np.any(np.exp(fwd.log_p_y) < 1e-12)
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    assert len(got) == len(want)
+    for g, t in zip(got, want):
+        assert g.shape == t.shape and g.tobytes() == t.tobytes()
+
+
+def test_closed_form_step_keeps_the_tape_checks():
+    params = init_mlp([3, 4, 2], seed=0)
+    x, y = np.ones((2, 3)), np.array([0, 1])
+    with pytest.raises(ValueError, match="label out of range"):
+        mlp_loss_forward(params, x, np.array([0, 2]))
+    with pytest.raises(ValueError, match="unknown loss"):
+        mlp_loss_forward(params, x, y, loss="hinge")
+    with pytest.raises(ValueError, match="tau"):
+        mlp_loss_forward(params, x, y, loss="gce", tau=0.0)
+    fwd = mlp_loss_forward(params, x, y)
+    with pytest.raises(ValueError, match="negative weight"):
+        mlp_backward(fwd, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="length mismatch"):
+        mlp_backward(fwd, np.ones(3))
+
+
+def test_finite_loss_with_overflowing_gradient_raises():
+    """Huge finite weights give a finite loss, but x.T @ g overflows to inf
+    in the backward matmul only: both routes must refuse the step."""
+    params = init_mlp([2, 2], seed=0)
+    params.arrays[0][:] = [[1e-10, -1e-10], [-1e-10, 1e-10]]
+    x = np.full((4, 2), 1e10)
+    x[1::2] *= -1.0
+    y = np.array([0, 1, 1, 0])
+    w = np.full(4, 1e300)
+    fwd = mlp_loss_forward(params, x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isfinite(float((fwd.xent() * w).sum() * 0.25))
+        with pytest.raises(ad.GradientError):
+            mlp_backward(fwd, w)
+        with pytest.raises(ad.GradientError):
+            tape_loss_and_grads(params.arrays, x, y, w)
+        ds = LabeledDataset(x, y, num_classes=2)
+        cfg = TrainConfig(epochs=1, batch_size=4, hidden=(), seed=0)
+        with pytest.raises(ad.GradientError):
+            train(ds, cfg, params=params, weight_fn=lambda idx, t: w[idx])
+
+
+def _tape_train(ds, cfg, *, loss="xent", tau=0.7, weight_fn=None, logit_offset=None):
+    """Reference loop: ``train`` as it was with a tape per step."""
+    init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
+    params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
+    sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
+    opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    losses = []
+    for step in range(cfg.epochs * math.ceil(len(ds) / cfg.batch_size)):
+        idx = next(sampler)
+        w = np.ones(len(idx)) if weight_fn is None else weight_fn(idx, step)
+        lval, grads = tape_loss_and_grads(
+            params.arrays, ds.features[idx], ds.labels[idx], w, loss=loss, tau=tau,
+            logit_offset=None if logit_offset is None else logit_offset[idx])
+        opt.step(params.arrays, grads)
+        losses.append(lval)
+    return params, losses
+
+
+@pytest.mark.parametrize("loss,optimizer,weighted", [
+    ("xent", "adam", False), ("xent", "adam", True), ("gce", "adam", False),
+    ("xent", "sgd", True)])
+def test_train_matches_tape_reference_bitwise(loss, optimizer, weighted):
+    gen = GenConfig(num_classes=4, n=300, bc_ratio=0.05, seed=8)
+    ds = generate_two_factor(gen)
+    cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16, 8), seed=4,
+                      optimizer=optimizer, lr=1e-2, momentum=0.9, weight_decay=1e-3)
+    rng = np.random.default_rng(3)
+    w_all = rng.uniform(0.1, 10.0, size=len(ds))
+    weight_fn = (lambda idx, t: w_all[idx]) if weighted else None
+    offset = np.log(rng.dirichlet(np.ones(4), size=len(ds))) if weighted else None
+    params, history = train(ds, cfg, loss=loss, weight_fn=weight_fn,
+                            logit_offset=offset)
+    ref, ref_losses = _tape_train(ds, cfg, loss=loss, weight_fn=weight_fn,
+                                  logit_offset=offset)
+    for a, b in zip(params.arrays, ref.arrays):
+        assert a.tobytes() == b.tobytes()
+    steps = math.ceil(len(ds) / cfg.batch_size)
+    for epoch, row in enumerate(history):
+        chunk = ref_losses[epoch * steps:(epoch + 1) * steps]
+        sizes = [64] * (steps - 1) + [len(ds) - 64 * (steps - 1)]
+        assert row["train_loss"] == sum(v * k for v, k in zip(chunk, sizes)) / len(ds)

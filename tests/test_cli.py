@@ -186,6 +186,17 @@ def test_sweep_rejects_non_integer_t_bias(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["5,0", "0"])
+def test_sweep_checks_every_point_before_running_any(tmp_path, capsys, values):
+    data = _gen(tmp_path)
+    cfg = _debias_config(tmp_path, data, scheme="biased-confidence")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--t-bias", values,
+                 "--out", str(out)]) == 1
+    assert "t_bias" in capsys.readouterr().err
+    assert not list(out.glob("t_bias=*"))
+
+
 def test_report_command(tmp_path, capsys):
     data = _gen(tmp_path)
     cfg = _debias_config(tmp_path, data)

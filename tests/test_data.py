@@ -208,3 +208,24 @@ def test_generated_invariants(c, rho):
     assert np.all((ds.bias >= 0) & (ds.bias < c))
     np.testing.assert_array_equal(ds.aligned, ds.labels == ds.bias)
     assert np.all(np.isfinite(ds.features))
+
+
+def test_load_dataset_rejects_truncated_data(tmp_path):
+    ds = generate_two_factor(GenConfig(num_classes=3, n=10, bc_ratio=0.2, seed=1))
+    save_dataset(ds, tmp_path / "d")
+    path = tmp_path / "d" / "data.f64le"
+    path.write_bytes(path.read_bytes()[:-16])
+    expected = 8 * (10 * ds.dim + 3 * 10)
+    with pytest.raises(ValueError, match=rf"data\.f64le.*expected {expected} bytes"
+                                         rf".*found {expected - 16}"):
+        load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_rejects_wrong_schema_version(tmp_path):
+    ds = generate_two_factor(GenConfig(num_classes=3, n=10, bc_ratio=0.2, seed=1))
+    save_dataset(ds, tmp_path / "d")
+    meta_path = tmp_path / "d" / "meta.json"
+    meta_path.write_text(meta_path.read_text().replace('"schema_version": 1',
+                                                       '"schema_version": 0'))
+    with pytest.raises(ValueError, match=r"meta\.json.*schema_version"):
+        load_dataset(tmp_path / "d")

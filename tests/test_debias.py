@@ -1,18 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit.classifier import GceConfig, TrainConfig, train
+from debiaskit.classifier import (GceConfig, TrainConfig, init_mlp, mlp_forward,
+                                  shuffle_batches, softmax_xent, train)
 from debiaskit.data import GenConfig, generate_two_factor, unbiased_config
 from debiaskit.debias import (AnnealConfig, SampleWeights, TbaConfig,
-                              anneal_weight, compute_weights_clamped,
+                              _run_lff, anneal_weight, compute_weights_clamped,
                               lff_weight, oracle_ub_weights, pgd_weight,
                               rescale_weights, run_debias_pipeline,
                               tba_adjusted_probs, train_biased_classifier,
                               weighted_sampler)
 from debiaskit.classifier import softmax_numpy
 from debiaskit.metrics import debias_bc_ratio
+from debiaskit.optim import make_optimizer
+
+from conftest import tape_loss_and_grads
 
 
 # --- clamped weights and rescaling -----------------------------------------
@@ -224,6 +230,12 @@ def test_sample_weights_validation():
         SampleWeights(np.array([0.5]), provenance="biased-confidence", gamma=100.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_weights_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SampleWeights(np.array([1.0, bad]), provenance="oracle-ub")
+
+
 # --- pipeline ----------------------------------------------------------------
 
 def _tiny_setup(seed=41):
@@ -319,3 +331,36 @@ def test_perfect_separator_beta_matches_alignment_share():
     beta = debias_bc_ratio(w.weights, aligned)
     assert abs(beta - 200.0 / 201.0) < 1e-12
     assert abs(beta - 0.995) < 5e-5
+
+
+def _tape_lff(train_ds, gce, cfg):
+    """Reference loop: LfF as it was, with one tape per model and step."""
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
+    sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
+    psi, theta = init_mlp(sizes, int(seeds[0])), init_mlp(sizes, int(seeds[1]))
+    opt_psi = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    sampler = shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle)
+    for _ in range(cfg.epochs * math.ceil(len(train_ds) / cfg.batch_size)):
+        idx = next(sampler)
+        xb, yb = train_ds.features[idx], train_ds.labels[idx]
+        w = lff_weight(softmax_xent(mlp_forward(psi, xb), yb),
+                       softmax_xent(mlp_forward(theta, xb), yb))
+        _, grads = tape_loss_and_grads(psi.arrays, xb, yb, np.ones(len(idx)),
+                                       loss="gce", tau=gce.tau)
+        opt_psi.step(psi.arrays, grads)
+        _, grads = tape_loss_and_grads(theta.arrays, xb, yb, w)
+        opt_theta.step(theta.arrays, grads)
+    w = lff_weight(softmax_xent(mlp_forward(psi, train_ds.features), train_ds.labels),
+                   softmax_xent(mlp_forward(theta, train_ds.features), train_ds.labels))
+    return theta, np.maximum(w, 1e-300)
+
+
+def test_lff_matches_tape_reference_bitwise():
+    train_ds, test_ds, cfg = _tiny_setup()
+    cfg = TrainConfig(epochs=2, batch_size=48, hidden=(16,), seed=3)  # 1/48 is inexact
+    result = _run_lff(train_ds, test_ds, GceConfig(tau=0.7), cfg)
+    theta, w = _tape_lff(train_ds, GceConfig(tau=0.7), cfg)
+    for a, b in zip(result.params.arrays, theta.arrays):
+        assert a.tobytes() == b.tobytes()
+    assert result.weights.weights.tobytes() == w.tobytes()

@@ -31,6 +31,16 @@ def test_schema_version_required(tmp_path):
         RunConfig.from_dict({"schema_version": 2, "dataset": {"n": 10}})
 
 
+@pytest.mark.parametrize("over", [{"t_bias": 0}, {"t_bias": 1.5}, {"t_bias": True},
+                                  {"gamma": 1.0}, {"gamma": float("nan")}])
+def test_run_config_rejects_bad_t_bias_and_gamma(tmp_path, over):
+    with pytest.raises(ConfigError):
+        _tiny_cfg(tmp_path, **over)
+    base = _tiny_cfg(tmp_path)
+    with pytest.raises(ConfigError):
+        RunConfig(dataset=base.dataset, **over)
+
+
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError):
         _tiny_cfg(tmp_path, gama=3.0)
