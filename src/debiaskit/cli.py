@@ -8,24 +8,20 @@ invocations produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .classifier import GceConfig, TrainConfig, save_model
-from .data import GenConfig, generate, load_dataset, save_dataset
-from .debias import train_biased_classifier
-from .runner import (ConfigError, RunConfig, aggregate_report, run_experiment,
-                     run_sweep)
+from .data import KINDS, GenConfig, generate, load_dataset, save_dataset
+from .debias import METHODS, SCHEMES, train_biased_classifier
+from .runner import (ConfigError, RunConfig, _write_csv, aggregate_report,
+                     run_experiment, run_sweep)
 
 
 def _add_gen_flags(p):
-    p.add_argument("--kind", default="two-factor",
-                   choices=["two-factor", "colored-glyphs"])
+    p.add_argument("--kind", default="two-factor", choices=KINDS)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--rho", type=float, default=0.01,
@@ -116,28 +112,16 @@ def cmd_vcae(args) -> int:
                      lr=args.lr, seed=args.seed if args.seed is not None else 0)
     params, history = train_vcae(ds, cfg, tc)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = latent_dump(params, ds, cap=args.cap)
     header = list(rows[0].keys())
-    with (out / "latents.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v
-                        for v in (row[k] for k in header)])
-    with (out / "vcae_history.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss"])
-        for h in history:
-            w.writerow([h["epoch"], repr(h["loss"])])
+    _write_csv(out / "latents.csv", header,
+               [[row[k] for k in header] for row in rows])
+    _write_csv(out / "vcae_history.csv", ["epoch", "loss"],
+               [[h["epoch"], h["loss"]] for h in history])
     weights = vcae_weights(params, ds, cap=args.cap)
-    with (out / "weights.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "weight", "aligned", "provenance"])
-        for i, wi in enumerate(weights.weights):
-            w.writerow([i, repr(float(wi)),
-                        int(ds.aligned[i]) if ds.aligned is not None else "",
-                        weights.provenance])
+    _write_csv(out / "weights.csv", ["index", "weight", "aligned", "provenance"],
+               [[i, wi, int(ds.aligned[i]) if ds.aligned is not None else "",
+                 weights.provenance] for i, wi in enumerate(weights.weights)])
     print(f"trained {tc.epochs} epochs, final loss {history[-1]['loss']:.4f}; "
           f"dumps in {args.out}")
     return 0
@@ -199,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("debias", help="run one debiasing experiment")
     p.add_argument("--config")
     p.add_argument("--data", help="dataset directory (overrides config)")
-    p.add_argument("--scheme", choices=["vanilla", "oracle-ub", "oracle-yb",
-                                        "biased-confidence", "lff", "pgd", "vcae"])
-    p.add_argument("--method", choices=["LW", "ALW", "WS", "TBA"])
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--gamma", type=float)
     p.add_argument("--t-bias", type=int)
     p.add_argument("--tau", type=float)
@@ -233,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "t_bias, with merged CSV")
     p.add_argument("--config")
     p.add_argument("--data")
-    p.add_argument("--scheme", choices=["vanilla", "oracle-ub", "oracle-yb",
-                                        "biased-confidence", "lff", "pgd", "vcae"])
-    p.add_argument("--method", choices=["LW", "ALW", "WS", "TBA"])
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--gamma", dest="gamma_list",
                    help="the axis: comma-separated gamma values")
     p.add_argument("--t-bias", dest="t_bias_list",

@@ -13,7 +13,8 @@ Two families of training-time corrections:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import astuple, dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -92,13 +93,21 @@ class AnnealConfig:
             raise ValueError("t_anneal must be nonnegative")
 
 
-@dataclass
-class TbaConfig:
-    gamma: float
+# Successful amplifications kept per process, least recently used dropped
+# first. Each entry holds an (N, C) probability table and a small MLP.
+AMPLIFY_MEMO_SIZE = 8
+_amplify_memo: OrderedDict[tuple, BiasedClassifierArtifact] = OrderedDict()
 
-    def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+
+def _amplify_key(train_ds: LabeledDataset, tau: float,
+                 bias_cfg: TrainConfig) -> tuple:
+    """Everything an amplification reads; the data by content, not identity."""
+    import hashlib  # here, not at the top: loading OpenSSL adds ~6 ms to every start
+    h = hashlib.sha256()
+    for a in (train_ds.features, train_ds.labels):
+        h.update(memoryview(np.ascontiguousarray(a)))  # in place, no copy
+    return (h.hexdigest(), train_ds.features.shape, train_ds.num_classes, tau,
+            astuple(bias_cfg))
 
 
 def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
@@ -107,18 +116,39 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
 
     Aborts with a diagnostic if the mean (uncapped) train cross-entropy
     blows past COLLAPSE_XENT, the signature of amplification collapse.
+
+    Memoized per process: a call whose features, labels, class count, tau,
+    t_bias and other ``cfg`` fields (``epochs`` is replaced by t_bias) equal
+    those of one of the last AMPLIFY_MEMO_SIZE successful calls returns that
+    call's classifier without retraining. Training is deterministic, so the
+    result is the one retraining would give. Every such call shares the
+    artifact's arrays (``params.arrays``, ``confidences``, ``class_probs``),
+    so they are read-only: copy before writing.
     """
     if t_bias < 1:
         raise ValueError("t_bias must be >= 1")
     bias_cfg = replace(cfg, epochs=t_bias)
-    params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
-                      abort_xent_above=COLLAPSE_XENT)
-    probs = softmax_numpy(mlp_forward(params, train_ds.features))
-    conf = probs[np.arange(len(train_ds)), train_ds.labels]
-    conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
-    return BiasedClassifierArtifact(params=params, confidences=conf,
-                                    class_probs=probs, t_bias=t_bias,
-                                    tau=gce.tau)
+    key = _amplify_key(train_ds, gce.tau, bias_cfg)
+    art = _amplify_memo.get(key)
+    if art is None:
+        params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
+                          abort_xent_above=COLLAPSE_XENT)
+        probs = softmax_numpy(mlp_forward(params, train_ds.features))
+        conf = probs[np.arange(len(train_ds)), train_ds.labels]
+        conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
+        art = BiasedClassifierArtifact(params=params, confidences=conf,
+                                       class_probs=probs, t_bias=t_bias,
+                                       tau=gce.tau)
+        for a in (*art.params.arrays, art.confidences, art.class_probs):
+            a.flags.writeable = False
+        _amplify_memo[key] = art
+        if len(_amplify_memo) > AMPLIFY_MEMO_SIZE:
+            _amplify_memo.popitem(last=False)
+    else:
+        _amplify_memo.move_to_end(key)
+    # a fresh shell per call, so rebinding a field cannot reach the memo
+    return replace(art, params=MlpParams(list(art.params.layer_sizes),
+                                         list(art.params.arrays)))
 
 
 def compute_weights_clamped(confidences: np.ndarray, gamma: float) -> SampleWeights:

@@ -141,8 +141,8 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):  # repr of a numpy scalar names its type
+        return repr(float(x))
     return str(x)
 
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +140,21 @@ def test_vcae_deterministic(tmp_path):
                      "--seed", "1", "--epochs", "2", "--hidden", "8"]) == 0
         dumps.append((out / "latents.csv").read_bytes())
     assert dumps[0] == dumps[1]
+
+
+def test_vcae_latents_are_plain_numbers(tmp_path):
+    data = _gen(tmp_path, kind="colored-glyphs", classes=6, n=200, rho=0.1)
+    out = tmp_path / "vc"
+    assert main(["vcae", "--data", str(data), "--out", str(out), "--seed", "1",
+                 "--epochs", "1", "--hidden", "8"]) == 0
+    with (out / "latents.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 200
+    for row in rows:
+        for cell in (row[0], row[3], row[4]):  # index, label, aligned
+            int(cell)
+        for cell in (*row[1:3], *row[5:]):
+            assert math.isfinite(float(cell)), row
 
 
 def test_sweep_command(tmp_path):

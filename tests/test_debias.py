@@ -1,14 +1,19 @@
 import math
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit.classifier import (GceConfig, TrainConfig, init_mlp, mlp_forward,
-                                  shuffle_batches, softmax_xent, train)
-from debiaskit.data import GenConfig, generate_two_factor, unbiased_config
-from debiaskit.debias import (AnnealConfig, SampleWeights, TbaConfig,
+from debiaskit import debias
+from debiaskit.classifier import (GceConfig, TrainConfig, TrainingDiverged,
+                                  init_mlp, mlp_forward, shuffle_batches,
+                                  softmax_xent, train)
+from debiaskit.data import (GenConfig, LabeledDataset, generate_two_factor,
+                            load_dataset, save_dataset, unbiased_config)
+from debiaskit.debias import (AnnealConfig, SampleWeights,
                               _run_lff, anneal_weight, compute_weights_clamped,
                               lff_weight, oracle_ub_weights, pgd_weight,
                               rescale_weights, run_debias_pipeline,
@@ -17,6 +22,7 @@ from debiaskit.debias import (AnnealConfig, SampleWeights, TbaConfig,
 from debiaskit.classifier import softmax_numpy
 from debiaskit.metrics import debias_bc_ratio
 from debiaskit.optim import make_optimizer
+from debiaskit.runner import RunConfig, run_sweep
 
 from conftest import tape_loss_and_grads
 
@@ -184,12 +190,6 @@ def test_tba_direct_evaluation():
     assert abs(got.sum() - 1.0) < 1e-12
 
 
-def test_tba_config_validation():
-    with pytest.raises(ValueError):
-        TbaConfig(gamma=1.0)
-    assert TbaConfig(gamma=50.0).gamma == 50.0
-
-
 # --- biased classifier -------------------------------------------------------
 
 def test_t_bias_zero_rejected():
@@ -209,6 +209,141 @@ def test_biased_classifier_separates_conflicting_samples():
     assert conf_bc < conf_ba
     assert art.confidences.min() > 0 and art.confidences.max() <= 1.0
     assert art.class_probs.shape == (4000, 10)
+
+
+# --- amplification memo ------------------------------------------------------
+
+@pytest.fixture
+def amp_calls(monkeypatch):
+    """Empty memo for the test; counts the GCE trainings debias starts."""
+    monkeypatch.setattr(debias, "_amplify_memo", OrderedDict())
+    calls = []
+
+    def counted(ds, cfg, **kw):
+        if kw.get("loss") == "gce":
+            calls.append(cfg)
+        return train(ds, cfg, **kw)
+
+    monkeypatch.setattr(debias, "train", counted)
+    return calls
+
+
+def _amp_setup():
+    ds = generate_two_factor(GenConfig(num_classes=3, n=90, bc_ratio=0.2, seed=8))
+    return ds, GceConfig(tau=0.7), TrainConfig(batch_size=32, hidden=(8,), seed=1)
+
+
+def _artifact_bytes(art):
+    return ([a.tobytes() for a in art.params.arrays], art.confidences.tobytes(),
+            art.class_probs.tobytes())
+
+
+def test_memo_trains_equal_content_once(tmp_path, amp_calls):
+    ds, gce, cfg = _amp_setup()
+    save_dataset(ds, tmp_path / "d")
+    first = train_biased_classifier(ds, gce, 2, cfg)
+    again = train_biased_classifier(load_dataset(tmp_path / "d"), gce, 2, cfg)
+    assert len(amp_calls) == 1
+    debias._amplify_memo.clear()
+    fresh = train_biased_classifier(ds, gce, 2, cfg)
+    assert len(amp_calls) == 2
+    assert _artifact_bytes(first) == _artifact_bytes(again) == _artifact_bytes(fresh)
+
+
+def test_memo_ignores_epochs(amp_calls):
+    ds, gce, cfg = _amp_setup()
+    train_biased_classifier(ds, gce, 2, replace(cfg, epochs=3))
+    train_biased_classifier(ds, gce, 2, replace(cfg, epochs=40))
+    assert len(amp_calls) == 1
+
+
+def _changed(ds, gce, t_bias, cfg, what):
+    f, y = ds.features.copy(), ds.labels.copy()
+    if what == "features":
+        f[5, 0] += 1e-9
+    elif what == "labels":
+        y[5] = (y[5] + 1) % ds.num_classes
+    elif what == "num_classes":
+        return LabeledDataset(f, y, ds.num_classes + 1), gce, t_bias, cfg
+    elif what == "tau":
+        gce = GceConfig(tau=0.5)
+    elif what == "t_bias":
+        t_bias += 1
+    else:
+        cfg = replace(cfg, **{what: {"seed": 2, "hidden": (9,), "lr": 2e-3,
+                                     "batch_size": 33}[what]})
+    return LabeledDataset(f, y, ds.num_classes), gce, t_bias, cfg
+
+
+@pytest.mark.parametrize("what", ["features", "labels", "num_classes", "tau",
+                                  "t_bias", "seed", "hidden", "lr", "batch_size"])
+def test_memo_retrains_when_an_input_changes(amp_calls, what):
+    ds, gce, cfg = _amp_setup()
+    base = LabeledDataset(ds.features.copy(), ds.labels.copy(), ds.num_classes)
+    train_biased_classifier(base, gce, 1, cfg)
+    train_biased_classifier(*_changed(ds, gce, 1, cfg, what))
+    assert len(amp_calls) == 2
+
+
+def test_memo_arrays_are_read_only(amp_calls):
+    ds, gce, cfg = _amp_setup()
+    art = train_biased_classifier(ds, gce, 1, cfg)
+    for a in (*art.params.arrays, art.confidences, art.class_probs):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    kept = _artifact_bytes(art)
+    art.params.arrays[0] = np.zeros_like(art.params.arrays[0])  # rebinding
+    art.confidences = np.full(len(ds), 0.5)
+    assert _artifact_bytes(train_biased_classifier(ds, gce, 1, cfg)) == kept
+    assert len(amp_calls) == 1
+
+
+def test_memo_does_not_keep_a_failed_call(monkeypatch, amp_calls):
+    ds, gce, cfg = _amp_setup()
+    counted = debias.train
+
+    def diverge_once(ds, cfg, **kw):
+        if not amp_calls:
+            amp_calls.append(cfg)
+            raise TrainingDiverged("amplification collapse")
+        return counted(ds, cfg, **kw)
+
+    monkeypatch.setattr(debias, "train", diverge_once)
+    with pytest.raises(TrainingDiverged):
+        train_biased_classifier(ds, gce, 1, cfg)
+    assert not debias._amplify_memo
+    train_biased_classifier(ds, gce, 1, cfg)
+    train_biased_classifier(ds, gce, 1, cfg)
+    assert len(amp_calls) == 2 and len(debias._amplify_memo) == 1
+
+
+def test_memo_stays_at_its_bound_and_drops_the_least_recent(amp_calls):
+    ds, gce, cfg = _amp_setup()
+    bound = debias.AMPLIFY_MEMO_SIZE
+
+    def amplify(seed):
+        train_biased_classifier(ds, gce, 1, replace(cfg, seed=seed))
+        return len(amp_calls)
+
+    for seed in range(bound + 2):
+        amplify(seed)
+    assert len(debias._amplify_memo) == bound  # seeds 2 .. bound + 1
+    assert amplify(2) == bound + 2  # oldest entry hit: now the most recent
+    assert amplify(0) == bound + 3  # dropped entry retrains, evicting seed 3
+    assert amplify(2) == bound + 3
+    assert amplify(3) == bound + 4
+    assert len(debias._amplify_memo) == bound
+
+
+def test_gamma_sweep_amplifies_once_per_seed(tmp_path, amp_calls):
+    gen = GenConfig(num_classes=4, n=300, bc_ratio=0.1, seed=5)
+    save_dataset(generate_two_factor(gen), tmp_path / "d")
+    cfg = RunConfig(scheme="biased-confidence", dataset_path=str(tmp_path / "d"),
+                    test_n=200, t_bias=1, seeds=[0, 1],
+                    train=TrainConfig(epochs=1, batch_size=64, hidden=(8,)),
+                    out_dir=str(tmp_path / "sweep"))
+    run_sweep(cfg, "gamma", [20.0, 50.0, 100.0])
+    assert sorted(c.seed for c in amp_calls) == [0, 1]
 
 
 # --- beta metric mechanics ---------------------------------------------------
