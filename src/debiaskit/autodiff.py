@@ -211,10 +211,6 @@ def exp(a: Node) -> Node:
     return _unary("exp", a, np.exp, lambda g, x, v: g * v)
 
 
-def log(a: Node) -> Node:
-    return _unary("log", a, np.log, lambda g, x, v: g / x)
-
-
 def clamp_min(a: Node, lo: float) -> Node:
     return _unary("clamp_min", a,
                   lambda x: np.maximum(x, lo),
@@ -258,19 +254,6 @@ def log_softmax(a: Node) -> Node:
         return (g - p * g.sum(axis=-1, keepdims=True),)
 
     return a.tape._op("log_softmax", (a,), val, bw)
-
-
-def logsumexp(a: Node, axis: int = -1) -> Node:
-    x = a.value
-    m = x.max(axis=axis, keepdims=True)
-    val = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
-    val_sq = np.squeeze(val, axis=axis)
-
-    def bw(g):
-        soft = np.exp(x - val)
-        return (np.expand_dims(g, axis) * soft,)
-
-    return a.tape._op("logsumexp", (a,), val_sq, bw)
 
 
 def take_per_row(a: Node, idx: np.ndarray) -> Node:

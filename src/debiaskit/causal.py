@@ -163,23 +163,6 @@ def lw_loss_exact(j: DiscreteJoint, q: ClassifierTable) -> float:
     return float(np.einsum("u,b,ub->", j.p_u(), j.p_b(), cell_xent))
 
 
-def lw_loss_reference(j: DiscreteJoint, q: ClassifierTable) -> float:
-    """Second, loop-ordered enumeration of the same objective: iterate the
-    observational joint and apply the stabilized weight cell by cell."""
-    p_u_given_b = conditional_u_given_b(j)
-    pu = j.p_u()
-    total = 0.0
-    for y in range(j.n_y):
-        for b in range(j.n_b):
-            for u in range(j.n_u):
-                if j.p_y_given_ub[u, b, y] == 0.0:
-                    continue
-                w = pu[u] / p_u_given_b[u, b]
-                total += (j.p_ub[u, b] * j.p_y_given_ub[u, b, y] * w
-                          * -np.log(q.q[u, b, y]))
-    return total
-
-
 def verify_bound(j: DiscreteJoint, q: ClassifierTable,
                  slack: float = 1e-9) -> dict:
     """Report whether the weighted loss upper-bounds the interventional one."""

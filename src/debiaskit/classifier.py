@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -55,26 +55,72 @@ class TrainConfig:
         self.hidden = tuple(self.hidden)
 
 
-@dataclass
-class MlpParams:
-    """Alternating weight matrices and bias vectors for a ReLU MLP."""
+def _mlp_shapes(layer_sizes: list[int]) -> list[tuple[int, ...]]:
+    shapes = []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    return shapes
 
-    layer_sizes: list[int]
-    arrays: list[np.ndarray] = field(repr=False)
+
+def flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of the 1-D vector ``flat``, reshaped to ``shapes``
+    (views, not copies); ``flat`` must be contiguous and hold exactly their
+    total size."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),) or not flat.flags.c_contiguous:
+        raise ValueError(f"need a contiguous vector of {sum(sizes)} values, "
+                         f"got shape {flat.shape}")
+    out, pos = [], 0
+    for shape, size in zip(shapes, sizes):
+        out.append(flat[pos:pos + size].reshape(shape))
+        pos += size
+    return out
+
+
+class MlpParams:
+    """Weights of a ReLU MLP, held in one contiguous float64 vector ``flat``.
+
+    ``arrays`` are views into ``flat`` in checkpoint order: W0 (fan_in x
+    fan_out, row-major), b0, W1, b1, ... Writing through a view writes the
+    vector, so an optimizer steps the whole model as the one array ``flat``.
+    ``MlpParams(sizes, arrays)`` copies the given arrays into a new vector;
+    ``MlpParams(sizes, flat=v)`` wraps the float64 vector ``v`` without
+    copying it.
+    """
+
+    def __init__(self, layer_sizes: list[int],
+                 arrays: list[np.ndarray] | None = None, *,
+                 flat: np.ndarray | None = None):
+        self.layer_sizes = list(layer_sizes)
+        shapes = _mlp_shapes(self.layer_sizes)
+        if (arrays is None) == (flat is None):
+            raise ValueError("give either arrays or flat")
+        if arrays is not None:
+            if [np.shape(a) for a in arrays] != shapes:
+                raise ValueError(f"array shapes {[np.shape(a) for a in arrays]} "
+                                 f"do not fit layer sizes {self.layer_sizes}")
+            flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        elif flat.dtype != np.float64:
+            raise ValueError(f"flat must be float64, got {flat.dtype}")
+        self.flat = flat
+        self.arrays = flat_views(flat, shapes)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(list(self.layer_sizes), [a.copy() for a in self.arrays])
+        return MlpParams(self.layer_sizes, flat=self.flat.copy())
+
+    def __repr__(self) -> str:
+        return f"MlpParams(layer_sizes={self.layer_sizes})"
 
 
 def init_mlp(layer_sizes: list[int], seed: int) -> MlpParams:
     """He-initialized weights, zero biases."""
     rng = np.random.default_rng(seed)
-    arrays = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        scale = math.sqrt(2.0 / fan_in)
-        arrays.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-        arrays.append(np.zeros(fan_out))
-    return MlpParams(list(layer_sizes), arrays)
+    shapes = _mlp_shapes(layer_sizes)
+    params = MlpParams(layer_sizes, flat=np.zeros(sum(map(math.prod, shapes))))
+    for w in params.arrays[::2]:
+        fan_in, fan_out = w.shape
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+    return params
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -243,13 +289,16 @@ def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
                    log_probs[np.arange(h.shape[0]), y], loss, float(tau))
 
 
-def mlp_backward(fwd: MlpPass, weights: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def mlp_backward(fwd: MlpPass, weights: np.ndarray,
+                 out: MlpParams | None = None) -> tuple[float, list[np.ndarray]]:
     """Weighted mean loss (1/B) sum(w_n loss_n) and its parameter gradients.
 
     Replays the tape's reverse sweep op for op, except that no adjoint is
-    formed for the input batch. Raises ``TrainingDiverged`` on a non-finite
-    loss before any gradient is formed, and ``ad.GradientError`` on a
-    non-finite gradient.
+    formed for the input batch. The gradients are written through the views
+    ``out.arrays`` into ``out.flat``, laid out like the parameters (a new
+    ``out`` when omitted), and ``out.arrays`` is returned. Raises
+    ``TrainingDiverged`` on a non-finite loss before any gradient is formed,
+    and ``ad.GradientError`` on a non-finite gradient.
     """
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
@@ -276,15 +325,19 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray) -> tuple[float, list[np.ndar
     g_lp[np.arange(n), fwd.labels] = g
     g = g_lp - np.exp(fwd.log_probs) * g_lp.sum(axis=-1, keepdims=True)
     arrays = fwd.params.arrays
-    grads = [None] * len(arrays)
+    if out is None:
+        out = MlpParams(fwd.params.layer_sizes, flat=np.empty_like(fwd.params.flat))
+    elif out.layer_sizes != fwd.params.layer_sizes:
+        raise ValueError("gradient and parameter layouts differ")
+    grads = out.arrays
     for i in range(len(arrays) // 2 - 1, -1, -1):
-        grads[2 * i] = fwd.acts[i].T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
+        np.matmul(fwd.acts[i].T, g, out=grads[2 * i])
+        g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             g = (g @ arrays[2 * i].T) * (fwd.pre[i - 1] > 0.0)
-    for k, gk in enumerate(grads):
-        if not np.all(np.isfinite(gk)):
-            raise ad.GradientError(f"non-finite gradient of parameter array {k}")
+    if not np.isfinite(out.flat).all():
+        k = next(k for k, gk in enumerate(grads) if not np.isfinite(gk).all())
+        raise ad.GradientError(f"non-finite gradient of parameter array {k}")
     return lval, grads
 
 
@@ -315,6 +368,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
     if sampler is None:
         sampler = shuffle_batches(n, cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    grad = MlpParams(params.layer_sizes, flat=np.empty_like(params.flat))
     n_steps = steps_per_epoch(n, cfg.batch_size)
     history = []
     step = 0
@@ -331,10 +385,10 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
                 params, xb, yb, loss=loss, tau=tau,
                 logit_offset=None if logit_offset is None else logit_offset[idx])
             try:
-                lval, grads = mlp_backward(fwd, w)
+                lval, _ = mlp_backward(fwd, w, out=grad)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
-            opt.step(params.arrays, grads)
+            opt.step([params.flat], [grad.flat])
             loss_total += lval * len(idx)
             # uncapped cross-entropy of the raw logits, for divergence tracking
             xent_total += float((-fwd.log_p_y).sum())
@@ -367,8 +421,7 @@ def save_model(params: MlpParams, out_dir: str | Path,
     if extra:
         meta.update(extra)
     (out / "model.json").write_text(json.dumps(meta, indent=2) + "\n")
-    flat = np.concatenate([a.ravel() for a in params.arrays]).astype("<f8")
-    (out / "params.f64le").write_bytes(flat.tobytes())
+    (out / "params.f64le").write_bytes(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(in_dir: str | Path) -> tuple[MlpParams, dict]:
@@ -376,13 +429,5 @@ def load_model(in_dir: str | Path) -> tuple[MlpParams, dict]:
     meta = json.loads((src / "model.json").read_text())
     check_schema_version(meta, src / "model.json")
     sizes = meta["layer_sizes"]
-    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    raw = read_f64le(src / "params.f64le", count)
-    arrays = []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        arrays.append(raw[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-        pos += fan_in * fan_out
-        arrays.append(raw[pos:pos + fan_out].copy())
-        pos += fan_out
-    return MlpParams(list(sizes), arrays), meta
+    count = sum(map(math.prod, _mlp_shapes(sizes)))
+    return MlpParams(sizes, flat=read_f64le(src / "params.f64le", count)), meta

@@ -112,13 +112,13 @@ def cmd_vcae(args) -> int:
                      lr=args.lr, seed=args.seed if args.seed is not None else 0)
     params, history = train_vcae(ds, cfg, tc)
     out = Path(args.out)
-    rows = latent_dump(params, ds, cap=args.cap)
+    rows = latent_dump(params, ds, cap=args.cap, prior=cfg.prior)
     header = list(rows[0].keys())
     _write_csv(out / "latents.csv", header,
                [[row[k] for k in header] for row in rows])
     _write_csv(out / "vcae_history.csv", ["epoch", "loss"],
                [[h["epoch"], h["loss"]] for h in history])
-    weights = vcae_weights(params, ds, cap=args.cap)
+    weights = vcae_weights(params, ds, cap=args.cap, prior=cfg.prior)
     _write_csv(out / "weights.csv", ["index", "weight", "aligned", "provenance"],
                [[i, wi, int(ds.aligned[i]) if ds.aligned is not None else "",
                  weights.provenance] for i, wi in enumerate(weights.weights)])

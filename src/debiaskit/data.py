@@ -81,17 +81,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, idx: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            num_classes=self.num_classes,
-            bias=None if self.bias is None else self.bias[idx],
-            aligned=None if self.aligned is None else self.aligned[idx],
-            cfg=self.cfg,
-        )
-
-
 @dataclass
 class EmpiricalConditional:
     """Nonparametric estimate of p(y|b): table[y, b], columns sum to 1."""
@@ -191,18 +180,6 @@ def estimate_p_y_given_b(ds: LabeledDataset) -> EmpiricalConditional:
         missing = np.flatnonzero(col == 0).tolist()
         raise ValueError(f"cannot condition: bias value(s) {missing} never occur")
     return EmpiricalConditional(table=counts / col, counts=counts)
-
-
-def split(ds: LabeledDataset, train_fraction: float, seed: int):
-    """Disjoint (train, test) partition under a seeded shuffle."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0,1)")
-    n = len(ds)
-    perm = np.random.default_rng(seed).permutation(n)
-    cut = int(round(n * train_fraction))
-    if cut == 0 or cut == n:
-        raise ValueError("degenerate split: one side is empty")
-    return ds.subset(perm[:cut]), ds.subset(perm[cut:])
 
 
 # --- serialization: meta.json + data.f64le (little-endian doubles) ---------

@@ -122,8 +122,9 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
     those of one of the last AMPLIFY_MEMO_SIZE successful calls returns that
     call's classifier without retraining. Training is deterministic, so the
     result is the one retraining would give. Every such call shares the
-    artifact's arrays (``params.arrays``, ``confidences``, ``class_probs``),
-    so they are read-only: copy before writing.
+    artifact's arrays (``params.flat`` and its views ``params.arrays``,
+    ``confidences``, ``class_probs``), so they are read-only: copy before
+    writing.
     """
     if t_bias < 1:
         raise ValueError("t_bias must be >= 1")
@@ -136,19 +137,20 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
         probs = softmax_numpy(mlp_forward(params, train_ds.features))
         conf = probs[np.arange(len(train_ds)), train_ds.labels]
         conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
+        for a in (params.flat, conf, probs):
+            a.flags.writeable = False
         art = BiasedClassifierArtifact(params=params, confidences=conf,
                                        class_probs=probs, t_bias=t_bias,
                                        tau=gce.tau)
-        for a in (*art.params.arrays, art.confidences, art.class_probs):
-            a.flags.writeable = False
         _amplify_memo[key] = art
         if len(_amplify_memo) > AMPLIFY_MEMO_SIZE:
             _amplify_memo.popitem(last=False)
     else:
         _amplify_memo.move_to_end(key)
-    # a fresh shell per call, so rebinding a field cannot reach the memo
-    return replace(art, params=MlpParams(list(art.params.layer_sizes),
-                                         list(art.params.arrays)))
+    # a fresh shell per call, so rebinding a field cannot reach the memo; its
+    # views come from the read-only vector and so are read-only too, unlike
+    # the views made while training
+    return replace(art, params=MlpParams(art.params.layer_sizes, flat=art.params.flat))
 
 
 def compute_weights_clamped(confidences: np.ndarray, gamma: float) -> SampleWeights:
@@ -354,7 +356,8 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
         if vcae_cfg is None:
             raise ValueError("vcae scheme needs a VcaeConfig")
         vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
-        weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap)
+        weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap,
+                               prior=vcae_cfg.prior)
     else:  # pragma: no cover
         raise AssertionError(scheme)
 
@@ -394,6 +397,8 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
     theta = init_mlp(sizes, int(seeds[1]))
     opt_psi = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    grad_psi, grad_theta = (MlpParams(sizes, flat=np.empty_like(psi.flat)),
+                            MlpParams(sizes, flat=np.empty_like(theta.flat)))
     sampler = shuffle_batches(n, cfg.batch_size, int(seeds[2]), cfg.shuffle)
     n_steps = steps_per_epoch(n, cfg.batch_size)
     history = []
@@ -415,12 +420,12 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
             # ratio weights from current losses, before either update
             w = lff_weight(fwd_b.xent(), fwd_d.xent())
             try:
-                _, grads_b = mlp_backward(fwd_b, np.ones(len(idx)))
-                lval, grads_d = mlp_backward(fwd_d, w)
+                mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
+                lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch}") from None
-            opt_psi.step(psi.arrays, grads_b)
-            opt_theta.step(theta.arrays, grads_d)
+            opt_psi.step([psi.flat], [grad_psi.flat])
+            opt_theta.step([theta.flat], [grad_theta.flat])
             loss_total += lval * len(idx)
             seen += len(idx)
         acc, ba, bc = evaluate_accuracy(theta, test_ds)

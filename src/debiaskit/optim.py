@@ -1,10 +1,28 @@
-"""First-order optimizers updating lists of numpy parameter arrays in place."""
+"""First-order optimizers updating lists of numpy parameter arrays in place.
+
+The models keep all their parameters in one contiguous float64 vector
+(``MlpParams.flat``, ``VcaeParams.flat``), so the training loops pass a
+one-element list ``[flat]`` and its gradient ``[grad_flat]``; a step is then
+a handful of whole-vector numpy operations. Each optimizer allocates its
+state and scratch buffers, one set per array, on its first step and updates
+through ``out=`` and in-place operations afterwards. The operations run in
+the order of the textbook expressions in the docstrings, so the result is
+bit-identical to evaluating those expressions array by array.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _check(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    if len(params) != len(grads):
+        raise ValueError("params/grads length mismatch")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
 
 
 @dataclass
@@ -18,23 +36,30 @@ class Sgd:
     momentum: float = 0.0
     weight_decay: float = 0.0
     _buffers: list[np.ndarray] | None = field(default=None, repr=False)
+    _scratch: list[np.ndarray] | None = field(default=None, repr=False)
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ValueError("params/grads length mismatch")
+        _check(params, grads)
         if self._buffers is None:
             self._buffers = [np.zeros_like(p) for p in params]
-        for p, g, buf in zip(params, grads, self._buffers):
-            if p.shape != g.shape:
-                raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+            self._scratch = [np.empty_like(p) for p in params]
+        for p, g, buf, s in zip(params, grads, self._buffers, self._scratch):
             buf *= self.momentum
             buf += g
-            p -= self.lr * (buf + self.weight_decay * p)
+            np.multiply(p, self.weight_decay, out=s)
+            s += buf
+            s *= self.lr
+            p -= s
 
 
 @dataclass
 class Adam:
-    """Adam with bias correction (eps inside the square root denominator)."""
+    """Adam with bias correction (eps inside the square root denominator).
+
+    With g <- g + weight_decay * p when weight_decay is set:
+    m <- beta1 m + (1 - beta1) g; v <- beta2 v + ((1 - beta2) g) g;
+    p <- p - lr (m / bc1) / (sqrt(v / bc2) + eps), bc_i = 1 - beta_i^t.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -44,27 +69,37 @@ class Adam:
     step_count: int = 0
     _m: list[np.ndarray] | None = field(default=None, repr=False)
     _v: list[np.ndarray] | None = field(default=None, repr=False)
+    _scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ValueError("params/grads length mismatch")
+        _check(params, grads)
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            if p.shape != g.shape:
-                raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+        for p, g, m, v, (a, b) in zip(params, grads, self._m, self._v, self._scratch):
             if self.weight_decay:
-                g = g + self.weight_decay * p
+                np.multiply(p, self.weight_decay, out=a)
+                a += g
+                g = a
+            np.multiply(g, 1.0 - self.beta1, out=b)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += b
+            np.multiply(g, 1.0 - self.beta2, out=b)
+            b *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += b
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.0,

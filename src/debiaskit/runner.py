@@ -28,6 +28,10 @@ from .vcae import VcaeConfig
 
 SCHEMA_VERSION = 1
 
+# training epochs of a run when its config names none; TrainConfig's own
+# default (30) is the library's, not the run's
+RUN_EPOCHS = 20
+
 METRICS_HEADER = ["seed", *MetricsRow.CSV_FIELDS]
 
 
@@ -55,7 +59,7 @@ class RunConfig:
     t_bias: int = 5
     tau: float = 0.7
     anneal: AnnealConfig = field(default_factory=AnnealConfig)
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=RUN_EPOCHS))
     vcae: VcaeConfig | None = None
     out_dir: str = "runs/out"
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -97,13 +101,13 @@ class RunConfig:
             merged["anneal"] = AnnealConfig()
         if merged["train"] is not None:
             t = _take(merged["train"],
-                      {"epochs": 20, "batch_size": 128, "optimizer": "adam",
+                      {"epochs": RUN_EPOCHS, "batch_size": 128, "optimizer": "adam",
                        "lr": 1e-3, "momentum": 0.0, "weight_decay": 0.0,
                        "seed": 0, "shuffle": True, "hidden": [64, 64]}, "train")
             t["hidden"] = tuple(t["hidden"])
             merged["train"] = TrainConfig(**t)
         else:
-            merged["train"] = TrainConfig(epochs=20)
+            merged["train"] = TrainConfig(epochs=RUN_EPOCHS)
         if merged["vcae"] is not None:
             v = _take(merged["vcae"],
                       {"num_classes": None, "dim_z": 2, "lambda0": 1.0,

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .classifier import MlpParams, TrainConfig, _forward_graph, init_mlp, mlp_forward
+from .classifier import (MlpParams, TrainConfig, _forward_graph, flat_views,
+                         init_mlp, mlp_forward)
 from .data import LabeledDataset
 from .optim import make_optimizer
 
@@ -59,11 +60,30 @@ class LatentGaussian:
 
 @dataclass
 class VcaeParams:
+    """All VCAE parameters in one contiguous float64 vector ``flat``.
+
+    ``flat`` holds the encoder's vector, the decoder's, then ``mu_y`` and
+    ``log_sigma_y`` row-major; ``encoder.flat``, ``decoder.flat`` and the
+    arrays of ``arrays()`` are views into it, so an optimizer steps the
+    whole model as one array. Building one copies the given parts into a
+    new vector.
+    """
+
     encoder: MlpParams                 # x -> [mu_x | log sigma_x]
     decoder: MlpParams                 # z -> x_hat
     mu_y: np.ndarray = field(repr=False)         # (C, dim_z)
     log_sigma_y: np.ndarray = field(repr=False)  # (C, dim_z)
     dim_z: int = 2
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        parts = [self.encoder.flat, self.decoder.flat,
+                 np.asarray(self.mu_y), np.asarray(self.log_sigma_y)]
+        self.flat = np.concatenate([np.ravel(a) for a in parts], dtype=np.float64)
+        enc, dec, self.mu_y, self.log_sigma_y = flat_views(
+            self.flat, [a.shape for a in parts])
+        self.encoder = MlpParams(self.encoder.layer_sizes, flat=enc)
+        self.decoder = MlpParams(self.decoder.layer_sizes, flat=dec)
 
     def arrays(self) -> list[np.ndarray]:
         return [*self.encoder.arrays, *self.decoder.arrays,
@@ -150,19 +170,6 @@ def _loss_graph(tape: ad.Tape, leaves: dict, x: np.ndarray, y: np.ndarray,
     return total.mean()
 
 
-def vcae_loss(params: VcaeParams, x: np.ndarray, y: np.ndarray,
-              cfg: VcaeConfig, eps: np.ndarray) -> float:
-    """Loss value for a batch with a frozen reparameterization draw eps."""
-    tape, leaves = _make_leaves(params)
-    node = _loss_graph(tape, leaves, np.atleast_2d(x),
-                       np.atleast_1d(np.asarray(y, dtype=np.int64)), cfg,
-                       np.atleast_2d(eps))
-    val = node.item()
-    if not math.isfinite(val):
-        raise RuntimeError("non-finite loss")
-    return val
-
-
 def _make_leaves(params: VcaeParams):
     tape = ad.Tape()
     leaves = {
@@ -186,6 +193,8 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
                          t_cfg.weight_decay)
     shuffle_rng = np.random.default_rng(int(shuffle_seed))
     eps_rng = np.random.default_rng(int(eps_seed))
+    grad = np.empty_like(params.flat)
+    grad_views = flat_views(grad, [a.shape for a in params.arrays()])
     n = len(ds)
     history = []
     for epoch in range(t_cfg.epochs):
@@ -201,13 +210,25 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
             lval = loss.item()
             if not math.isfinite(lval):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            flat = _flat_leaves(leaves)
-            grads = tape.backward(loss, wrt=flat)
-            opt.step(params.arrays(), grads)
+            for dst, g in zip(grad_views, tape.backward(loss, wrt=_flat_leaves(leaves))):
+                dst[...] = g
+            opt.step([params.flat], [grad])
             total += lval * len(idx)
         history.append({"epoch": epoch, "loss": total / n,
                         "seconds": time.perf_counter() - t0})
     return params, history
+
+
+def _posterior_weights(params: VcaeParams, ds: LabeledDataset, cap: float,
+                       prior: np.ndarray | None):
+    """Posterior means z_n, p(y_n | z_n) under ``prior`` (uniform when None)
+    and the weights min(1 / p(y_n | z_n), cap)."""
+    if prior is None:
+        prior = np.full(ds.num_classes, 1.0 / ds.num_classes)
+    z = encode(params, ds.features).mu
+    post = p_y_given_z(params, z, prior)
+    p_true = np.maximum(post[np.arange(len(ds)), ds.labels], 1e-300)
+    return z, p_true, np.minimum(1.0 / p_true, cap)
 
 
 def vcae_weights(params: VcaeParams, ds: LabeledDataset,
@@ -215,12 +236,8 @@ def vcae_weights(params: VcaeParams, ds: LabeledDataset,
                  prior: np.ndarray | None = None):
     """w_n = min(1 / p(y_n | z_n), cap), z_n the posterior mean."""
     from .debias import SampleWeights
-    if prior is None:
-        prior = np.full(ds.num_classes, 1.0 / ds.num_classes)
-    z = encode(params, ds.features).mu
-    post = p_y_given_z(params, z, prior)
-    p_true = np.maximum(post[np.arange(len(ds)), ds.labels], 1e-300)
-    return SampleWeights(np.minimum(1.0 / p_true, cap), provenance="vcae")
+    _, _, w = _posterior_weights(params, ds, cap, prior)
+    return SampleWeights(w, provenance="vcae")
 
 
 def latent_dump(params: VcaeParams, ds: LabeledDataset,
@@ -228,13 +245,8 @@ def latent_dump(params: VcaeParams, ds: LabeledDataset,
                 prior: np.ndarray | None = None) -> list[dict]:
     """Rows for the latent CSV: coordinates, posterior, weight, and the
     (unnormalized) class-conditional log density as a diagnostic."""
-    if prior is None:
-        prior = np.full(ds.num_classes, 1.0 / ds.num_classes)
-    z = encode(params, ds.features).mu
-    post = p_y_given_z(params, z, prior)
+    z, p_true, w = _posterior_weights(params, ds, cap, prior)
     log_pdf = log_p_z_given_y(params, z)
-    p_true = np.maximum(post[np.arange(len(ds)), ds.labels], 1e-300)
-    w = np.minimum(1.0 / p_true, cap)
     rows = []
     for i in range(len(ds)):
         row = {"index": i}

@@ -5,11 +5,12 @@ import pytest
 
 from debiaskit.causal import (ClassifierTable, DiscreteJoint, PositivityError,
                               conditional_u_given_b, interventional,
-                              interventional_ipw, lw_loss_exact,
-                              lw_loss_reference, nill, oracle_report,
-                              random_instance, verify_bound,
+                              interventional_ipw, lw_loss_exact, nill,
+                              oracle_report, random_instance, verify_bound,
                               verify_lw_ws_equivalence)
 from debiaskit.classifier import init_mlp
+
+from conftest import lw_loss_reference
 
 
 def _independent_joint(pu, pb):

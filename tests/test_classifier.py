@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
-from debiaskit.classifier import (XENT_MAX, GceConfig, TrainConfig, _forward_graph,
-                                  gce_loss, init_mlp, load_model, mlp_backward,
-                                  mlp_forward, mlp_loss_forward, save_model,
-                                  shuffle_batches, softmax_numpy, softmax_xent,
-                                  train, weighted_mean_loss, TrainingDiverged)
+from debiaskit.classifier import (XENT_MAX, GceConfig, MlpParams, TrainConfig,
+                                  _forward_graph, gce_loss, init_mlp, load_model,
+                                  mlp_backward, mlp_forward, mlp_loss_forward,
+                                  save_model, shuffle_batches, softmax_numpy,
+                                  softmax_xent, train, weighted_mean_loss,
+                                  TrainingDiverged)
 from debiaskit.data import GenConfig, LabeledDataset, generate_two_factor, unbiased_config
 from debiaskit.metrics import evaluate_accuracy
-from debiaskit.optim import make_optimizer
 
-from conftest import central_diff, rel_err, tape_loss_and_grads
+from conftest import (assert_views_of_flat, central_diff, ref_optimizer, rel_err,
+                      tape_loss_and_grads)
 
 
 # --- forward pass -----------------------------------------------------------
@@ -44,7 +45,7 @@ def test_forward_dim_mismatch():
 
 
 def test_forward_gradient_vs_finite_differences(rng):
-    from debiaskit.classifier import MlpParams, log_softmax_numpy
+    from debiaskit.classifier import log_softmax_numpy
     sizes = [3, 5, 4]
     params = init_mlp(sizes, seed=2)
     x = rng.normal(size=(4, 3))
@@ -210,6 +211,35 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["optimizer"] == "adam"
     for a, b in zip(params.arrays, back.arrays):
         assert a.tobytes() == b.tobytes()
+    save_model(back, tmp_path / "again")
+    raw = (tmp_path / "m" / "params.f64le").read_bytes()
+    assert raw == (tmp_path / "again" / "params.f64le").read_bytes() == params.flat.tobytes()
+
+
+def test_params_arrays_are_views_of_one_vector(tmp_path):
+    params = init_mlp([6, 4, 5, 3], seed=9)
+    assert_views_of_flat(params.flat, params.arrays)
+    assert [a.shape for a in params.arrays] == [(6, 4), (4,), (4, 5), (5,), (5, 3), (3,)]
+    dup = params.copy()
+    assert_views_of_flat(dup.flat, dup.arrays)
+    assert not np.shares_memory(dup.flat, params.flat)
+    save_model(params, tmp_path / "m")
+    back, _ = load_model(tmp_path / "m")
+    assert_views_of_flat(back.flat, back.arrays)
+    back.flat[:] = 1.0  # a loaded checkpoint is writable
+    trained, _ = train(_blobs(n=40), TrainConfig(epochs=1, batch_size=16, hidden=(5,)))
+    assert_views_of_flat(trained.flat, trained.arrays)
+    rebuilt = MlpParams([6, 4, 5, 3], params.arrays)  # built from arrays: a copy
+    assert_views_of_flat(rebuilt.flat, rebuilt.arrays)
+    assert rebuilt.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(rebuilt.flat, params.flat)
+
+
+def test_params_reject_arrays_that_do_not_fit():
+    with pytest.raises(ValueError, match="do not fit"):
+        MlpParams([3, 2], [np.zeros((2, 3)), np.zeros(2)])
+    with pytest.raises(ValueError, match="vector of 8 values"):
+        MlpParams([3, 2], flat=np.zeros(9))
 
 
 def test_load_model_rejects_truncated_params(tmp_path):
@@ -314,12 +344,29 @@ def test_finite_loss_with_overflowing_gradient_raises():
             train(ds, cfg, params=params, weight_fn=lambda idx, t: w[idx])
 
 
+def test_non_finite_gradient_names_its_array():
+    """Only the last weight matrix overflows: huge hidden activations times a
+    large weighted adjoint. The error names array 2, as the tape route did."""
+    params = init_mlp([2, 2, 2], seed=0)
+    params.arrays[0][:] = [[1e300, 0.0], [0.0, 1e300]]
+    params.arrays[2][:] = [[1e-300, -1e-300], [-1e-300, 1e-300]]
+    x = np.array([[1.0, 0.5], [0.5, 1.0]])
+    y = np.array([0, 1])
+    w = np.full(2, 1e12)
+    fwd = mlp_loss_forward(params, x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ad.GradientError, match="parameter array 2$"):
+            mlp_backward(fwd, w)
+        with pytest.raises(ad.GradientError):
+            tape_loss_and_grads(params.arrays, x, y, w)
+
+
 def _tape_train(ds, cfg, *, loss="xent", tau=0.7, weight_fn=None, logit_offset=None):
     """Reference loop: ``train`` as it was with a tape per step."""
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
     params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
     sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
-    opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = ref_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     losses = []
     for step in range(cfg.epochs * math.ceil(len(ds) / cfg.batch_size)):
         idx = next(sampler)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from debiaskit.data import (GenConfig, LabeledDataset, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
-                            save_dataset, split, unbiased_config)
+                            save_dataset, unbiased_config)
+
+from conftest import split
 
 # frozen at first build; any generator change must be deliberate
 GLYPH_SHA = "2756339a18e4cf02268174abd38687e3a4495a86fc91f92911d0c8d74e40bb23"

@@ -21,10 +21,9 @@ from debiaskit.debias import (AnnealConfig, SampleWeights,
                               weighted_sampler)
 from debiaskit.classifier import softmax_numpy
 from debiaskit.metrics import debias_bc_ratio
-from debiaskit.optim import make_optimizer
 from debiaskit.runner import RunConfig, run_sweep
 
-from conftest import tape_loss_and_grads
+from conftest import assert_views_of_flat, ref_optimizer, tape_loss_and_grads
 
 
 # --- clamped weights and rescaling -----------------------------------------
@@ -298,6 +297,34 @@ def test_memo_arrays_are_read_only(amp_calls):
     assert len(amp_calls) == 1
 
 
+def test_memo_vector_and_every_view_are_read_only(amp_calls):
+    """On a miss and on a hit, no view of the shared vector takes a write:
+    the views made while training are not the ones handed out."""
+    ds, gce, cfg = _amp_setup()
+    for art in (train_biased_classifier(ds, gce, 1, cfg),
+                train_biased_classifier(ds, gce, 1, cfg)):
+        views = (art.params.flat, *art.params.arrays, art.confidences,
+                 art.class_probs)
+        for a in views:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.5
+        for a in views[1:-2]:
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+    assert len(amp_calls) == 1
+
+
+def test_memo_hit_shares_the_vector_with_new_views(amp_calls):
+    ds, gce, cfg = _amp_setup()
+    first = train_biased_classifier(ds, gce, 1, cfg)
+    hit = train_biased_classifier(ds, gce, 1, cfg)
+    assert len(amp_calls) == 1
+    assert hit.params is not first.params and hit.params.arrays is not first.params.arrays
+    assert hit.params.flat is first.params.flat  # shared, not copied
+    assert_views_of_flat(hit.params.flat, hit.params.arrays)
+
+
 def test_memo_does_not_keep_a_failed_call(monkeypatch, amp_calls):
     ds, gce, cfg = _amp_setup()
     counted = debias.train
@@ -473,8 +500,8 @@ def _tape_lff(train_ds, gce, cfg):
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
     psi, theta = init_mlp(sizes, int(seeds[0])), init_mlp(sizes, int(seeds[1]))
-    opt_psi = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
-    opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt_psi = ref_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt_theta = ref_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     sampler = shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle)
     for _ in range(cfg.epochs * math.ceil(len(train_ds) / cfg.batch_size)):
         idx = next(sampler)
@@ -499,3 +526,4 @@ def test_lff_matches_tape_reference_bitwise():
     for a, b in zip(result.params.arrays, theta.arrays):
         assert a.tobytes() == b.tobytes()
     assert result.weights.weights.tobytes() == w.tobytes()
+    assert_views_of_flat(result.params.flat, result.params.arrays)

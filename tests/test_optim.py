@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debiaskit.optim import Adam, Sgd, make_optimizer
+
+from conftest import ref_optimizer
 
 
 def test_sgd_plain_step():
@@ -60,3 +64,42 @@ def test_adam_monotone_on_quadratic():
 def test_make_optimizer_rejects_unknown():
     with pytest.raises(ValueError):
         make_optimizer("lbfgs", 0.1)
+
+
+# --- the flat-vector step against the per-array reference --------------------
+
+@st.composite
+def _step_runs(draw):
+    shapes = draw(st.lists(
+        st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
+        min_size=1, max_size=5))
+    return dict(shapes=shapes,
+                optimizer=draw(st.sampled_from(["sgd", "adam"])),
+                steps=draw(st.integers(1, 20)),
+                lr=draw(st.sampled_from([1e-3, 0.05, 0.3])),
+                momentum=draw(st.sampled_from([0.0, 0.9])),
+                weight_decay=draw(st.sampled_from([0.0, 1e-4, 0.01])),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(_step_runs())
+@settings(max_examples=120, deadline=None)
+def test_flat_step_matches_per_array_reference_bitwise(run):
+    """Stepping one flat vector in place gives the bits of the per-array
+    update, for both optimizers, with momentum and weight decay."""
+    rng = np.random.default_rng(run["seed"])
+    ref_arrays = [rng.normal(size=shape) for shape in run["shapes"]]
+    flat = np.concatenate([a.ravel() for a in ref_arrays])
+    hyper = (run["lr"], run["momentum"], run["weight_decay"])
+    ref = ref_optimizer(run["optimizer"], *hyper)
+    opt = make_optimizer(run["optimizer"], *hyper)
+    for _ in range(run["steps"]):
+        grads = [rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=a.shape)
+                 for a in ref_arrays]
+        grads[0].ravel()[0] = 0.0  # zero gradients, too
+        ref.step(ref_arrays, grads)
+        grad_flat = np.concatenate([g.ravel() for g in grads])
+        opt.step([flat], [grad_flat])
+        # the step leaves the gradient as it was
+        assert grad_flat.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
+    assert flat.tobytes() == np.concatenate([a.ravel() for a in ref_arrays]).tobytes()

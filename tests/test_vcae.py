@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from debiaskit.classifier import TrainConfig
-from debiaskit.data import GenConfig, generate_colored_glyphs, generate_two_factor
+from debiaskit.classifier import MlpParams, TrainConfig
+from debiaskit.data import (GenConfig, generate_colored_glyphs, generate_two_factor,
+                            unbiased_config)
+from debiaskit.debias import run_debias_pipeline
 from debiaskit.vcae import (LatentGaussian, VcaeConfig, VcaeParams, encode,
                             init_vcae, kl_diag_gauss, latent_dump,
                             log_p_z_given_y, p_y_given_z, train_vcae,
-                            vcae_loss, vcae_weights)
+                            vcae_weights)
 
-from conftest import central_diff, rel_err
+from conftest import (assert_views_of_flat, central_diff, ref_optimizer, rel_err,
+                      vcae_loss)
 
 
 def _zeroed(params: VcaeParams) -> VcaeParams:
@@ -267,3 +270,89 @@ def test_latent_dump_columns():
     assert set(rows[0]) == {"index", "z_0", "z_1", "label", "aligned",
                             "p_y_given_z", "weight", "log_p_z_given_y"}
     assert rows[2]["aligned"] == 0
+
+
+# --- one parameter vector ----------------------------------------------------
+
+def test_vcae_arrays_are_views_of_one_vector():
+    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(5,))
+    params = init_vcae(cfg, input_dim=4, seed=1)
+    assert_views_of_flat(params.flat, params.arrays())
+    assert_views_of_flat(params.flat, [params.encoder.flat, params.decoder.flat,
+                                       params.mu_y, params.log_sigma_y])
+    ds = generate_two_factor(GenConfig(num_classes=3, n=60, bc_ratio=0.1, seed=2))
+    trained, _ = train_vcae(ds, cfg, TrainConfig(epochs=1, batch_size=32, seed=0))
+    assert_views_of_flat(trained.flat, trained.arrays())
+    assert_views_of_flat(trained.encoder.flat, trained.encoder.arrays)
+
+
+def _ref_train_vcae(ds, cfg, t_cfg):
+    """Reference loop: ``train_vcae`` as it was, stepping array by array."""
+    from debiaskit.vcae import _flat_leaves, _loss_graph, _make_leaves
+    seeds = np.random.SeedSequence(t_cfg.seed).generate_state(3)
+    params = init_vcae(cfg, ds.dim, int(seeds[0]))
+    arrays = [a.copy() for a in params.arrays()]
+    opt = ref_optimizer(t_cfg.optimizer, t_cfg.lr, t_cfg.momentum, t_cfg.weight_decay)
+    shuffle_rng = np.random.default_rng(int(seeds[1]))
+    eps_rng = np.random.default_rng(int(seeds[2]))
+    n_enc, n_dec = len(params.encoder.arrays), len(params.decoder.arrays)
+    for _ in range(t_cfg.epochs):
+        order = shuffle_rng.permutation(len(ds))
+        for start in range(0, len(ds), t_cfg.batch_size):
+            idx = order[start:start + t_cfg.batch_size]
+            eps = eps_rng.normal(size=(len(idx), cfg.dim_z))
+            view = VcaeParams(MlpParams(params.encoder.layer_sizes, arrays[:n_enc]),
+                              MlpParams(params.decoder.layer_sizes,
+                                        arrays[n_enc:n_enc + n_dec]),
+                              arrays[-2], arrays[-1], dim_z=cfg.dim_z)
+            tape, leaves = _make_leaves(view)
+            loss = _loss_graph(tape, leaves, ds.features[idx], ds.labels[idx], cfg, eps)
+            opt.step(arrays, tape.backward(loss, wrt=_flat_leaves(leaves)))
+    return arrays
+
+
+@pytest.mark.parametrize("optimizer,weight_decay", [("adam", 0.0), ("adam", 1e-3),
+                                                    ("sgd", 1e-3)])
+def test_train_vcae_matches_per_array_reference_bitwise(optimizer, weight_decay):
+    ds = generate_two_factor(GenConfig(num_classes=3, n=100, bc_ratio=0.1, seed=54))
+    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(6,))
+    tc = TrainConfig(epochs=2, batch_size=48, seed=5, optimizer=optimizer, lr=1e-2,
+                     momentum=0.9, weight_decay=weight_decay)
+    params, _ = train_vcae(ds, cfg, tc)
+    ref = _ref_train_vcae(ds, cfg, tc)
+    assert params.flat.tobytes() == np.concatenate([a.ravel() for a in ref]).tobytes()
+
+
+# --- the class prior ---------------------------------------------------------
+
+def _prior_setup():
+    gen = GenConfig(num_classes=3, n=150, bc_ratio=0.1, seed=55)
+    train_ds = generate_two_factor(gen)
+    test_ds = generate_two_factor(unbiased_config(gen, n=60, seed=56))
+    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(6,), prior=[0.6, 0.3, 0.1])
+    return train_ds, test_ds, cfg, TrainConfig(epochs=2, batch_size=50, seed=1)
+
+
+def test_pipeline_weighs_by_the_configured_prior():
+    """The VCAE is fit with cfg.prior, so its weights use that p(y) too."""
+    train_ds, test_ds, cfg, tc = _prior_setup()
+    res = run_debias_pipeline(train_ds, test_ds, "vcae", "LW", train_cfg=tc,
+                              vcae_cfg=cfg, vcae_train_cfg=tc)
+    vparams, _ = train_vcae(train_ds, cfg, tc)
+    want = vcae_weights(vparams, train_ds, prior=cfg.prior)
+    uniform = vcae_weights(vparams, train_ds)
+    assert res.weights.weights.tobytes() == want.weights.tobytes()
+    assert not np.array_equal(want.weights, uniform.weights)
+
+
+def test_latent_dump_shares_the_weights_posterior():
+    train_ds, _, cfg, tc = _prior_setup()
+    vparams, _ = train_vcae(train_ds, cfg, tc)
+    for prior in (None, cfg.prior):
+        rows = latent_dump(vparams, train_ds, cap=50.0, prior=prior)
+        w = vcae_weights(vparams, train_ds, cap=50.0, prior=prior)
+        post = p_y_given_z(vparams, encode(vparams, train_ds.features).mu,
+                           np.full(3, 1.0 / 3.0) if prior is None else prior)
+        p_true = post[np.arange(len(train_ds)), train_ds.labels]
+        assert np.array([r["weight"] for r in rows]).tobytes() == w.weights.tobytes()
+        assert np.array([r["p_y_given_z"] for r in rows]).tobytes() == p_true.tobytes()
