@@ -6,6 +6,11 @@ Tapes are throwaway values: build a graph, differentiate it, discard it.
 Backward closures capture arrays, never nodes, so a dropped tape is freed
 by reference counting without waiting for the cycle collector. Nothing is
 shared between tapes, so independent tapes may live on different threads.
+
+This module is the test oracle only: no production module imports it.
+Every model trains through a closed-form step (``classifier.mlp_backward``,
+``vcae.vcae_backward``) that the tests check against tapes built from it,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-
-class GradientError(RuntimeError):
-    """Raised when the reverse sweep hits a non-finite adjoint."""
+# the closed-form steps raise it too; one class for both routes
+from .classifier import GradientError
 
 
 def _as_f64(x) -> np.ndarray:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .classifier import MlpParams, _forward_graph, softmax_xent
+from .classifier import MlpParams, mlp_backward, mlp_loss_forward
 
 MAX_SIDE = 8
 _ATOL = 1e-12
@@ -176,23 +175,20 @@ def verify_bound(j: DiscreteJoint, q: ClassifierTable,
 def _cell_gradients(j: DiscreteJoint, params: MlpParams,
                     x_cells: np.ndarray) -> np.ndarray:
     """Expected parameter gradient of the cross-entropy per (u, b) cell,
-    flattened; the y-expectation uses the joint's label conditional."""
-    n_params = sum(a.size for a in params.arrays)
-    grads = np.zeros((j.n_u, j.n_b, n_params))
+    flattened; the y-expectation uses the joint's label conditional.
+
+    Each cell is one batch of k rows, one per label y with p(y|u,b) > 0,
+    weighted k p(y|u,b), so the batch mean is sum_y p(y|u,b) xent(y).
+    """
+    grads = np.zeros((j.n_u, j.n_b, params.flat.size))
+    out = MlpParams(params.layer_sizes, flat=np.empty_like(params.flat))
     for u in range(j.n_u):
         for b in range(j.n_b):
-            tape = ad.Tape()
-            leaves = [tape.leaf(a) for a in params.arrays]
-            logits = _forward_graph(tape, leaves, x_cells[u, b][None, :])
-            loss = None
-            for y in range(j.n_y):
-                py = j.p_y_given_ub[u, b, y]
-                if py == 0.0:
-                    continue
-                term = softmax_xent(logits, np.array([y])).sum() * py
-                loss = term if loss is None else loss + term
-            gs = tape.backward(loss, wrt=leaves)
-            grads[u, b] = np.concatenate([g.ravel() for g in gs])
+            ys = np.flatnonzero(j.p_y_given_ub[u, b])
+            x = np.repeat(x_cells[u, b][None, :], len(ys), axis=0)
+            fwd = mlp_loss_forward(params, x, ys)
+            mlp_backward(fwd, len(ys) * j.p_y_given_ub[u, b, ys], out=out)
+            grads[u, b] = out.flat
     return grads
 
 

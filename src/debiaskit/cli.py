@@ -103,7 +103,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_vcae(args) -> int:
-    from .vcae import VcaeConfig, latent_dump, train_vcae, vcae_weights
+    from .vcae import VcaeConfig, latent_dump, train_vcae
     ds = load_dataset(args.data)
     cfg = VcaeConfig(num_classes=ds.num_classes, dim_z=args.dim_z,
                      lambda0=args.lambda0, lambda1=args.lambda1,
@@ -118,10 +118,8 @@ def cmd_vcae(args) -> int:
                [[row[k] for k in header] for row in rows])
     _write_csv(out / "vcae_history.csv", ["epoch", "loss"],
                [[h["epoch"], h["loss"]] for h in history])
-    weights = vcae_weights(params, ds, cap=args.cap, prior=cfg.prior)
     _write_csv(out / "weights.csv", ["index", "weight", "aligned", "provenance"],
-               [[i, wi, int(ds.aligned[i]) if ds.aligned is not None else "",
-                 weights.provenance] for i, wi in enumerate(weights.weights)])
+               [[row["index"], row["weight"], row["aligned"], "vcae"] for row in rows])
     print(f"trained {tc.epochs} epochs, final loss {history[-1]['loss']:.4f}; "
           f"dumps in {args.out}")
     return 0

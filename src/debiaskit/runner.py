@@ -233,6 +233,30 @@ def run_experiment(cfg: RunConfig) -> dict:
 SWEEP_AXES = ("gamma", "t_bias")
 
 
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: one OpenBLAS thread per worker.
+
+    Each worker inherits the parent's BLAS threads, so N workers would run
+    N times that many threads on the same cores. Calls the OpenBLAS bundled
+    with numpy (``numpy.libs``) through ctypes; changes nothing when no
+    thread setter is found. Serial runs keep their threads.
+    """
+    import ctypes
+    import glob
+    import os
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
 def run_sweep(cfg: RunConfig, axis: str, values: list[float],
               jobs: int = 1) -> Path:
     """One experiment per axis value plus a merged long-format CSV.
@@ -250,7 +274,8 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
               for v in values]
     out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_one_blas_thread) as pool:
             list(pool.map(run_experiment, points))
     else:
         for point in points:

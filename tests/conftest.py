@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from debiaskit import autodiff as ad
+from debiaskit import classifier
 from debiaskit.causal import ClassifierTable, DiscreteJoint, conditional_u_given_b
-from debiaskit.classifier import (_forward_graph, gce_loss, softmax_xent,
-                                  weighted_mean_loss)
+from debiaskit.classifier import P_FLOOR, XENT_MAX
 from debiaskit.data import LabeledDataset
-from debiaskit.vcae import VcaeConfig, VcaeParams, _loss_graph, _make_leaves
+from debiaskit.vcae import LOG_2PI, VcaeConfig, VcaeParams
 
 
 @pytest.fixture
@@ -43,6 +43,57 @@ def rel_err(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# --- the tape route: the oracle for every closed-form gradient ---------------
+
+def _forward_graph(tape: ad.Tape, leaves: list[ad.Node], x) -> ad.Node:
+    """Differentiable ReLU MLP forward; ``leaves`` alternate W, b.
+
+    ``x`` may be a constant batch or an upstream tape node.
+    """
+    h = x if isinstance(x, ad.Node) else tape.const(
+        np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    n_layers = len(leaves) // 2
+    for i in range(n_layers):
+        h = h @ leaves[2 * i] + leaves[2 * i + 1]
+        if i < n_layers - 1:
+            h = ad.relu(h)
+    return h
+
+
+def softmax_xent(logits, y):
+    """``classifier.softmax_xent``, differentiable when ``logits`` is a node."""
+    if not isinstance(logits, ad.Node):
+        return classifier.softmax_xent(logits, y)
+    y = np.asarray(y, dtype=np.int64)
+    if np.any(y < 0) or np.any(y >= logits.value.shape[-1]):
+        raise ValueError("label out of range")
+    losses = -ad.take_per_row(ad.log_softmax(logits), y)
+    return ad.clamp_max(losses, XENT_MAX)
+
+
+def gce_loss(p_y, tau: float):
+    """``classifier.gce_loss``, differentiable when ``p_y`` is a node."""
+    if not isinstance(p_y, ad.Node):
+        return classifier.gce_loss(p_y, tau)
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0,1], got {tau}")
+    p = ad.clamp_min(p_y, P_FLOOR)
+    return (1.0 - p ** tau) / tau
+
+
+def weighted_mean_loss(per_sample_losses, weights):
+    """``classifier.weighted_mean_loss``, differentiable on a node."""
+    if not isinstance(per_sample_losses, ad.Node):
+        return classifier.weighted_mean_loss(per_sample_losses, weights)
+    w = np.asarray(weights, dtype=np.float64)
+    if np.any(w < 0):
+        raise ValueError("negative weight")
+    n = per_sample_losses.value.shape[0]
+    if w.shape != (n,):
+        raise ValueError("weights/losses length mismatch")
+    return (per_sample_losses * w).sum() * (1.0 / n)
 
 
 def gce_tape_loss(logits, y, tau, weights):
@@ -150,6 +201,66 @@ def logsumexp(a: ad.Node, axis: int = -1) -> ad.Node:
         return (np.expand_dims(g, axis) * soft,)
 
     return a.tape._op("logsumexp", (a,), val_sq, bw)
+
+
+def _loss_graph(tape: ad.Tape, leaves: dict, x: np.ndarray, y: np.ndarray,
+                cfg: VcaeConfig, eps: np.ndarray):
+    """VCAE per-batch loss node. ``leaves``: enc (list), dec (list), mu_y,
+    log_sigma_y. The graph that ``vcae_loss_forward``/``vcae_backward`` replay."""
+    n, dz = x.shape[0], cfg.dim_z
+    enc_out = _forward_graph(tape, leaves["enc"], x)
+    mu_x = ad.slice_cols(enc_out, 0, dz)
+    log_sigma_x = ad.slice_cols(enc_out, dz, 2 * dz)
+    sigma_x = ad.exp(log_sigma_x)
+    z = mu_x + sigma_x * eps
+
+    x_hat = _forward_graph(tape, leaves["dec"], z)
+    diff = x_hat - tape.const(x)
+    rec = (diff * diff).sum(axis=1) * 0.5  # unit-variance Gaussian, constants dropped
+
+    mu_p = ad.rows(leaves["mu_y"], y)
+    log_sigma_p = ad.rows(leaves["log_sigma_y"], y)
+    sigma_sq_p = ad.exp(log_sigma_p * 2.0)
+    kl_terms = (log_sigma_p - log_sigma_x
+                + (sigma_x * sigma_x + (mu_x - mu_p) ** 2.0) / (sigma_sq_p * 2.0)
+                - 0.5)
+    kl = kl_terms.sum(axis=1)
+
+    z3 = ad.reshape(z, (n, 1, dz))
+    mu3 = ad.reshape(leaves["mu_y"], (1, cfg.num_classes, dz))
+    ls3 = ad.reshape(leaves["log_sigma_y"], (1, cfg.num_classes, dz))
+    quad = (((z3 - mu3) * ad.exp(-ls3)) ** 2.0).sum(axis=2)
+    logdet = ad.vsum(ls3, axis=2)
+    log_pdf = quad * -0.5 - logdet - 0.5 * dz * LOG_2PI
+    class_logits = log_pdf + tape.const(np.log(cfg.prior))
+    log_post = ad.log_softmax(class_logits)
+    xent = -ad.take_per_row(log_post, y)
+
+    total = rec * cfg.lambda0 + kl * cfg.lambda1 + xent * cfg.lambda2
+    return total.mean()
+
+
+def _make_leaves(params: VcaeParams):
+    tape = ad.Tape()
+    leaves = {
+        "enc": [tape.leaf(a) for a in params.encoder.arrays],
+        "dec": [tape.leaf(a) for a in params.decoder.arrays],
+        "mu_y": tape.leaf(params.mu_y),
+        "log_sigma_y": tape.leaf(params.log_sigma_y),
+    }
+    return tape, leaves
+
+
+def _flat_leaves(leaves: dict) -> list:
+    return [*leaves["enc"], *leaves["dec"], leaves["mu_y"], leaves["log_sigma_y"]]
+
+
+def tape_vcae_loss_and_grads(params: VcaeParams, x, y, cfg: VcaeConfig, eps):
+    """One VCAE step through the tape: the reference that the closed-form
+    ``vcae_loss_forward``/``vcae_backward`` pair must match."""
+    tape, leaves = _make_leaves(params)
+    loss = _loss_graph(tape, leaves, x, y, cfg, eps)
+    return loss.item(), tape.backward(loss, wrt=_flat_leaves(leaves))
 
 
 def vcae_loss(params: VcaeParams, x: np.ndarray, y: np.ndarray,

@@ -18,8 +18,7 @@ from debiaskit import autodiff as ad
 from debiaskit.causal import (interventional, interventional_ipw,
                               random_instance, verify_bound,
                               verify_lw_ws_equivalence)
-from debiaskit.classifier import (GceConfig, TrainConfig, gce_loss, init_mlp,
-                                  softmax_numpy)
+from debiaskit.classifier import GceConfig, TrainConfig, init_mlp, softmax_numpy
 from debiaskit.cli import main as cli_main
 from debiaskit.data import GenConfig, generate_two_factor, unbiased_config
 from debiaskit.debias import (AnnealConfig, anneal_weight,
@@ -31,6 +30,8 @@ from debiaskit.vcae import (LatentGaussian, VcaeConfig, init_vcae,
                             kl_diag_gauss, p_y_given_z, train_vcae,
                             vcae_weights)
 from debiaskit.data import generate_colored_glyphs
+
+from conftest import gce_loss
 
 
 def _report(num, name, detail=""):

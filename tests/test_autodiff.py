@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
-from debiaskit.classifier import init_mlp, softmax_xent
-from debiaskit.classifier import _forward_graph
+from debiaskit.classifier import init_mlp
 
-from conftest import central_diff, log, logsumexp, rel_err
+from conftest import _forward_graph, central_diff, log, logsumexp, rel_err, softmax_xent
 
 
 def test_square_identity():

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from debiaskit import autodiff as ad
 from debiaskit.causal import (ClassifierTable, DiscreteJoint, PositivityError,
-                              conditional_u_given_b, interventional,
+                              _cell_gradients, conditional_u_given_b, interventional,
                               interventional_ipw, lw_loss_exact, nill,
                               oracle_report, random_instance, verify_bound,
                               verify_lw_ws_equivalence)
 from debiaskit.classifier import init_mlp
 
-from conftest import lw_loss_reference
+from conftest import _forward_graph, lw_loss_reference, softmax_xent
 
 
 def _independent_joint(pu, pb):
@@ -209,3 +210,40 @@ def test_oracle_report_all_pass():
     names = {c["name"] for c in rep["checks"]}
     assert names == {"interventional_bound", "bound_equality_b_invariant",
                      "backdoor_ipw_identity", "lw_ws_equivalence"}
+
+
+def _tape_cell_gradients(j, params, x_cells):
+    """Per cell, the tape's gradient of sum_y p(y|u,b) xent(y) on one row."""
+    grads = np.zeros((j.n_u, j.n_b, params.flat.size))
+    for u in range(j.n_u):
+        for b in range(j.n_b):
+            tape = ad.Tape()
+            leaves = [tape.leaf(a) for a in params.arrays]
+            logits = _forward_graph(tape, leaves, x_cells[u, b][None, :])
+            loss = None
+            for y in range(j.n_y):
+                py = j.p_y_given_ub[u, b, y]
+                if py == 0.0:
+                    continue
+                term = softmax_xent(logits, np.array([y])).sum() * py
+                loss = term if loss is None else loss + term
+            gs = tape.backward(loss, wrt=leaves)
+            grads[u, b] = np.concatenate([g.ravel() for g in gs])
+    return grads
+
+
+def test_cell_gradients_match_the_tape(rng):
+    """One label per cell (y = u) and several, some with p(y|u,b) = 0."""
+    for k in range(20):
+        n_u, n_b = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        j, _ = random_instance(rng, n_u, n_b)
+        if k % 2:
+            p_y = rng.dirichlet(np.ones(n_u), size=(n_u, n_b))
+            p_y[rng.random(p_y.shape) < 0.3] = 0.0
+            p_y[..., 0] += 1.0 - p_y.sum(axis=2)
+            j = DiscreteJoint(j.p_ub, p_y)
+        params = init_mlp([3, 6, n_u], seed=k)
+        x_cells = rng.normal(size=(n_u, n_b, 3))
+        got = _cell_gradients(j, params, x_cells)
+        want = _tape_cell_gradients(j, params, x_cells)
+        assert np.abs(got - want).max() < 1e-12

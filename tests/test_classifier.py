@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
 from debiaskit.classifier import (XENT_MAX, GceConfig, MlpParams, TrainConfig,
-                                  _forward_graph, gce_loss, init_mlp, load_model,
+                                  init_mlp, load_model,
                                   mlp_backward, mlp_forward, mlp_loss_forward,
                                   save_model, shuffle_batches, softmax_numpy,
-                                  softmax_xent, train, weighted_mean_loss,
-                                  TrainingDiverged)
+                                  train, TrainingDiverged)
 from debiaskit.data import GenConfig, LabeledDataset, generate_two_factor, unbiased_config
 from debiaskit.metrics import evaluate_accuracy
 
-from conftest import (assert_views_of_flat, central_diff, ref_optimizer, rel_err,
-                      tape_loss_and_grads)
+from conftest import (_forward_graph, assert_views_of_flat, central_diff, gce_loss,
+                      ref_optimizer, rel_err, softmax_xent, tape_loss_and_grads,
+                      weighted_mean_loss)
 
 
 # --- forward pass -----------------------------------------------------------

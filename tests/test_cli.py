@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,3 +231,32 @@ def test_report_command(tmp_path, capsys):
 
 def test_report_missing_dir_fails(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nope")]) == 1
+
+
+def test_production_paths_leave_autodiff_unimported():
+    """The CLI, a VCAE/LW pipeline and the causal oracle run without the
+    tape: ``debiaskit.autodiff`` is the tests' oracle only."""
+    import debiaskit
+    script = """
+import sys
+import debiaskit.cli
+from debiaskit.causal import oracle_report
+from debiaskit.classifier import TrainConfig
+from debiaskit.data import GenConfig, generate, unbiased_config
+from debiaskit.debias import run_debias_pipeline
+from debiaskit.vcae import VcaeConfig
+gen = GenConfig(num_classes=3, n=150, bc_ratio=0.1, seed=1)
+tc = TrainConfig(epochs=1, batch_size=50, seed=0, hidden=(8,))
+run_debias_pipeline(generate(gen), generate(unbiased_config(gen, 60, 2)), "vcae", "LW",
+                    train_cfg=tc, vcae_cfg=VcaeConfig(num_classes=3, hidden=(6,)),
+                    vcae_train_cfg=tc)
+assert oracle_report(n_bound=3, n_backdoor=3, n_equiv=3)["all_pass"]
+print(sorted(m for m in sys.modules if m.startswith("debiaskit")))
+"""
+    src = str(Path(debiaskit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.strip()
+    assert "debiaskit.vcae" in loaded and "debiaskit.causal" in loaded
+    assert "debiaskit.autodiff" not in loaded

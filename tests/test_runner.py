@@ -1,11 +1,15 @@
 import csv
+import ctypes
+import glob
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from debiaskit.runner import (ConfigError, RunConfig, aggregate_report,
+from debiaskit import runner
+from debiaskit.runner import (METRICS_HEADER, ConfigError, RunConfig, aggregate_report,
                               run_experiment, run_sweep, summarize)
 
 
@@ -164,3 +168,38 @@ def test_summarize_std_over_seeds():
     assert s["final_epoch"] == 1 and s["n_seeds"] == 2
     assert abs(s["metrics"]["test_acc"]["mean"] - 0.6) < 1e-15
     assert abs(s["metrics"]["test_acc"]["std"] - np.std([0.5, 0.7], ddof=1)) < 1e-15
+
+
+def _blas_thread_getter():
+    """OpenBLAS's thread-count getter from numpy's bundled library, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def _record_blas_threads(cfg):
+    """Stands in for ``run_experiment`` in a pool worker: records the
+    worker's BLAS thread count and writes an empty metrics.csv."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "blas_threads").write_text(str(_blas_thread_getter()()))
+    (out / "metrics.csv").write_text(",".join(METRICS_HEADER) + "\n")
+
+
+def test_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    if _blas_thread_getter() is None:
+        pytest.skip("no OpenBLAS thread getter in numpy.libs")
+    before = _blas_thread_getter()()
+    monkeypatch.setattr(runner, "run_experiment", _record_blas_threads)
+    run_sweep(_tiny_cfg(tmp_path), "gamma", [50.0, 200.0], jobs=2)
+    for point in ("gamma=50", "gamma=200"):
+        assert (tmp_path / "run" / point / "blas_threads").read_text() == "1"
+    assert _blas_thread_getter()() == before  # the parent keeps its threads

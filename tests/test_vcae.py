@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from debiaskit.classifier import MlpParams, TrainConfig
-from debiaskit.data import (GenConfig, generate_colored_glyphs, generate_two_factor,
-                            unbiased_config)
+from debiaskit.classifier import GradientError, MlpParams, TrainConfig, TrainingDiverged
+from debiaskit.data import (GenConfig, LabeledDataset, generate_colored_glyphs,
+                            generate_two_factor, unbiased_config)
 from debiaskit.debias import run_debias_pipeline
 from debiaskit.vcae import (LatentGaussian, VcaeConfig, VcaeParams, encode,
                             init_vcae, kl_diag_gauss, latent_dump,
                             log_p_z_given_y, p_y_given_z, train_vcae,
-                            vcae_weights)
+                            vcae_backward, vcae_loss_forward, vcae_weights)
 
 from conftest import (assert_views_of_flat, central_diff, ref_optimizer, rel_err,
-                      vcae_loss)
+                      tape_vcae_loss_and_grads, vcae_loss)
 
 
 def _zeroed(params: VcaeParams) -> VcaeParams:
@@ -176,7 +178,7 @@ def test_loss_equals_sum_of_independent_terms(rng):
 
 def test_loss_gradient_vs_finite_differences(rng):
     from debiaskit import autodiff as ad
-    from debiaskit.vcae import _loss_graph, _make_leaves, _flat_leaves
+    from conftest import _loss_graph, _make_leaves, _flat_leaves
     from debiaskit.classifier import MlpParams
 
     cfg = VcaeConfig(num_classes=2, dim_z=2, hidden=(3,))
@@ -288,7 +290,7 @@ def test_vcae_arrays_are_views_of_one_vector():
 
 def _ref_train_vcae(ds, cfg, t_cfg):
     """Reference loop: ``train_vcae`` as it was, stepping array by array."""
-    from debiaskit.vcae import _flat_leaves, _loss_graph, _make_leaves
+    from conftest import _flat_leaves, _loss_graph, _make_leaves
     seeds = np.random.SeedSequence(t_cfg.seed).generate_state(3)
     params = init_vcae(cfg, ds.dim, int(seeds[0]))
     arrays = [a.copy() for a in params.arrays()]
@@ -311,16 +313,123 @@ def _ref_train_vcae(ds, cfg, t_cfg):
     return arrays
 
 
-@pytest.mark.parametrize("optimizer,weight_decay", [("adam", 0.0), ("adam", 1e-3),
-                                                    ("sgd", 1e-3)])
-def test_train_vcae_matches_per_array_reference_bitwise(optimizer, weight_decay):
-    ds = generate_two_factor(GenConfig(num_classes=3, n=100, bc_ratio=0.1, seed=54))
-    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(6,))
-    tc = TrainConfig(epochs=2, batch_size=48, seed=5, optimizer=optimizer, lr=1e-2,
+@pytest.mark.parametrize("optimizer,weight_decay,glyphs", [
+    pytest.param("adam", 0.0, False, id="adam-0.0"),
+    pytest.param("adam", 1e-3, False, id="adam-0.001"),
+    pytest.param("sgd", 1e-3, False, id="sgd-0.001"),
+    pytest.param("adam", 0.0, True, id="adam-0.0-glyphs")])
+def test_train_vcae_matches_per_array_reference_bitwise(optimizer, weight_decay, glyphs):
+    """``glyphs``: D=768 inputs with criterion 8's model (dim_z 2, hidden (32,))."""
+    if glyphs:
+        ds = generate_colored_glyphs(GenConfig(num_classes=10, n=300, bc_ratio=0.05,
+                                               seed=57, kind="colored-glyphs"))
+        cfg = VcaeConfig(num_classes=10, dim_z=2, hidden=(32,))
+        epochs, lr = 3, 3e-3
+    else:
+        ds = generate_two_factor(GenConfig(num_classes=3, n=100, bc_ratio=0.1, seed=54))
+        cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(6,))
+        epochs, lr = 2, 1e-2
+    tc = TrainConfig(epochs=epochs, batch_size=48, seed=5, optimizer=optimizer, lr=lr,
                      momentum=0.9, weight_decay=weight_decay)
     params, _ = train_vcae(ds, cfg, tc)
     ref = _ref_train_vcae(ds, cfg, tc)
     assert params.flat.tobytes() == np.concatenate([a.ravel() for a in ref]).tobytes()
+
+
+# --- closed-form step against the tape ---------------------------------------
+
+@st.composite
+def _vcae_cases(draw):
+    classes = draw(st.integers(2, 6))
+    return dict(dim=draw(st.sampled_from([1, 3, 20, 768])),
+                dim_z=draw(st.integers(1, 3)),
+                hidden=draw(st.lists(st.integers(1, 10), max_size=2)),
+                classes=classes,
+                batch=draw(st.integers(1, 24)),
+                # labels drawn from the first ``labels`` classes only, so a
+                # batch repeats labels in the per-class gathers
+                labels=draw(st.integers(1, classes)),
+                prior=draw(st.booleans()),
+                lambdas=draw(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 3)),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(_vcae_cases())
+@example(dict(dim=768, dim_z=2, hidden=[32], classes=10, batch=1, labels=10,
+              prior=False, lambdas=(1.0, 1.0, 1.0), seed=1))
+@example(dict(dim=20, dim_z=3, hidden=[], classes=4, batch=24, labels=1,
+              prior=True, lambdas=(0.0, 1.0, 0.5), seed=2))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_vcae_step_matches_tape_bitwise(case):
+    """Loss and the gradient of every array equal the tape's to the bit."""
+    rng = np.random.default_rng(case["seed"])
+    c, dz, n = case["classes"], case["dim_z"], case["batch"]
+    lam0, lam1, lam2 = case["lambdas"]
+    cfg = VcaeConfig(num_classes=c, dim_z=dz, hidden=case["hidden"],
+                     lambda0=lam0, lambda1=lam1, lambda2=lam2,
+                     prior=rng.dirichlet(np.ones(c)) if case["prior"] else None)
+    params = init_vcae(cfg, case["dim"], case["seed"])
+    params.flat += rng.normal(scale=0.3, size=params.flat.shape)
+    x = rng.normal(size=(n, case["dim"]))
+    y = rng.integers(0, case["labels"], size=n)
+    eps = rng.normal(size=(n, dz))
+
+    want_loss, want = tape_vcae_loss_and_grads(params, x, y, cfg, eps)
+    got_loss, got = vcae_backward(vcae_loss_forward(params, x, y, cfg, eps))
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    assert len(got) == len(want) == len(params.arrays())
+    for g, t in zip(got, want):
+        assert g.shape == t.shape and g.tobytes() == t.tobytes()
+
+
+def test_closed_form_vcae_step_writes_into_out():
+    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(5,))
+    params = init_vcae(cfg, input_dim=4, seed=3)
+    rng = np.random.default_rng(0)
+    x, y, eps = rng.normal(size=(6, 4)), rng.integers(0, 3, size=6), rng.normal(size=(6, 2))
+    out = np.full_like(params.flat, np.nan)
+    _, grads = vcae_backward(vcae_loss_forward(params, x, y, cfg, eps), out=out)
+    assert_views_of_flat(out, grads)
+    _, fresh = vcae_backward(vcae_loss_forward(params, x, y, cfg, eps))
+    assert out.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+    with pytest.raises(ValueError, match="label out of range"):
+        vcae_loss_forward(params, x, np.array([0, 1, 2, 3, 0, 1]), cfg, eps)
+
+
+def test_train_vcae_names_the_step_of_a_non_finite_loss():
+    """Rows 8-11 overflow the reconstruction term; without shuffling they
+    form the third batch of the first epoch."""
+    x = np.random.default_rng(1).normal(size=(12, 3))
+    x[8:] *= 1e160
+    ds = LabeledDataset(x, np.arange(12) % 2, num_classes=2)
+    cfg = VcaeConfig(num_classes=2, dim_z=1, hidden=(4,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match=r"non-finite loss (nan|inf) at epoch 0 step 2$"):
+            train_vcae(ds, cfg, TrainConfig(epochs=2, batch_size=4, shuffle=False))
+    assert issubclass(TrainingDiverged, RuntimeError)
+
+
+def test_non_finite_vcae_gradient_names_its_array():
+    """Huge decoder hidden activations times a tiny output layer keep x_hat,
+    and so the loss, finite; only the gradient of the decoder's output
+    weights (decoder array 2) overflows."""
+    cfg = VcaeConfig(num_classes=2, dim_z=1, hidden=(2,))
+    params = init_vcae(cfg, input_dim=2, seed=0)
+    for a in params.encoder.arrays:
+        a[...] = 0.0
+    dec = params.decoder.arrays
+    dec[0][...] = 1e300
+    dec[2][...] = 1e-300
+    x = np.full((3, 2), 1e10)
+    y = np.array([0, 1, 0])
+    eps = np.array([[0.5], [1.0], [2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = vcae_loss_forward(params, x, y, cfg, eps)
+        assert math.isfinite(fwd.loss)
+        with pytest.raises(GradientError, match="decoder array 2$"):
+            vcae_backward(fwd)
+        with pytest.raises(GradientError):
+            tape_vcae_loss_and_grads(params, x, y, cfg, eps)
 
 
 # --- the class prior ---------------------------------------------------------
