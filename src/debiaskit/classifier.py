@@ -1,4 +1,6 @@
-"""MLP classifier, loss functions, and the shared mini-batch training loop."""
+"""MLP classifier, loss functions, and the one mini-batch epoch loop,
+``run_epochs``, that ``train``, LfF (``debias``) and ``vcae.train_vcae``
+drive with their own step function and end-of-epoch hook."""
 
 from __future__ import annotations
 
@@ -129,16 +131,10 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpParams:
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Logits for a row or batch, plain numpy (no gradient tracking)."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
-    if h.shape[1] != params.layer_sizes[0]:
-        raise ValueError(f"input dim {h.shape[1]} != {params.layer_sizes[0]}")
-    n_layers = len(params.arrays) // 2
-    for i in range(n_layers):
-        h = h @ params.arrays[2 * i] + params.arrays[2 * i + 1]
-        if i < n_layers - 1:
-            h = np.maximum(h, 0.0)
-    return h[0] if squeeze else h
+    if x.shape[-1] != params.layer_sizes[0]:
+        raise ValueError(f"input dim {x.shape[-1]} != {params.layer_sizes[0]}")
+    logits = mlp_final_hidden(params, x) @ params.arrays[-2] + params.arrays[-1]
+    return logits[0] if x.ndim == 1 else logits
 
 
 def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -201,10 +197,6 @@ def shuffle_batches(n: int, batch_size: int, seed: int,
         order = rng.permutation(n) if shuffle else np.arange(n)
         for start in range(0, n, batch_size):
             yield order[start:start + batch_size]
-
-
-def steps_per_epoch(n: int, batch_size: int) -> int:
-    return math.ceil(n / batch_size)
 
 
 @dataclass
@@ -341,6 +333,40 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
     return lval, grads
 
 
+def run_epochs(n: int, cfg: TrainConfig, sampler: Iterator[np.ndarray],
+               step_fn: Callable[[np.ndarray, int], float],
+               end_epoch: Callable[[int, dict], object]) -> list:
+    """``cfg.epochs`` epochs of ``ceil(n / cfg.batch_size)`` steps; returns
+    the list of ``end_epoch(epoch, stats)`` records.
+
+    A step calls ``step_fn(next(sampler), step)``, which updates the model
+    and returns the batch's mean loss; a ``TrainingDiverged`` it raises is
+    re-raised naming the epoch and step. ``stats`` holds epoch, train_loss
+    (the batch losses' mean over rows), seconds, step (steps so far) and
+    seen (rows drawn in the epoch).
+    """
+    n_steps = math.ceil(n / cfg.batch_size)
+    history = []
+    step = 0
+    for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
+        loss_total = 0.0
+        seen = 0
+        for _ in range(n_steps):
+            idx = next(sampler)
+            try:
+                lval = step_fn(idx, step)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
+            loss_total += lval * len(idx)
+            seen += len(idx)
+            step += 1
+        history.append(end_epoch(epoch, {
+            "epoch": epoch, "train_loss": loss_total / seen,
+            "seconds": time.perf_counter() - t0, "step": step, "seen": seen}))
+    return history
+
+
 def train(ds: LabeledDataset, cfg: TrainConfig, *,
           loss: str = "xent",
           tau: float = 0.7,
@@ -350,64 +376,50 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
           eval_fn: Callable[[int, MlpParams, dict], object] | None = None,
           params: MlpParams | None = None,
           abort_xent_above: float | None = None):
-    """Generic mini-batch loop shared by every weighting strategy.
+    """Train one MLP by ``run_epochs``, for every weighting strategy.
 
     ``weight_fn(indices, step)`` returns per-sample loss weights (default 1).
     ``sampler`` yields batch index arrays per step (default: seeded epoch
     shuffle). ``logit_offset`` is an (N, C) constant added to the logits of
     the drawn samples before the loss (used for target adjustment).
-    ``eval_fn(epoch, params, stats)`` builds the per-epoch history record.
-    Deterministic given cfg.seed and inputs.
+    ``eval_fn(epoch, params, stats)`` builds the per-epoch history record
+    (default: ``stats``, which also holds train_xent, the mean uncapped
+    cross-entropy). Deterministic given cfg.seed and inputs.
     """
-    n = len(ds)
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
     if params is None:
         params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
     else:
         params = params.copy()
     if sampler is None:
-        sampler = shuffle_batches(n, cfg.batch_size, int(shuffle_seed), cfg.shuffle)
+        sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad = MlpParams(params.layer_sizes, flat=np.empty_like(params.flat))
-    n_steps = steps_per_epoch(n, cfg.batch_size)
-    history = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        loss_total = 0.0
-        xent_total = 0.0
-        seen = 0
-        for _ in range(n_steps):
-            idx = next(sampler)
-            xb, yb = ds.features[idx], ds.labels[idx]
-            w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
-            fwd = mlp_loss_forward(
-                params, xb, yb, loss=loss, tau=tau,
-                logit_offset=None if logit_offset is None else logit_offset[idx])
-            try:
-                lval, _ = mlp_backward(fwd, w, out=grad)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
-            opt.step([params.flat], [grad.flat])
-            loss_total += lval * len(idx)
-            # uncapped cross-entropy of the raw logits, for divergence tracking
-            xent_total += float((-fwd.log_p_y).sum())
-            seen += len(idx)
-            step += 1
-        stats = {
-            "epoch": epoch,
-            "train_loss": loss_total / seen,
-            "train_xent": xent_total / seen,
-            "seconds": time.perf_counter() - t0,
-            "step": step,
-        }
+    xent_total = 0.0
+
+    def step_fn(idx, step):
+        nonlocal xent_total
+        w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
+        fwd = mlp_loss_forward(
+            params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
+            logit_offset=None if logit_offset is None else logit_offset[idx])
+        lval, _ = mlp_backward(fwd, w, out=grad)
+        opt.step([params.flat], [grad.flat])
+        # uncapped cross-entropy of the raw logits, for divergence tracking
+        xent_total += float((-fwd.log_p_y).sum())
+        return lval
+
+    def end_epoch(epoch, stats):
+        nonlocal xent_total
+        stats["train_xent"], xent_total = xent_total / stats["seen"], 0.0
         if abort_xent_above is not None and stats["train_xent"] > abort_xent_above:
             raise TrainingDiverged(
                 f"mean train cross-entropy {stats['train_xent']:.1f} exceeded "
                 f"{abort_xent_above}: amplification training collapsed "
                 f"(loss spiking on rare conflicting samples); lower t_bias or tau")
-        history.append(stats if eval_fn is None else eval_fn(epoch, params, stats))
-    return params, history
+        return stats if eval_fn is None else eval_fn(epoch, params, stats)
+
+    return params, run_epochs(len(ds), cfg, sampler, step_fn, end_epoch)
 
 
 # --- checkpoints: model.json + params.f64le ---------------------------------

@@ -13,21 +13,23 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .classifier import GceConfig, TrainConfig, save_model
+from .classifier import (GceConfig, GradientError, TrainConfig, TrainingDiverged,
+                         save_model)
 from .data import KINDS, GenConfig, generate, load_dataset, save_dataset
 from .debias import METHODS, SCHEMES, train_biased_classifier
 from .runner import (ConfigError, RunConfig, _write_csv, aggregate_report,
                      run_experiment, run_sweep)
+from .vcae import VcaeConfig
 
 
 def _add_gen_flags(p):
-    p.add_argument("--kind", default="two-factor", choices=KINDS)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--rho", type=float, default=0.01,
+    p.add_argument("--kind", default=GenConfig.kind, choices=KINDS)
+    p.add_argument("--classes", type=int, default=GenConfig.num_classes)
+    p.add_argument("--n", type=int, default=GenConfig.n)
+    p.add_argument("--rho", type=float, default=GenConfig.bc_ratio,
                    help="bias-conflicting ratio in (0,1)")
-    p.add_argument("--sigma-u", type=float, default=0.5)
-    p.add_argument("--sigma-b", type=float, default=0.1)
+    p.add_argument("--sigma-u", type=float, default=GenConfig.sigma_u)
+    p.add_argument("--sigma-b", type=float, default=GenConfig.sigma_b)
 
 
 def cmd_generate(args) -> int:
@@ -60,7 +62,7 @@ def _load_run_config(args) -> RunConfig:
     if args.config:
         cfg = RunConfig.from_json(args.config)
     else:
-        cfg = RunConfig(dataset=GenConfig(num_classes=10, n=10000, bc_ratio=0.01))
+        cfg = RunConfig(dataset=GenConfig())
     overrides = {}
     for name in ("scheme", "method", "gamma", "tau"):
         v = getattr(args, name, None)
@@ -103,7 +105,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_vcae(args) -> int:
-    from .vcae import VcaeConfig, latent_dump, train_vcae
+    from .vcae import latent_dump, train_vcae
     ds = load_dataset(args.data)
     cfg = VcaeConfig(num_classes=ds.num_classes, dim_z=args.dim_z,
                      lambda0=args.lambda0, lambda1=args.lambda1,
@@ -164,17 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic biased dataset")
     _add_gen_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=GenConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("train-biased", help="train and freeze the amplified classifier")
     p.add_argument("--data", required=True)
-    p.add_argument("--t-bias", type=int, default=5)
-    p.add_argument("--tau", type=float, default=0.7)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t-bias", type=int, default=RunConfig.t_bias)
+    p.add_argument("--tau", type=float, default=GceConfig.tau)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_biased)
 
@@ -199,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--dim-z", type=int, default=2)
-    p.add_argument("--lambda0", type=float, default=1.0)
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--dim-z", type=int, default=VcaeConfig.dim_z)
+    p.add_argument("--lambda0", type=float, default=VcaeConfig.lambda0)
+    p.add_argument("--lambda1", type=float, default=VcaeConfig.lambda1)
+    p.add_argument("--lambda2", type=float, default=VcaeConfig.lambda2)
+    p.add_argument("--hidden", type=int, default=VcaeConfig.hidden[0])
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--cap", type=float, default=100.0)
     p.set_defaults(fn=cmd_vcae)
@@ -238,7 +240,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError, TrainingDiverged,
+            GradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import colorsys
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,9 @@ PALETTE_SIZE = 10
 
 @dataclass
 class GenConfig:
-    num_classes: int
-    n: int
-    bc_ratio: float
+    num_classes: int = 10
+    n: int = 10000
+    bc_ratio: float = 0.01
     sigma_u: float = 0.5
     sigma_b: float = 0.1
     seed: int = 0
@@ -215,11 +215,7 @@ def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
         "columns": columns,
     }
     if ds.cfg is not None:
-        meta["gen"] = {
-            "num_classes": ds.cfg.num_classes, "n": ds.cfg.n,
-            "bc_ratio": ds.cfg.bc_ratio, "sigma_u": ds.cfg.sigma_u,
-            "sigma_b": ds.cfg.sigma_b, "seed": ds.cfg.seed, "kind": ds.cfg.kind,
-        }
+        meta["gen"] = asdict(ds.cfg)
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     data = np.concatenate(blocks).astype("<f8")
     (out / "data.f64le").write_bytes(data.tobytes())
@@ -248,9 +244,6 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
         aligned = take(n).astype(bool)
     cfg = None
     if "gen" in meta:
-        g = meta["gen"]
-        cfg = GenConfig(num_classes=g["num_classes"], n=g["n"], bc_ratio=g["bc_ratio"],
-                        sigma_u=g["sigma_u"], sigma_b=g["sigma_b"], seed=g["seed"],
-                        kind=g["kind"])
+        cfg = GenConfig(**{f.name: meta["gen"][f.name] for f in fields(GenConfig)})
     return LabeledDataset(features, labels, num_classes=meta["num_classes"],
                           bias=bias, aligned=aligned, cfg=cfg)

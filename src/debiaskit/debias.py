@@ -12,17 +12,16 @@ Two families of training-time corrections:
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from .classifier import (GceConfig, MlpParams, TrainConfig, TrainingDiverged,
-                         init_mlp, mlp_backward, mlp_final_hidden, mlp_forward,
-                         mlp_loss_forward, shuffle_batches, softmax_numpy,
-                         softmax_xent, steps_per_epoch, train)
+from .classifier import (GceConfig, MlpParams, TrainConfig, init_mlp,
+                         mlp_backward, mlp_final_hidden, mlp_forward,
+                         mlp_loss_forward, run_epochs, shuffle_batches,
+                         softmax_numpy, softmax_xent, train)
 from .data import LabeledDataset, estimate_p_y_given_b
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
@@ -390,7 +389,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
 def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineResult:
     """Parallel loop: amplified and debiased classifiers update every step;
     weights are the per-batch loss ratios of the two."""
-    n = len(train_ds)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
     psi = init_mlp(sizes, int(seeds[0]))
@@ -399,41 +397,31 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
     opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad_psi, grad_theta = (MlpParams(sizes, flat=np.empty_like(psi.flat)),
                             MlpParams(sizes, flat=np.empty_like(theta.flat)))
-    sampler = shuffle_batches(n, cfg.batch_size, int(seeds[2]), cfg.shuffle)
-    n_steps = steps_per_epoch(n, cfg.batch_size)
-    history = []
 
-    def full_weights():
+    def step_fn(idx, step):
+        xb, yb = train_ds.features[idx], train_ds.labels[idx]
+        fwd_b = mlp_loss_forward(psi, xb, yb, loss="gce", tau=gce.tau)
+        fwd_d = mlp_loss_forward(theta, xb, yb)
+        # ratio weights from current losses, before either update
+        w = lff_weight(fwd_b.xent(), fwd_d.xent())
+        mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
+        lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
+        opt_psi.step([psi.flat], [grad_psi.flat])
+        opt_theta.step([theta.flat], [grad_theta.flat])
+        return lval
+
+    full_w = None
+
+    def beta_fn(params, step_end):  # the last epoch's weights are the run's
+        nonlocal full_w
         lb = softmax_xent(mlp_forward(psi, train_ds.features), train_ds.labels)
         ld = softmax_xent(mlp_forward(theta, train_ds.features), train_ds.labels)
-        return lff_weight(lb, ld)
+        full_w = np.maximum(lff_weight(lb, ld), 1e-300)
+        return debias_bc_ratio(full_w, train_ds.aligned)
 
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        loss_total = 0.0
-        seen = 0
-        for _ in range(n_steps):
-            idx = next(sampler)
-            xb, yb = train_ds.features[idx], train_ds.labels[idx]
-            fwd_b = mlp_loss_forward(psi, xb, yb, loss="gce", tau=gce.tau)
-            fwd_d = mlp_loss_forward(theta, xb, yb)
-            # ratio weights from current losses, before either update
-            w = lff_weight(fwd_b.xent(), fwd_d.xent())
-            try:
-                mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
-                lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{exc} at epoch {epoch}") from None
-            opt_psi.step([psi.flat], [grad_psi.flat])
-            opt_theta.step([theta.flat], [grad_theta.flat])
-            loss_total += lval * len(idx)
-            seen += len(idx)
-        acc, ba, bc = evaluate_accuracy(theta, test_ds)
-        history.append(MetricsRow(
-            epoch=epoch, train_loss=loss_total / seen, test_acc=acc,
-            test_acc_ba=ba, test_acc_bc=bc,
-            beta=debias_bc_ratio(np.maximum(full_weights(), 1e-300),
-                                 train_ds.aligned),
-            seconds=time.perf_counter() - t0))
-    final_w = SampleWeights(np.maximum(full_weights(), 1e-300), provenance="lff")
-    return PipelineResult(params=theta, history=history, weights=final_w)
+    eval_fn = _make_eval(test_ds, beta_fn)
+    sampler = shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle)
+    history = run_epochs(len(train_ds), cfg, sampler, step_fn,
+                         lambda epoch, stats: eval_fn(epoch, theta, stats))
+    return PipelineResult(params=theta, history=history,
+                          weights=SampleWeights(full_w, provenance="lff"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,34 +39,59 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
-    unknown = set(d) - set(allowed)
+# the nested sections of a run config, each one a config dataclass
+_SECTIONS = {"dataset": GenConfig, "anneal": AnnealConfig, "train": TrainConfig,
+             "vcae": VcaeConfig}
+
+
+def _serialised(cls) -> list[str]:
+    """The fields of config dataclass ``cls`` that config.json holds, in order."""
+    return [f.name for f in fields(cls) if f.metadata.get("serialise", True)]
+
+
+def _take(raw: dict, cls, where: str) -> dict:
+    unknown = set(raw) - set(_serialised(cls))
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    out = dict(allowed)
-    out.update(d)
+    return dict(raw)
+
+
+def _to_json(obj) -> dict:
+    """The serialised fields of a config dataclass as JSON values, in field
+    order: sections nested, tuples as lists, None fields left out."""
+    out = {}
+    for name in _serialised(type(obj)):
+        v = getattr(obj, name)
+        if is_dataclass(v):
+            v = _to_json(v)
+        elif isinstance(v, (tuple, list)):
+            v = list(v)
+        if v is not None:
+            out[name] = v
     return out
 
 
 @dataclass
 class RunConfig:
+    """One experiment; the fields are in config.json key order."""
+
     scheme: str = "oracle-ub"
     method: str = "LW"
-    dataset: GenConfig | None = None
-    dataset_path: str | None = None
     test_n: int = 5000
     gamma: float = 200.0
     t_bias: int = 5
     tau: float = 0.7
     anneal: AnnealConfig = field(default_factory=AnnealConfig)
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=RUN_EPOCHS))
-    vcae: VcaeConfig | None = None
     out_dir: str = "runs/out"
     seeds: list[int] = field(default_factory=lambda: [0])
+    dataset: GenConfig | None = None
+    dataset_path: str | None = None
+    vcae: VcaeConfig | None = None
 
     def __post_init__(self):
-        if self.dataset is None and self.dataset_path is None:
-            raise ConfigError("need either a dataset spec or a dataset path")
+        if (self.dataset is None) == (self.dataset_path is None):
+            raise ConfigError("need exactly one of a dataset spec and a dataset path")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if (not isinstance(self.t_bias, (int, np.integer)) or isinstance(self.t_bias, bool)
@@ -77,71 +102,33 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """A missing key takes the field's default, and so does a null section."""
         raw = dict(raw)
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version}")
-        defaults = {
-            "scheme": "oracle-ub", "method": "LW", "dataset": None,
-            "dataset_path": None, "test_n": 5000, "gamma": 200.0,
-            "t_bias": 5, "tau": 0.7, "anneal": None, "train": None,
-            "vcae": None, "out_dir": "runs/out", "seeds": [0],
-        }
-        merged = _take(raw, defaults, "run config")
-        if merged["dataset"] is not None:
-            g = _take(merged["dataset"],
-                      {"num_classes": 10, "n": 10000, "bc_ratio": 0.01,
-                       "sigma_u": 0.5, "sigma_b": 0.1, "seed": 0,
-                       "kind": "two-factor"}, "dataset")
-            merged["dataset"] = GenConfig(**g)
-        if merged["anneal"] is not None:
-            a = _take(merged["anneal"], {"w_init": 1.0, "t_anneal": 0}, "anneal")
-            merged["anneal"] = AnnealConfig(**a)
-        else:
-            merged["anneal"] = AnnealConfig()
-        if merged["train"] is not None:
-            t = _take(merged["train"],
-                      {"epochs": RUN_EPOCHS, "batch_size": 128, "optimizer": "adam",
-                       "lr": 1e-3, "momentum": 0.0, "weight_decay": 0.0,
-                       "seed": 0, "shuffle": True, "hidden": [64, 64]}, "train")
-            t["hidden"] = tuple(t["hidden"])
-            merged["train"] = TrainConfig(**t)
-        else:
-            merged["train"] = TrainConfig(epochs=RUN_EPOCHS)
-        if merged["vcae"] is not None:
-            v = _take(merged["vcae"],
-                      {"num_classes": None, "dim_z": 2, "lambda0": 1.0,
-                       "lambda1": 1.0, "lambda2": 1.0, "hidden": [64]}, "vcae")
-            if v["num_classes"] is None:
-                if merged["dataset"] is None:
+        kw = _take(raw, cls, "run config")
+        for f in fields(cls):
+            section = kw.pop(f.name, None) if f.name in _SECTIONS else None
+            if section is None:
+                continue
+            section = _take(section, _SECTIONS[f.name], f.name)
+            if f.name == "vcae" and section.get("num_classes") is None:
+                if kw.get("dataset") is None:
                     raise ConfigError("vcae.num_classes required with dataset_path")
-                v["num_classes"] = merged["dataset"].num_classes
-            v["hidden"] = tuple(v["hidden"])
-            merged["vcae"] = VcaeConfig(**v)
-        return cls(**merged)
+                section["num_classes"] = kw["dataset"].num_classes
+            if f.default_factory is MISSING:
+                kw[f.name] = _SECTIONS[f.name](**section)
+            else:
+                kw[f.name] = replace(f.default_factory(), **section)
+        return cls(**kw)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
-        d = {"schema_version": SCHEMA_VERSION, "scheme": self.scheme,
-             "method": self.method, "test_n": self.test_n, "gamma": self.gamma,
-             "t_bias": self.t_bias, "tau": self.tau,
-             "anneal": {"w_init": self.anneal.w_init,
-                        "t_anneal": self.anneal.t_anneal},
-             "train": {**asdict(self.train), "hidden": list(self.train.hidden)},
-             "out_dir": self.out_dir, "seeds": list(self.seeds)}
-        if self.dataset is not None:
-            d["dataset"] = asdict(self.dataset)
-        if self.dataset_path is not None:
-            d["dataset_path"] = self.dataset_path
-        if self.vcae is not None:
-            d["vcae"] = {"num_classes": self.vcae.num_classes,
-                         "dim_z": self.vcae.dim_z, "lambda0": self.vcae.lambda0,
-                         "lambda1": self.vcae.lambda1, "lambda2": self.vcae.lambda2,
-                         "hidden": list(self.vcae.hidden)}
-        return d
+        return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
 
 
 def _fmt(x) -> str:

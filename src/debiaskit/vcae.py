@@ -6,16 +6,15 @@ per-class KL, and the latent class posterior p(y|z) obtained from the
 class Gaussians by Bayes' rule. Sample weights are 1 / p(y_n | z_n)
 capped at a constant, with z_n the posterior mean.
 
-Training steps through the closed-form pair ``vcae_loss_forward`` /
-``vcae_backward``. It replays, op for op, the loss graph that the tests
-build on ``debiaskit.autodiff``; that tape is now the test oracle only, and
-the two routes agree bit for bit.
+``train_vcae`` runs the shared epoch loop ``classifier.run_epochs`` with a
+step through the closed-form pair ``vcae_loss_forward`` / ``vcae_backward``.
+That pair replays, op for op, the loss graph that the tests build on
+``debiaskit.autodiff`` (the test oracle), and the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .classifier import (MlpParams, TrainConfig, TrainingDiverged,
                          check_finite_gradient, flat_views, init_mlp,
                          log_softmax_numpy, mlp_forward, mlp_layers,
-                         mlp_layers_backward)
+                         mlp_layers_backward, run_epochs, shuffle_batches)
 from .data import LabeledDataset
 from .optim import make_optimizer
 
@@ -38,11 +37,17 @@ class VcaeConfig:
     lambda1: float = 1.0
     lambda2: float = 1.0
     hidden: tuple[int, ...] = (64,)
-    prior: np.ndarray | None = None  # p(y); uniform when omitted
+    # p(y); uniform when omitted. Not part of a run's config.json
+    prior: np.ndarray | None = field(default=None, metadata={"serialise": False})
 
     def __post_init__(self):
-        if min(self.lambda0, self.lambda1, self.lambda2) < 0:
-            raise ValueError("lambda coefficients must be nonnegative")
+        if (not isinstance(self.dim_z, (int, np.integer)) or isinstance(self.dim_z, bool)
+                or self.dim_z < 1):
+            raise ValueError(f"dim_z must be an integer >= 1, got {self.dim_z!r}")
+        lambdas = (self.lambda0, self.lambda1, self.lambda2)
+        if not all(math.isfinite(v) and v >= 0 for v in lambdas):
+            raise ValueError(f"lambda coefficients must be finite and nonnegative, "
+                             f"got {lambdas}")
         if self.prior is None:
             self.prior = np.full(self.num_classes, 1.0 / self.num_classes)
         else:
@@ -299,7 +304,8 @@ def _array_name(k: int, n_enc: int, n_dec: int) -> str:
 
 
 def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
-    """Minimize the mean loss over the dataset; deterministic given seeds.
+    """Minimize the mean loss over the dataset by ``run_epochs``;
+    deterministic given seeds.
 
     Raises ``TrainingDiverged`` naming the epoch and step of a non-finite
     loss, and ``GradientError`` naming the array of a non-finite gradient.
@@ -308,29 +314,19 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
     params = init_vcae(cfg, ds.dim, int(init_seed))
     opt = make_optimizer(t_cfg.optimizer, t_cfg.lr, t_cfg.momentum,
                          t_cfg.weight_decay)
-    shuffle_rng = np.random.default_rng(int(shuffle_seed))
     eps_rng = np.random.default_rng(int(eps_seed))
     grad = np.empty_like(params.flat)
-    n = len(ds)
-    history = []
-    step = 0
-    for epoch in range(t_cfg.epochs):
-        t0 = time.perf_counter()
-        order = shuffle_rng.permutation(n) if t_cfg.shuffle else np.arange(n)
-        total = 0.0
-        for start in range(0, n, t_cfg.batch_size):
-            idx = order[start:start + t_cfg.batch_size]
-            eps = eps_rng.normal(size=(len(idx), cfg.dim_z))
-            fwd = vcae_loss_forward(params, ds.features[idx], ds.labels[idx], cfg, eps)
-            try:
-                lval, _ = vcae_backward(fwd, out=grad)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
-            opt.step([params.flat], [grad])
-            total += lval * len(idx)
-            step += 1
-        history.append({"epoch": epoch, "loss": total / n,
-                        "seconds": time.perf_counter() - t0})
+
+    def step_fn(idx, step):
+        eps = eps_rng.normal(size=(len(idx), cfg.dim_z))
+        fwd = vcae_loss_forward(params, ds.features[idx], ds.labels[idx], cfg, eps)
+        lval, _ = vcae_backward(fwd, out=grad)
+        opt.step([params.flat], [grad])
+        return lval
+
+    sampler = shuffle_batches(len(ds), t_cfg.batch_size, int(shuffle_seed), t_cfg.shuffle)
+    history = run_epochs(len(ds), t_cfg, sampler, step_fn, lambda epoch, stats: {
+        "epoch": epoch, "loss": stats["train_loss"], "seconds": stats["seconds"]})
     return params, history
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from debiaskit.cli import main
-from debiaskit.data import load_dataset
+from debiaskit.data import LabeledDataset, load_dataset, save_dataset
 
 
 def _gen(tmp_path, name="data", n=400, rho=0.1, classes=4, seed=5,
@@ -131,6 +132,28 @@ def test_vcae_command(tmp_path):
     assert len(latents) == 301
     assert (out / "weights.csv").exists()
     assert (out / "vcae_history.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--dim-z", "0"], ["--lambda0", "nan"]])
+def test_vcae_bad_flags_fail_with_a_message(tmp_path, capsys, flags):
+    data = _gen(tmp_path, n=60)
+    rc = main(["vcae", "--data", str(data), "--out", str(tmp_path / "vc"), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_training_divergence_fails_with_a_message(tmp_path, capsys):
+    """Rows 8-11 overflow the VCAE reconstruction term; one batch of 12 rows
+    holds them, so the first step diverges."""
+    x = np.random.default_rng(1).normal(size=(12, 3))
+    x[8:] *= 1e160
+    save_dataset(LabeledDataset(x, np.arange(12) % 2, num_classes=2), tmp_path / "d")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["vcae", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "vc"),
+                   "--epochs", "1", "--hidden", "4", "--dim-z", "1"])
+    assert rc == 1
+    assert re.match(r"error: non-finite loss (nan|inf) at epoch 0 step 0$",
+                    capsys.readouterr().err)
 
 
 def test_vcae_deterministic(tmp_path):

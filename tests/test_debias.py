@@ -527,3 +527,35 @@ def test_lff_matches_tape_reference_bitwise():
         assert a.tobytes() == b.tobytes()
     assert result.weights.weights.tobytes() == w.tobytes()
     assert_views_of_flat(result.params.flat, result.params.arrays)
+
+
+def test_lff_divergence_names_epoch_and_step():
+    """Rows 8-11 overflow the first matmul; without shuffling they form the
+    third batch of the first epoch."""
+    x = np.random.default_rng(1).normal(size=(12, 3))
+    x[8:] = 1e308
+    ds = LabeledDataset(x, np.arange(12) % 2, num_classes=2, bias=np.arange(12) % 2)
+    cfg = TrainConfig(epochs=2, batch_size=4, hidden=(4,), shuffle=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match=r"non-finite loss nan at epoch 0 step 2$"):
+            _run_lff(ds, ds, GceConfig(), cfg)
+
+
+def test_every_trainer_runs_the_shared_epoch_loop_once(monkeypatch):
+    from debiaskit import classifier, vcae
+    calls, run_epochs = [], classifier.run_epochs
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].epochs)
+        return run_epochs(*args, **kwargs)
+
+    for module in (classifier, debias, vcae):
+        monkeypatch.setattr(module, "run_epochs", counted)
+    train_ds, test_ds, cfg = _tiny_setup()
+    cfg = replace(cfg, epochs=1)
+    train(train_ds, cfg)
+    assert calls == [1]
+    _run_lff(train_ds, test_ds, GceConfig(), cfg)
+    assert calls == [1, 1]
+    vcae.train_vcae(train_ds, vcae.VcaeConfig(num_classes=4, hidden=(4,)), cfg)
+    assert calls == [1, 1, 1]

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from debiaskit import runner
+from debiaskit.classifier import TrainConfig
+from debiaskit.data import GenConfig, generate, save_dataset
+from debiaskit.debias import AnnealConfig
 from debiaskit.runner import (METRICS_HEADER, ConfigError, RunConfig, aggregate_report,
                               run_experiment, run_sweep, summarize)
 
@@ -59,6 +62,87 @@ def test_config_roundtrip(tmp_path):
     cfg = _tiny_cfg(tmp_path, gamma=50.0, anneal={"w_init": 2.0, "t_anneal": 10})
     back = RunConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+@pytest.mark.parametrize("over", [
+    {"scheme": "vcae", "vcae": {"dim_z": 3, "lambda2": 0.5, "hidden": [8, 4]}},
+    {"dataset": None, "dataset_path": "data/d",
+     "vcae": {"num_classes": 4, "lambda0": 2.0}},
+    {"dataset": None, "dataset_path": "data/d", "train": None, "anneal": None}])
+def test_config_roundtrip_vcae_and_dataset_path(tmp_path, over):
+    """Compared through ``to_dict``: VcaeConfig's ndarray prior has no ``==``."""
+    cfg = _tiny_cfg(tmp_path, **over)
+    d = cfg.to_dict()
+    assert RunConfig.from_dict(d).to_dict() == d
+    assert "prior" not in d.get("vcae", {})
+
+
+def test_null_sections_take_the_run_defaults(tmp_path):
+    cfg = _tiny_cfg(tmp_path, train=None, anneal=None, vcae=None)
+    assert cfg.train == TrainConfig(epochs=runner.RUN_EPOCHS)
+    assert cfg.anneal == AnnealConfig() and cfg.vcae is None
+    cfg = _tiny_cfg(tmp_path, train={"lr": 0.1})
+    assert cfg.train == TrainConfig(epochs=runner.RUN_EPOCHS, lr=0.1)
+    assert RunConfig.from_dict({"schema_version": 1, "dataset": {}}).dataset == GenConfig()
+
+
+def test_vcae_section_rejects_prior_and_needs_classes_with_path(tmp_path):
+    with pytest.raises(ConfigError, match="prior"):
+        _tiny_cfg(tmp_path, vcae={"prior": [0.25] * 4})
+    with pytest.raises(ConfigError, match="num_classes"):
+        _tiny_cfg(tmp_path, dataset=None, dataset_path="d", vcae={})
+    assert _tiny_cfg(tmp_path, vcae={}).vcae.num_classes == 4
+
+
+def test_config_rejects_dataset_and_dataset_path_together(tmp_path):
+    with pytest.raises(ConfigError, match="exactly one"):
+        _tiny_cfg(tmp_path, dataset_path=str(tmp_path / "d"))
+    base = _tiny_cfg(tmp_path)
+    with pytest.raises(ConfigError):
+        RunConfig(dataset=base.dataset, dataset_path="d")
+
+
+# config.json of two configs, pinned byte for byte: every key in its place,
+# every value with its JSON type
+FULL_CONFIG_JSON = {
+    "schema_version": 1, "scheme": "biased-confidence", "method": "ALW",
+    "test_n": 100, "gamma": 30.0, "t_bias": 1, "tau": 0.6,
+    "anneal": {"w_init": 2.0, "t_anneal": 5},
+    "train": {"epochs": 1, "batch_size": 50, "optimizer": "sgd", "lr": 0.01,
+              "momentum": 0.9, "weight_decay": 0.001, "seed": 0,
+              "shuffle": False, "hidden": [8, 4]},
+    "out_dir": "run-full", "seeds": [0, 2],
+    "dataset": {"num_classes": 4, "n": 200, "bc_ratio": 0.05, "sigma_u": 0.4,
+                "sigma_b": 0.2, "seed": 3, "kind": "two-factor"}}
+VCAE_PATH_CONFIG_JSON = {
+    "schema_version": 1, "scheme": "vcae", "method": "LW", "test_n": 100,
+    "gamma": 200.0, "t_bias": 5, "tau": 0.7,
+    "anneal": {"w_init": 1.0, "t_anneal": 0},
+    "train": {"epochs": 1, "batch_size": 128, "optimizer": "adam", "lr": 0.001,
+              "momentum": 0.0, "weight_decay": 0.0, "seed": 0, "shuffle": True,
+              "hidden": [4]},
+    "out_dir": "run-vcae", "seeds": [0], "dataset_path": "data",
+    "vcae": {"num_classes": 3, "dim_z": 1, "lambda0": 1.0, "lambda1": 0.5,
+             "lambda2": 1.0, "hidden": [4]}}
+
+
+def test_config_json_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the bytes fixed
+    save_dataset(generate(GenConfig(num_classes=3, n=150, bc_ratio=0.1, seed=1)), "data")
+    full = RunConfig.from_dict({
+        "schema_version": 1, "scheme": "biased-confidence", "method": "ALW",
+        "dataset": FULL_CONFIG_JSON["dataset"], "test_n": 100, "gamma": 30.0,
+        "t_bias": 1, "tau": 0.6, "anneal": {"w_init": 2.0, "t_anneal": 5},
+        "train": FULL_CONFIG_JSON["train"], "out_dir": "run-full", "seeds": [0, 2]})
+    vcae = RunConfig.from_dict({
+        "schema_version": 1, "scheme": "vcae", "method": "LW", "dataset_path": "data",
+        "test_n": 100, "train": {"epochs": 1, "hidden": [4]},
+        "vcae": {"num_classes": 3, "dim_z": 1, "lambda1": 0.5, "hidden": [4]},
+        "out_dir": "run-vcae"})
+    for cfg, expected in ((full, FULL_CONFIG_JSON), (vcae, VCAE_PATH_CONFIG_JSON)):
+        run_experiment(cfg)
+        text = (Path(cfg.out_dir) / "config.json").read_text()
+        assert text == json.dumps(expected, indent=2) + "\n"
 
 
 def test_needs_dataset():

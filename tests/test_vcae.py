@@ -409,6 +409,14 @@ def test_train_vcae_names_the_step_of_a_non_finite_loss():
     assert issubclass(TrainingDiverged, RuntimeError)
 
 
+@pytest.mark.parametrize("over", [
+    {"dim_z": 0}, {"dim_z": 1.5}, {"dim_z": True}, {"lambda0": float("nan")},
+    {"lambda1": float("inf")}, {"lambda2": -1.0}])
+def test_vcae_config_rejects_bad_dim_z_and_lambdas(over):
+    with pytest.raises(ValueError, match="dim_z|lambda"):
+        VcaeConfig(num_classes=3, **over)
+
+
 def test_non_finite_vcae_gradient_names_its_array():
     """Huge decoder hidden activations times a tiny output layer keep x_hat,
     and so the loss, finite; only the gradient of the decoder's output
