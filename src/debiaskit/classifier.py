@@ -13,6 +13,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import blas
 from .data import LabeledDataset, check_schema_version, read_f64le
 from .optim import make_optimizer
 
@@ -384,7 +385,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
     the drawn samples before the loss (used for target adjustment).
     ``eval_fn(epoch, params, stats)`` builds the per-epoch history record
     (default: ``stats``, which also holds train_xent, the mean uncapped
-    cross-entropy). Deterministic given cfg.seed and inputs.
+    cross-entropy). Deterministic given cfg.seed and inputs. Runs under
+    the BLAS thread policy of ``blas.limit``.
     """
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
     if params is None:
@@ -419,7 +421,8 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
                 f"(loss spiking on rare conflicting samples); lower t_bias or tau")
         return stats if eval_fn is None else eval_fn(epoch, params, stats)
 
-    return params, run_epochs(len(ds), cfg, sampler, step_fn, end_epoch)
+    with blas.limit(cfg.batch_size, [ds.dim, *cfg.hidden]):
+        return params, run_epochs(len(ds), cfg, sampler, step_fn, end_epoch)
 
 
 # --- checkpoints: model.json + params.f64le ---------------------------------

@@ -18,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import blas
 from .classifier import (GceConfig, MlpParams, TrainConfig, init_mlp,
                          mlp_backward, mlp_final_hidden, mlp_forward,
                          mlp_loss_forward, run_epochs, shuffle_batches,
@@ -131,9 +132,10 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
     key = _amplify_key(train_ds, gce.tau, bias_cfg)
     art = _amplify_memo.get(key)
     if art is None:
-        params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
-                          abort_xent_above=COLLAPSE_XENT)
-        probs = softmax_numpy(mlp_forward(params, train_ds.features))
+        with blas.limit(bias_cfg.batch_size, [train_ds.dim, *bias_cfg.hidden]):
+            params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
+                              abort_xent_above=COLLAPSE_XENT)
+            probs = softmax_numpy(mlp_forward(params, train_ds.features))
         conf = probs[np.arange(len(train_ds)), train_ds.labels]
         conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
         for a in (params.flat, conf, probs):
@@ -264,6 +266,8 @@ class PipelineResult:
     history: list[MetricsRow]
     weights: SampleWeights | None
     artifact: BiasedClassifierArtifact | None = None
+    # the BLAS thread policy of the run, as ``blas.limit`` yields it
+    blas_threads: dict | None = None
 
 
 def _make_eval(test_ds, beta_fn):
@@ -293,7 +297,9 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     Two-stage schemes freeze their weights before the main run; the
     loss-ratio scheme recomputes weights from both classifiers every step.
     The per-epoch beta records the weight mass on conflicting samples for
-    whatever weights were in force at the epoch's final step.
+    whatever weights were in force at the epoch's final step. Everything
+    from amplification to the last evaluation runs under one BLAS thread
+    policy (``blas.limit``), sized by the widest model it trains.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -306,84 +312,90 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     gce = gce or GceConfig()
     anneal = anneal or AnnealConfig()
 
-    if scheme == "lff":
-        return _run_lff(train_ds, test_ds, gce, train_cfg)
+    # the widest model the pipeline trains sets the thread count; the
+    # limits of the training calls nested in it can only lower it
+    cfgs = [c for c in (train_cfg, bias_cfg, vcae_train_cfg) if c is not None]
+    widths = [train_ds.dim, *train_cfg.hidden, *(bias_cfg or train_cfg).hidden,
+              *(vcae_cfg.hidden if vcae_cfg is not None else ())]
+    with blas.limit(max(c.batch_size for c in cfgs), widths) as policy:
+        if scheme == "lff":
+            return replace(_run_lff(train_ds, test_ds, gce, train_cfg), blas_threads=policy)
 
-    if scheme in ("biased-confidence", "pgd") and artifact is None:
-        artifact = train_biased_classifier(train_ds, gce, t_bias,
-                                           bias_cfg or train_cfg)
+        if scheme in ("biased-confidence", "pgd") and artifact is None:
+            artifact = train_biased_classifier(train_ds, gce, t_bias,
+                                               bias_cfg or train_cfg)
 
-    # resolve per-sample weights (or the TBA adjustment table)
-    logit_offset = None
-    if method == "TBA":
-        if gamma is None:
-            raise ValueError("TBA needs gamma")
-        if scheme == "biased-confidence":
-            cond = artifact.class_probs
+        # resolve per-sample weights (or the TBA adjustment table)
+        logit_offset = None
+        if method == "TBA":
+            if gamma is None:
+                raise ValueError("TBA needs gamma")
+            if scheme == "biased-confidence":
+                cond = artifact.class_probs
+            elif scheme == "oracle-yb":
+                cond = estimate_p_y_given_b(train_ds).table[:, train_ds.bias].T
+            else:  # oracle-ub
+                cond = _oracle_ub_table(train_ds)
+            v = np.maximum(cond, 1.0 / gamma)
+            logit_offset = np.log(v)
+            # implied correction magnitude per sample, for the beta metric
+            implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels],
+                                 gamma)
+            weights = SampleWeights(implied, provenance=scheme,
+                                    gamma=gamma)
+        elif scheme == "vanilla":
+            weights = SampleWeights(np.ones(len(train_ds)), provenance="vanilla")
+        elif scheme == "oracle-ub":
+            weights = oracle_ub_weights(train_ds)
         elif scheme == "oracle-yb":
-            cond = estimate_p_y_given_b(train_ds).table[:, train_ds.bias].T
-        else:  # oracle-ub
-            cond = _oracle_ub_table(train_ds)
-        v = np.maximum(cond, 1.0 / gamma)
-        logit_offset = np.log(v)
-        # implied correction magnitude per sample, for the beta metric
-        implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels],
-                             gamma)
-        weights = SampleWeights(implied, provenance=scheme,
-                                gamma=gamma)
-    elif scheme == "vanilla":
-        weights = SampleWeights(np.ones(len(train_ds)), provenance="vanilla")
-    elif scheme == "oracle-ub":
-        weights = oracle_ub_weights(train_ds)
-    elif scheme == "oracle-yb":
-        weights = oracle_yb_weights(train_ds)
-    elif scheme == "biased-confidence":
-        if gamma is None:
-            raise ValueError("biased-confidence needs gamma")
-        weights = compute_weights_clamped(artifact.confidences, gamma)
-        if method in ("LW", "ALW"):
-            weights = rescale_weights(weights)
-    elif scheme == "pgd":
-        h = mlp_final_hidden(artifact.params, train_ds.features)
-        raw = pgd_weight(artifact.class_probs, train_ds.labels, h)
-        total = raw.sum()
-        if total <= 0:
-            raise ValueError("all gradient-norm weights are zero")
-        weights = SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
-    elif scheme == "vcae":
-        from .vcae import train_vcae, vcae_weights
-        if vcae_cfg is None:
-            raise ValueError("vcae scheme needs a VcaeConfig")
-        vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
-        weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap,
-                               prior=vcae_cfg.prior)
-    else:  # pragma: no cover
-        raise AssertionError(scheme)
+            weights = oracle_yb_weights(train_ds)
+        elif scheme == "biased-confidence":
+            if gamma is None:
+                raise ValueError("biased-confidence needs gamma")
+            weights = compute_weights_clamped(artifact.confidences, gamma)
+            if method in ("LW", "ALW"):
+                weights = rescale_weights(weights)
+        elif scheme == "pgd":
+            h = mlp_final_hidden(artifact.params, train_ds.features)
+            raw = pgd_weight(artifact.class_probs, train_ds.labels, h)
+            total = raw.sum()
+            if total <= 0:
+                raise ValueError("all gradient-norm weights are zero")
+            weights = SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
+        elif scheme == "vcae":
+            from .vcae import train_vcae, vcae_weights
+            if vcae_cfg is None:
+                raise ValueError("vcae scheme needs a VcaeConfig")
+            vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
+            weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap,
+                                   prior=vcae_cfg.prior)
+        else:  # pragma: no cover
+            raise AssertionError(scheme)
 
-    w_arr = weights.weights
-    weight_fn = None
-    sampler = None
-    if method == "LW" and scheme != "vanilla":
-        weight_fn = lambda idx, t: w_arr[idx]
-    elif method == "ALW":
-        weight_fn = lambda idx, t: anneal_weight(w_arr[idx], t, anneal)
-    elif method == "WS":
-        _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
-        sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
+        w_arr = weights.weights
+        weight_fn = None
+        sampler = None
+        if method == "LW" and scheme != "vanilla":
+            weight_fn = lambda idx, t: w_arr[idx]
+        elif method == "ALW":
+            weight_fn = lambda idx, t: anneal_weight(w_arr[idx], t, anneal)
+        elif method == "WS":
+            _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
+            sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
 
-    def beta_fn(params, step_end):
-        if method == "ALW":
-            eff = anneal_weight(w_arr, step_end - 1, anneal)
-        else:
-            eff = w_arr
-        return debias_bc_ratio(eff, train_ds.aligned)
+        def beta_fn(params, step_end):
+            if method == "ALW":
+                eff = anneal_weight(w_arr, step_end - 1, anneal)
+            else:
+                eff = w_arr
+            return debias_bc_ratio(eff, train_ds.aligned)
 
-    params, history = train(train_ds, train_cfg, loss="xent",
-                            weight_fn=weight_fn, sampler=sampler,
-                            logit_offset=logit_offset,
-                            eval_fn=_make_eval(test_ds, beta_fn))
-    return PipelineResult(params=params, history=history, weights=weights,
-                          artifact=artifact)
+        params, history = train(train_ds, train_cfg, loss="xent",
+                                weight_fn=weight_fn, sampler=sampler,
+                                logit_offset=logit_offset,
+                                eval_fn=_make_eval(test_ds, beta_fn))
+        return PipelineResult(params=params, history=history, weights=weights,
+                              artifact=artifact, blas_threads=policy)
 
 
 def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineResult:

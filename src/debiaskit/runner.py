@@ -6,7 +6,11 @@ Every run writes, under its output directory:
 * ``summary.json``  mean/std of the final-epoch metrics across seeds
 * ``weights_seed<k>.csv``  per-sample weight dump (index,weight,aligned,provenance)
 * ``checkpoint_seed<k>/``  trained classifier
-* ``timings.json``  wall-clock seconds (kept out of the CSVs on purpose)
+* ``timings.json``  wall-clock seconds per seed and the BLAS thread policy
+  in effect (kept out of the CSVs on purpose)
+
+A sweep's pool workers run one BLAS thread each. A serial run's thread
+count is set by ``blas.limit`` inside the training calls.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .classifier import GceConfig, TrainConfig, save_model
 from .data import (GenConfig, LabeledDataset, generate, load_dataset,
                    unbiased_config)
-from .debias import (AnnealConfig, PipelineResult, run_debias_pipeline)
+from .debias import (_COMPATIBLE, METHODS, SCHEMES, AnnealConfig,
+                     SampleWeights, run_debias_pipeline)
 from .metrics import MetricsRow
 from .vcae import VcaeConfig
 
@@ -37,6 +43,14 @@ METRICS_HEADER = ["seed", *MetricsRow.CSV_FIELDS]
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 # the nested sections of a run config, each one a config dataclass
@@ -90,15 +104,31 @@ class RunConfig:
     vcae: VcaeConfig | None = None
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method not in _COMPATIBLE[self.scheme]:
+            raise ConfigError(f"scheme {self.scheme!r} cannot drive method "
+                              f"{self.method!r}; it drives {sorted(_COMPATIBLE[self.scheme])}")
         if (self.dataset is None) == (self.dataset_path is None):
             raise ConfigError("need exactly one of a dataset spec and a dataset path")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if (not isinstance(self.t_bias, (int, np.integer)) or isinstance(self.t_bias, bool)
-                or self.t_bias < 1):
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
+        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
+            raise ConfigError(f"dataset_path must be a path string, got {self.dataset_path!r}")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(_is_int(s) and s >= 0 for s in self.seeds)):
+            raise ConfigError(f"seeds must be a non-empty list of integers >= 0, "
+                              f"got {self.seeds!r}")
+        if not _is_int(self.test_n) or self.test_n < 1:
+            raise ConfigError(f"test_n must be an integer >= 1, got {self.test_n!r}")
+        if not _is_int(self.t_bias) or self.t_bias < 1:
             raise ConfigError(f"t_bias must be an integer >= 1, got {self.t_bias!r}")
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 1.0):
+        if not (_is_number(self.gamma) and self.gamma > 1.0):
             raise ConfigError(f"gamma must be a number above 1, got {self.gamma!r}")
+        if not (_is_number(self.tau) and 0.0 < self.tau <= 1.0):
+            raise ConfigError(f"tau must be a number in (0, 1], got {self.tau!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -144,6 +174,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def _write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray) -> None:
+    """One index,weight,aligned,provenance row per sample.
+
+    Writes the bytes of ``_write_csv``: the ``tolist()`` floats are Python
+    floats, whose ``str`` is the ``repr`` that ``_fmt`` writes.
+    """
+    n = len(w.weights)
+    with path.open("w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["index", "weight", "aligned", "provenance"])
+        wr.writerows(zip(range(n), w.weights.tolist(),
+                         aligned.astype(np.int64).tolist(), [w.provenance] * n))
 
 
 def _datasets_for_seed(cfg: RunConfig, run_seed: int):
@@ -201,14 +245,12 @@ def run_experiment(cfg: RunConfig) -> dict:
             dict_rows.append(d)
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
         if result.weights is not None:
-            w = result.weights
-            _write_csv(out / f"weights_seed{run_seed}.csv",
-                       ["index", "weight", "aligned", "provenance"],
-                       [[i, float(w.weights[i]), int(train_ds.aligned[i]),
-                         w.provenance] for i in range(len(w.weights))])
+            _write_weights_csv(out / f"weights_seed{run_seed}.csv",
+                               result.weights, train_ds.aligned)
         save_model(result.params, out / f"checkpoint_seed{run_seed}",
                    extra={"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                           "scheme": cfg.scheme, "method": cfg.method})
+    timings["blas_threads"] = result.blas_threads  # one config: one policy
     _write_csv(out / "metrics.csv", METRICS_HEADER, csv_rows)
     summary = summarize(dict_rows)
     summary["scheme"], summary["method"] = cfg.scheme, cfg.method
@@ -220,35 +262,13 @@ def run_experiment(cfg: RunConfig) -> dict:
 SWEEP_AXES = ("gamma", "t_bias")
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: one OpenBLAS thread per worker.
-
-    Each worker inherits the parent's BLAS threads, so N workers would run
-    N times that many threads on the same cores. Calls the OpenBLAS bundled
-    with numpy (``numpy.libs``) through ctypes; changes nothing when no
-    thread setter is found. Serial runs keep their threads.
-    """
-    import ctypes
-    import glob
-    import os
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "*openblas*"))
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(1)
-                return
-
-
 def run_sweep(cfg: RunConfig, axis: str, values: list[float],
               jobs: int = 1) -> Path:
     """One experiment per axis value plus a merged long-format CSV.
 
     Every point's config is built, and so checked, before any point runs.
+    With ``jobs > 1`` each pool worker runs one BLAS thread: N workers that
+    kept the parent's threads would run N times as many threads as cores.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
@@ -261,8 +281,8 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
               for v in values]
     out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
+                                 initargs=(1,)) as pool:
             list(pool.map(run_experiment, points))
     else:
         for point in points:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .classifier import (MlpParams, TrainConfig, TrainingDiverged,
                          check_finite_gradient, flat_views, init_mlp,
                          log_softmax_numpy, mlp_forward, mlp_layers,
@@ -309,6 +310,7 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
 
     Raises ``TrainingDiverged`` naming the epoch and step of a non-finite
     loss, and ``GradientError`` naming the array of a non-finite gradient.
+    Runs under the BLAS thread policy of ``blas.limit``.
     """
     init_seed, shuffle_seed, eps_seed = np.random.SeedSequence(t_cfg.seed).generate_state(3)
     params = init_vcae(cfg, ds.dim, int(init_seed))
@@ -325,8 +327,9 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
         return lval
 
     sampler = shuffle_batches(len(ds), t_cfg.batch_size, int(shuffle_seed), t_cfg.shuffle)
-    history = run_epochs(len(ds), t_cfg, sampler, step_fn, lambda epoch, stats: {
-        "epoch": epoch, "loss": stats["train_loss"], "seconds": stats["seconds"]})
+    with blas.limit(t_cfg.batch_size, [ds.dim, *cfg.hidden]):
+        history = run_epochs(len(ds), t_cfg, sampler, step_fn, lambda epoch, stats: {
+            "epoch": epoch, "loss": stats["train_loss"], "seconds": stats["seconds"]})
     return params, history
 
 

@@ -113,6 +113,27 @@ def test_debias_unknown_config_key_fails(tmp_path):
     assert main(["debias", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("over", [{"out_dir": None}, {"seeds": [0, "1"]},
+                                  {"test_n": "300"}, {"tau": "high"}])
+def test_debias_bad_field_type_fails_with_a_message(tmp_path, capsys, over):
+    data = _gen(tmp_path)
+    cfg = _debias_config(tmp_path, data, **over)
+    assert main(["debias", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("over", [{"scheme": "bogus"}, {"scheme": "lff", "method": "WS"}])
+def test_bad_scheme_or_method_fails_before_any_output(tmp_path, capsys, over):
+    data = _gen(tmp_path)
+    cfg = _debias_config(tmp_path, data, **over)
+    out = tmp_path / "o"
+    assert main(["debias", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["sweep", "--config", str(cfg), "--gamma", "20,50",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
 def test_oracle_check(tmp_path, capsys):
     rc = main(["oracle-check", "--seed", "0", "--out", str(tmp_path / "oc")])
     assert rc == 0

@@ -11,7 +11,7 @@ import pytest
 from debiaskit import runner
 from debiaskit.classifier import TrainConfig
 from debiaskit.data import GenConfig, generate, save_dataset
-from debiaskit.debias import AnnealConfig
+from debiaskit.debias import AnnealConfig, SampleWeights
 from debiaskit.runner import (METRICS_HEADER, ConfigError, RunConfig, aggregate_report,
                               run_experiment, run_sweep, summarize)
 
@@ -46,6 +46,21 @@ def test_run_config_rejects_bad_t_bias_and_gamma(tmp_path, over):
     base = _tiny_cfg(tmp_path)
     with pytest.raises(ConfigError):
         RunConfig(dataset=base.dataset, **over)
+
+
+@pytest.mark.parametrize("over", [
+    {"out_dir": None}, {"out_dir": 3}, {"test_n": "300"}, {"test_n": 0},
+    {"test_n": 1.5}, {"tau": "0.7"}, {"tau": None}, {"tau": 0.0}, {"tau": 1.5},
+    {"seeds": 0}, {"seeds": []}, {"seeds": [0, "1"]}, {"seeds": [1.0]},
+    {"seeds": [-1]}, {"seeds": [True]}, {"scheme": "bogus"}, {"method": "XX"},
+    {"scheme": "lff", "method": "WS"}, {"scheme": "pgd", "method": "LW"},
+    {"dataset": None, "dataset_path": 7}])
+def test_run_config_rejects_bad_field_values(tmp_path, over):
+    with pytest.raises(ConfigError):
+        _tiny_cfg(tmp_path, **over)
+    base = _tiny_cfg(tmp_path)
+    with pytest.raises(ConfigError):
+        RunConfig(**{"dataset": base.dataset, **over})
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -196,6 +211,19 @@ def test_weights_csv_schema(tmp_path):
     assert list(rows[0]) == ["index", "weight", "aligned", "provenance"]
     assert rows[0]["provenance"] == "oracle-ub"
     assert len(rows) == 400
+
+
+def test_weights_csv_bytes_match_the_row_writer(tmp_path):
+    """The ``writerows`` path writes what ``_write_csv`` writes cell by cell."""
+    rng = np.random.default_rng(7)
+    w = np.concatenate([rng.lognormal(0.0, 3.0, 200), [1e-300, 0.1, 1 / 3, 1e17, 10.0]])
+    aligned = rng.random(len(w)) < 0.9
+    weights = SampleWeights(w, provenance="biased-confidence")
+    runner._write_weights_csv(tmp_path / "new.csv", weights, aligned)
+    runner._write_csv(tmp_path / "old.csv", ["index", "weight", "aligned", "provenance"],
+                      [[i, float(w[i]), int(aligned[i]), weights.provenance]
+                       for i in range(len(w))])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_sweep_singleton_matches_run_experiment(tmp_path):
