@@ -406,7 +406,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
             params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
             logit_offset=None if logit_offset is None else logit_offset[idx])
         lval, _ = mlp_backward(fwd, w, out=grad)
-        opt.step([params.flat], [grad.flat])
+        opt.step(params.flat, grad.flat)
         # uncapped cross-entropy of the raw logits, for divergence tracking
         xent_total += float((-fwd.log_p_y).sum())
         return lval

@@ -17,9 +17,9 @@ from .classifier import (GceConfig, GradientError, TrainConfig, TrainingDiverged
                          save_model)
 from .data import KINDS, GenConfig, generate, load_dataset, save_dataset
 from .debias import METHODS, SCHEMES, train_biased_classifier
-from .runner import (ConfigError, RunConfig, _write_csv, aggregate_report,
-                     run_experiment, run_sweep)
-from .vcae import VcaeConfig
+from .runner import (WEIGHTS_HEADER, ConfigError, RunConfig, _write_csv,
+                     aggregate_report, run_experiment, run_sweep)
+from .vcae import VCAE_WEIGHT_CAP, VcaeConfig
 
 
 def _add_gen_flags(p):
@@ -30,6 +30,17 @@ def _add_gen_flags(p):
                    help="bias-conflicting ratio in (0,1)")
     p.add_argument("--sigma-u", type=float, default=GenConfig.sigma_u)
     p.add_argument("--sigma-b", type=float, default=GenConfig.sigma_b)
+
+
+def _add_run_flags(p):
+    """The flags of a run config that ``debias`` and ``sweep`` share."""
+    p.add_argument("--config")
+    p.add_argument("--data", help="dataset directory (overrides config)")
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
 
 
 def cmd_generate(args) -> int:
@@ -64,13 +75,11 @@ def _load_run_config(args) -> RunConfig:
     else:
         cfg = RunConfig(dataset=GenConfig())
     overrides = {}
-    for name in ("scheme", "method", "gamma", "tau"):
+    for name in ("scheme", "method", "gamma", "t_bias", "tau"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
-    if getattr(args, "t_bias", None) is not None:
-        overrides["t_bias"] = args.t_bias
-    if getattr(args, "data", None) is not None:
+    if args.data is not None:
         overrides["dataset_path"] = args.data
         overrides["dataset"] = None
     if args.out is not None:
@@ -120,7 +129,7 @@ def cmd_vcae(args) -> int:
                [[row[k] for k in header] for row in rows])
     _write_csv(out / "vcae_history.csv", ["epoch", "loss"],
                [[h["epoch"], h["loss"]] for h in history])
-    _write_csv(out / "weights.csv", ["index", "weight", "aligned", "provenance"],
+    _write_csv(out / "weights.csv", WEIGHTS_HEADER,
                [[row["index"], row["weight"], row["aligned"], "vcae"] for row in rows])
     print(f"trained {tc.epochs} epochs, final loss {history[-1]['loss']:.4f}; "
           f"dumps in {args.out}")
@@ -181,15 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train_biased)
 
     p = sub.add_parser("debias", help="run one debiasing experiment")
-    p.add_argument("--config")
-    p.add_argument("--data", help="dataset directory (overrides config)")
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--method", choices=METHODS)
+    _add_run_flags(p)
     p.add_argument("--gamma", type=float)
     p.add_argument("--t-bias", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_debias)
 
     p = sub.add_parser("oracle-check", help="exact causal/equivalence checks as JSON")
@@ -209,23 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--cap", type=float, default=100.0)
+    p.add_argument("--cap", type=float, default=VCAE_WEIGHT_CAP)
     p.set_defaults(fn=cmd_vcae)
 
     p = sub.add_parser("sweep", help="grid over gamma (t_bias fixed) or over "
                                      "t_bias, with merged CSV")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--method", choices=METHODS)
+    _add_run_flags(p)
     p.add_argument("--gamma", dest="gamma_list",
                    help="the axis: comma-separated gamma values")
     p.add_argument("--t-bias", dest="t_bias_list",
                    help="the axis (comma-separated integers), or one fixed "
                         "value when --gamma is the axis")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_sweep)
 
@@ -240,8 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError, TrainingDiverged,
-            GradientError) as exc:
+    except (ValueError, FileNotFoundError, TrainingDiverged, GradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

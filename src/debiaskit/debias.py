@@ -26,6 +26,7 @@ from .classifier import (GceConfig, MlpParams, TrainConfig, init_mlp,
 from .data import LabeledDataset, estimate_p_y_given_b
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
+from .vcae import VCAE_WEIGHT_CAP, train_vcae, vcae_weights
 
 SCHEMES = ("vanilla", "oracle-ub", "oracle-yb", "biased-confidence",
            "lff", "pgd", "vcae")
@@ -43,6 +44,21 @@ _COMPATIBLE = {
 }
 
 COLLAPSE_XENT = 50.0
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def check_pair(scheme: str, method: str) -> None:
+    """Raise ``ConfigError`` unless ``scheme`` is known and drives ``method``."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if method not in _COMPATIBLE[scheme]:
+        raise ConfigError(f"scheme {scheme!r} cannot drive method {method!r}; "
+                          f"it drives {sorted(_COMPATIBLE[scheme])}")
 
 
 @dataclass
@@ -224,12 +240,17 @@ def pgd_weight(p_vec: np.ndarray, y, h: np.ndarray):
     return float(w[0]) if np.ndim(p_vec) == 1 else w
 
 
+def tba_floor(p_psi, gamma: float) -> np.ndarray:
+    """TBA's conditional v = max(p(y|b), 1/gamma); its log shifts the logits."""
+    return np.maximum(np.asarray(p_psi, dtype=np.float64), 1.0 / gamma)
+
+
 def tba_adjusted_probs(logits: np.ndarray, p_psi: np.ndarray,
                        gamma: float) -> np.ndarray:
     """softmax(f + log v) with v = max(p_psi, 1/gamma), rows summing to 1."""
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1")
-    v = np.maximum(np.asarray(p_psi, dtype=np.float64), 1.0 / gamma)
+    v = tba_floor(p_psi, gamma)
     shifted = np.asarray(logits, dtype=np.float64) + np.log(v)
     return softmax_numpy(shifted)
 
@@ -291,7 +312,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                         bias_cfg: TrainConfig | None = None,
                         vcae_cfg=None,
                         vcae_train_cfg: TrainConfig | None = None,
-                        vcae_weight_cap: float = 100.0) -> PipelineResult:
+                        vcae_weight_cap: float = VCAE_WEIGHT_CAP) -> PipelineResult:
     """Train a debiased classifier under the requested scheme/method pair.
 
     Two-stage schemes freeze their weights before the main run; the
@@ -301,12 +322,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     from amplification to the last evaluation runs under one BLAS thread
     policy (``blas.limit``), sized by the widest model it trains.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method not in _COMPATIBLE[scheme]:
-        raise ValueError(f"scheme {scheme!r} cannot drive method {method!r}")
+    check_pair(scheme, method)
     if train_ds.aligned is None:
         raise ValueError("training data needs bias labels for metrics")
     gce = gce or GceConfig()
@@ -336,7 +352,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                 cond = estimate_p_y_given_b(train_ds).table[:, train_ds.bias].T
             else:  # oracle-ub
                 cond = _oracle_ub_table(train_ds)
-            v = np.maximum(cond, 1.0 / gamma)
+            v = tba_floor(cond, gamma)
             logit_offset = np.log(v)
             # implied correction magnitude per sample, for the beta metric
             implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels],
@@ -363,7 +379,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                 raise ValueError("all gradient-norm weights are zero")
             weights = SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
         elif scheme == "vcae":
-            from .vcae import train_vcae, vcae_weights
             if vcae_cfg is None:
                 raise ValueError("vcae scheme needs a VcaeConfig")
             vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
@@ -418,8 +433,8 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
         w = lff_weight(fwd_b.xent(), fwd_d.xent())
         mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
         lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
-        opt_psi.step([psi.flat], [grad_psi.flat])
-        opt_theta.step([theta.flat], [grad_theta.flat])
+        opt_psi.step(psi.flat, grad_psi.flat)
+        opt_theta.step(theta.flat, grad_theta.flat)
         return lval
 
     full_w = None

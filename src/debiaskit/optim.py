@@ -1,13 +1,12 @@
-"""First-order optimizers updating lists of numpy parameter arrays in place.
+"""First-order optimizers updating one numpy parameter vector in place.
 
 The models keep all their parameters in one contiguous float64 vector
-(``MlpParams.flat``, ``VcaeParams.flat``), so the training loops pass a
-one-element list ``[flat]`` and its gradient ``[grad_flat]``; a step is then
-a handful of whole-vector numpy operations. Each optimizer allocates its
-state and scratch buffers, one set per array, on its first step and updates
-through ``out=`` and in-place operations afterwards. The operations run in
-the order of the textbook expressions in the docstrings, so the result is
-bit-identical to evaluating those expressions array by array.
+(``MlpParams.flat``, ``VcaeParams.flat``), so a step takes that vector and
+its gradient and is a handful of whole-vector numpy operations. Each
+optimizer allocates its state and scratch buffers on its first step and
+updates through ``out=`` and in-place operations afterwards. The operations
+run in the order of the textbook expressions in the docstrings, so the
+result is bit-identical to evaluating those expressions array by array.
 """
 
 from __future__ import annotations
@@ -16,13 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _check(params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+def _check(p: np.ndarray, g: np.ndarray) -> None:
+    if p.shape != g.shape:
+        raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
 
 
 @dataclass
@@ -35,21 +30,20 @@ class Sgd:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    _buffers: list[np.ndarray] | None = field(default=None, repr=False)
-    _scratch: list[np.ndarray] | None = field(default=None, repr=False)
+    _buffer: np.ndarray | None = field(default=None, repr=False)
+    _scratch: np.ndarray | None = field(default=None, repr=False)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        _check(params, grads)
-        if self._buffers is None:
-            self._buffers = [np.zeros_like(p) for p in params]
-            self._scratch = [np.empty_like(p) for p in params]
-        for p, g, buf, s in zip(params, grads, self._buffers, self._scratch):
-            buf *= self.momentum
-            buf += g
-            np.multiply(p, self.weight_decay, out=s)
-            s += buf
-            s *= self.lr
-            p -= s
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        _check(p, g)
+        if self._buffer is None:
+            self._buffer, self._scratch = np.zeros_like(p), np.empty_like(p)
+        buf, s = self._buffer, self._scratch
+        buf *= self.momentum
+        buf += g
+        np.multiply(p, self.weight_decay, out=s)
+        s += buf
+        s *= self.lr
+        p -= s
 
 
 @dataclass
@@ -67,39 +61,36 @@ class Adam:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
-    _m: list[np.ndarray] | None = field(default=None, repr=False)
-    _v: list[np.ndarray] | None = field(default=None, repr=False)
-    _scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
+    _state: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        _check(params, grads)
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        _check(p, g)
+        if self._state is None:  # m, v and two scratch vectors
+            self._state = (np.zeros_like(p), np.zeros_like(p),
+                           np.empty_like(p), np.empty_like(p))
+        m, v, a, b = self._state
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, g, m, v, (a, b) in zip(params, grads, self._m, self._v, self._scratch):
-            if self.weight_decay:
-                np.multiply(p, self.weight_decay, out=a)
-                a += g
-                g = a
-            np.multiply(g, 1.0 - self.beta1, out=b)
-            m *= self.beta1
-            m += b
-            np.multiply(g, 1.0 - self.beta2, out=b)
-            b *= g
-            v *= self.beta2
-            v += b
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p -= a
+        if self.weight_decay:
+            np.multiply(p, self.weight_decay, out=a)
+            a += g
+            g = a
+        np.multiply(g, 1.0 - self.beta1, out=b)
+        m *= self.beta1
+        m += b
+        np.multiply(g, 1.0 - self.beta2, out=b)
+        b *= g
+        v *= self.beta2
+        v += b
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.0,

@@ -27,8 +27,8 @@ from . import blas
 from .classifier import GceConfig, TrainConfig, save_model
 from .data import (GenConfig, LabeledDataset, generate, load_dataset,
                    unbiased_config)
-from .debias import (_COMPATIBLE, METHODS, SCHEMES, AnnealConfig,
-                     SampleWeights, run_debias_pipeline)
+from .debias import (AnnealConfig, ConfigError, SampleWeights, check_pair,
+                     run_debias_pipeline)
 from .metrics import MetricsRow
 from .vcae import VcaeConfig
 
@@ -39,10 +39,7 @@ SCHEMA_VERSION = 1
 RUN_EPOCHS = 20
 
 METRICS_HEADER = ["seed", *MetricsRow.CSV_FIELDS]
-
-
-class ConfigError(ValueError):
-    pass
+WEIGHTS_HEADER = ["index", "weight", "aligned", "provenance"]
 
 
 def _is_int(v) -> bool:
@@ -104,13 +101,7 @@ class RunConfig:
     vcae: VcaeConfig | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method not in _COMPATIBLE[self.scheme]:
-            raise ConfigError(f"scheme {self.scheme!r} cannot drive method "
-                              f"{self.method!r}; it drives {sorted(_COMPATIBLE[self.scheme])}")
+        check_pair(self.scheme, self.method)
         if (self.dataset is None) == (self.dataset_path is None):
             raise ConfigError("need exactly one of a dataset spec and a dataset path")
         if not isinstance(self.out_dir, str):
@@ -161,33 +152,21 @@ class RunConfig:
         return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):  # repr of a numpy scalar names its type
-        return repr(float(x))
-    return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The one CSV writer. Cells must be Python scalars (``tolist()``): a
+    numpy float64 is a ``float`` subclass whose repr, which csv writes, names its type."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
 def _write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray) -> None:
-    """One index,weight,aligned,provenance row per sample.
-
-    Writes the bytes of ``_write_csv``: the ``tolist()`` floats are Python
-    floats, whose ``str`` is the ``repr`` that ``_fmt`` writes.
-    """
     n = len(w.weights)
-    with path.open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["index", "weight", "aligned", "provenance"])
-        wr.writerows(zip(range(n), w.weights.tolist(),
-                         aligned.astype(np.int64).tolist(), [w.provenance] * n))
+    _write_csv(path, WEIGHTS_HEADER, zip(range(n), w.weights.tolist(),
+                                         aligned.astype(np.int64).tolist(),
+                                         [w.provenance] * n))
 
 
 def _datasets_for_seed(cfg: RunConfig, run_seed: int):
@@ -235,14 +214,10 @@ def run_experiment(cfg: RunConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
-    csv_rows, dict_rows, timings = [], [], {}
+    csv_rows, timings = [], {}
     for run_seed in cfg.seeds:
         result, train_ds, _ = run_single(cfg, run_seed)
-        for row in result.history:
-            csv_rows.append([run_seed, *row.csv_values()])
-            d = {f: getattr(row, f) for f in MetricsRow.CSV_FIELDS}
-            d["seed"] = run_seed
-            dict_rows.append(d)
+        csv_rows += [[run_seed, *row.csv_values()] for row in result.history]
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
         if result.weights is not None:
             _write_weights_csv(out / f"weights_seed{run_seed}.csv",
@@ -252,7 +227,7 @@ def run_experiment(cfg: RunConfig) -> dict:
                           "scheme": cfg.scheme, "method": cfg.method})
     timings["blas_threads"] = result.blas_threads  # one config: one policy
     _write_csv(out / "metrics.csv", METRICS_HEADER, csv_rows)
-    summary = summarize(dict_rows)
+    summary = summarize([dict(zip(METRICS_HEADER, r)) for r in csv_rows])
     summary["scheme"], summary["method"] = cfg.scheme, cfg.method
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")

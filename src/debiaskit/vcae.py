@@ -29,6 +29,9 @@ from .optim import make_optimizer
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# default ceiling of the VCAE weights 1 / p(y_n | z_n)
+VCAE_WEIGHT_CAP = 100.0
+
 
 @dataclass
 class VcaeConfig:
@@ -323,7 +326,7 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
         eps = eps_rng.normal(size=(len(idx), cfg.dim_z))
         fwd = vcae_loss_forward(params, ds.features[idx], ds.labels[idx], cfg, eps)
         lval, _ = vcae_backward(fwd, out=grad)
-        opt.step([params.flat], [grad])
+        opt.step(params.flat, grad)
         return lval
 
     sampler = shuffle_batches(len(ds), t_cfg.batch_size, int(shuffle_seed), t_cfg.shuffle)
@@ -347,28 +350,23 @@ def _posterior_weights(params: VcaeParams, ds: LabeledDataset, cap: float,
 
 
 def vcae_weights(params: VcaeParams, ds: LabeledDataset,
-                 cap: float = 100.0,
+                 cap: float = VCAE_WEIGHT_CAP,
                  prior: np.ndarray | None = None):
     """w_n = min(1 / p(y_n | z_n), cap), z_n the posterior mean."""
     return _posterior_weights(params, ds, cap, prior)[2]
 
 
 def latent_dump(params: VcaeParams, ds: LabeledDataset,
-                cap: float = 100.0,
+                cap: float = VCAE_WEIGHT_CAP,
                 prior: np.ndarray | None = None) -> list[dict]:
     """Rows for the latent CSV: coordinates, posterior, weight, and the
     (unnormalized) class-conditional log density as a diagnostic."""
     z, p_true, weights = _posterior_weights(params, ds, cap, prior)
-    log_pdf = log_p_z_given_y(params, z)
-    rows = []
-    for i in range(len(ds)):
-        row = {"index": i}
-        for d in range(params.dim_z):
-            row[f"z_{d}"] = z[i, d]
-        row["label"] = int(ds.labels[i])
-        row["aligned"] = int(ds.aligned[i]) if ds.aligned is not None else ""
-        row["p_y_given_z"] = p_true[i]
-        row["weight"] = weights.weights[i]
-        row["log_p_z_given_y"] = log_pdf[i, ds.labels[i]]
-        rows.append(row)
-    return rows
+    # Python scalars, which the CSV writer writes as their repr
+    z_rows, p, w = z.tolist(), p_true.tolist(), weights.weights.tolist()
+    log_pdf = log_p_z_given_y(params, z)[np.arange(len(ds)), ds.labels].tolist()
+    return [{"index": i, **{f"z_{d}": v for d, v in enumerate(z_rows[i])},
+             "label": int(ds.labels[i]),
+             "aligned": int(ds.aligned[i]) if ds.aligned is not None else "",
+             "p_y_given_z": p[i], "weight": w[i], "log_p_z_given_y": log_pdf[i]}
+            for i in range(len(ds))]

@@ -11,8 +11,9 @@ from debiaskit import debias
 from debiaskit.classifier import (GceConfig, TrainConfig, TrainingDiverged,
                                   init_mlp, mlp_forward, shuffle_batches,
                                   softmax_xent, train)
-from debiaskit.data import (GenConfig, LabeledDataset, generate_two_factor,
-                            load_dataset, save_dataset, unbiased_config)
+from debiaskit.data import (GenConfig, LabeledDataset, estimate_p_y_given_b,
+                            generate_two_factor, load_dataset, save_dataset,
+                            unbiased_config)
 from debiaskit.debias import (AnnealConfig, SampleWeights,
                               _run_lff, anneal_weight, compute_weights_clamped,
                               lff_weight, oracle_ub_weights, pgd_weight,
@@ -21,7 +22,7 @@ from debiaskit.debias import (AnnealConfig, SampleWeights,
                               weighted_sampler)
 from debiaskit.classifier import softmax_numpy
 from debiaskit.metrics import debias_bc_ratio
-from debiaskit.runner import RunConfig, run_sweep
+from debiaskit.runner import ConfigError, RunConfig, run_sweep
 
 from conftest import assert_views_of_flat, ref_optimizer, tape_loss_and_grads
 
@@ -425,6 +426,49 @@ def test_incompatible_scheme_method_combos():
                                 train_cfg=cfg, gamma=50.0)
     with pytest.raises(ValueError):
         run_debias_pipeline(train_ds, test_ds, "nonsense", "LW", train_cfg=cfg)
+
+
+@pytest.mark.parametrize("scheme,method", [
+    ("nonsense", "LW"), ("oracle-ub", "XX"), ("lff", "TBA"), ("pgd", "LW"),
+    ("vanilla", "TBA"), ("vcae", "TBA")])
+def test_pipeline_and_run_config_reject_a_bad_pair_alike(scheme, method):
+    """One check of the scheme/method pair: the same error and message."""
+    train_ds, test_ds, cfg = _tiny_setup()
+    with pytest.raises(ConfigError) as from_pipeline:
+        run_debias_pipeline(train_ds, test_ds, scheme, method,
+                            train_cfg=cfg, gamma=50.0)
+    with pytest.raises(ConfigError) as from_config:
+        RunConfig(scheme=scheme, method=method, dataset=GenConfig())
+    assert str(from_pipeline.value) == str(from_config.value)
+
+
+@pytest.mark.parametrize("scheme", ["oracle-ub", "oracle-yb", "biased-confidence"])
+def test_pipeline_tba_offset_is_the_log_of_the_floor(monkeypatch, scheme):
+    """TBA trains on log max(p(y|b), 1/gamma) of the scheme's conditional,
+    and its beta weights are min(1 / v[n, y_n], gamma), bit for bit."""
+    train_ds, test_ds, cfg = _tiny_setup()
+    gamma, offsets = 30.0, []
+
+    def capture(ds, cfg, **kw):
+        if kw.get("loss") == "xent":
+            offsets.append(kw["logit_offset"])
+        return train(ds, cfg, **kw)
+
+    monkeypatch.setattr(debias, "train", capture)
+    res = run_debias_pipeline(train_ds, test_ds, scheme, "TBA", train_cfg=cfg,
+                              gamma=gamma, t_bias=1)
+    if scheme == "biased-confidence":
+        cond = res.artifact.class_probs
+    elif scheme == "oracle-yb":
+        cond = estimate_p_y_given_b(train_ds).table[:, train_ds.bias].T
+    else:
+        rho, c = train_ds.cfg.bc_ratio, train_ds.num_classes
+        cond = np.where(np.arange(c) == train_ds.bias[:, None], 1.0 - rho, rho / (c - 1))
+    v = debias.tba_floor(cond, gamma)
+    assert len(offsets) == 1
+    assert offsets[0].tobytes() == np.log(v).tobytes()
+    implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels], gamma)
+    assert res.weights.weights.tobytes() == implied.tobytes()
 
 
 def test_vanilla_lw_matches_plain_training():

@@ -9,45 +9,45 @@ from conftest import ref_optimizer
 
 
 def test_sgd_plain_step():
-    p = [np.array([0.0])]
-    Sgd(lr=0.1).step(p, [np.array([1.0])])
-    np.testing.assert_allclose(p[0], [-0.1])
+    p = np.array([0.0])
+    Sgd(lr=0.1).step(p, np.array([1.0]))
+    np.testing.assert_allclose(p, [-0.1])
 
 
 def test_sgd_momentum_two_steps_hand_unrolled():
     # buf1 = 1 -> p = -0.1; buf2 = 0.9 + 1 = 1.9 -> p = -0.1 - 0.19 = -0.29
-    p = [np.array([0.0])]
+    p = np.array([0.0])
     opt = Sgd(lr=0.1, momentum=0.9)
-    opt.step(p, [np.array([1.0])])
-    opt.step(p, [np.array([1.0])])
-    np.testing.assert_allclose(p[0], [-0.29], atol=1e-15)
+    opt.step(p, np.array([1.0]))
+    opt.step(p, np.array([1.0]))
+    np.testing.assert_allclose(p, [-0.29], atol=1e-15)
 
 
 def test_sgd_zero_grad_no_decay_leaves_params():
-    p = [np.array([1.5, -2.0])]
-    Sgd(lr=0.1).step(p, [np.zeros(2)])
-    np.testing.assert_array_equal(p[0], [1.5, -2.0])
+    p = np.array([1.5, -2.0])
+    Sgd(lr=0.1).step(p, np.zeros(2))
+    np.testing.assert_array_equal(p, [1.5, -2.0])
 
 
 def test_sgd_shape_mismatch():
     with pytest.raises(ValueError):
-        Sgd(lr=0.1).step([np.zeros(2)], [np.zeros(3)])
+        Sgd(lr=0.1).step(np.zeros(2), np.zeros(3))
 
 
 def test_adam_zero_grad_zero_moments_noop():
-    p = [np.array([1.0, 2.0])]
-    Adam(lr=1e-3).step(p, [np.zeros(2)])
-    np.testing.assert_array_equal(p[0], [1.0, 2.0])
+    p = np.array([1.0, 2.0])
+    Adam(lr=1e-3).step(p, np.zeros(2))
+    np.testing.assert_array_equal(p, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("g", [0.5, -3.0, 1e-4])
 def test_adam_first_step_magnitude(g):
     # bias correction makes m_hat = g, v_hat = g^2, so |dp| = lr*|g|/(|g|+eps)
-    p = [np.array([0.0])]
-    Adam(lr=1e-3).step(p, [np.array([g])])
+    p = np.array([0.0])
+    Adam(lr=1e-3).step(p, np.array([g]))
     expect = 1e-3 * abs(g) / (abs(g) + 1e-8)
-    assert abs(abs(p[0][0]) - expect) < 1e-12
-    assert np.sign(p[0][0]) == -np.sign(g)
+    assert abs(abs(p[0]) - expect) < 1e-12
+    assert np.sign(p[0]) == -np.sign(g)
 
 
 def test_adam_monotone_on_quadratic():
@@ -56,7 +56,7 @@ def test_adam_monotone_on_quadratic():
     opt = Adam(lr=1e-3)
     vals = [x[0] ** 2]
     for _ in range(2):
-        opt.step([x], [2.0 * x])
+        opt.step(x, 2.0 * x)
         vals.append(x[0] ** 2)
     assert vals[0] > vals[1] > vals[2]
 
@@ -99,7 +99,7 @@ def test_flat_step_matches_per_array_reference_bitwise(run):
         grads[0].ravel()[0] = 0.0  # zero gradients, too
         ref.step(ref_arrays, grads)
         grad_flat = np.concatenate([g.ravel() for g in grads])
-        opt.step([flat], [grad_flat])
+        opt.step(flat, grad_flat)
         # the step leaves the gradient as it was
         assert grad_flat.tobytes() == np.concatenate([g.ravel() for g in grads]).tobytes()
     assert flat.tobytes() == np.concatenate([a.ravel() for a in ref_arrays]).tobytes()
