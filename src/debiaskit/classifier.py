@@ -15,7 +15,7 @@ import numpy as np
 
 from . import blas
 from .data import LabeledDataset, check_schema_version, read_f64le
-from .optim import make_optimizer
+from .optim import OPTIMIZERS, make_optimizer
 
 # loss value at the probability floor 1e-12; caps -log p
 P_FLOOR = 1e-12
@@ -58,6 +58,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, "
+                             f"got {self.optimizer!r}")
         self.hidden = tuple(self.hidden)
 
 

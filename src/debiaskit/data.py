@@ -37,6 +37,8 @@ class GenConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.bc_ratio < 1.0:
             raise ValueError(f"bc_ratio must be in (0,1), got {self.bc_ratio}")
         if self.kind not in KINDS:

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+OPTIMIZERS = ("sgd", "adam")
+
+
 def _check(p: np.ndarray, g: np.ndarray) -> None:
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
@@ -95,8 +98,8 @@ class Adam:
 
 def make_optimizer(name: str, lr: float, momentum: float = 0.0,
                    weight_decay: float = 0.0):
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
     if name == "sgd":
         return Sgd(lr=lr, momentum=momentum, weight_decay=weight_decay)
-    if name == "adam":
-        return Adam(lr=lr, weight_decay=weight_decay)
-    raise ValueError(f"unknown optimizer {name!r}")
+    return Adam(lr=lr, weight_decay=weight_decay)

@@ -251,9 +251,13 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
         raise ConfigError("sweep needs at least one axis value")
     if axis == "t_bias":  # integral floats such as 2.0 name an integer t_bias
         values = [int(v) if float(v).is_integer() else v for v in values]
+    names = [f"{axis}={v:g}" for v in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"sweep values {values} must name distinct directories, "
+                          f"got {names}")
     out = Path(cfg.out_dir)
-    points = [replace(cfg, **{axis: v}, out_dir=str(out / f"{axis}={v:g}"))
-              for v in values]
+    points = [replace(cfg, **{axis: v}, out_dir=str(out / name))
+              for v, name in zip(values, names)]
     out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,

@@ -134,6 +134,26 @@ def test_bad_scheme_or_method_fails_before_any_output(tmp_path, capsys, over):
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
+def test_empty_dataset_fails_before_any_output(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--n", "0", "--out", str(data)]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "dataset": {"n": 0},
+                               "out_dir": str(tmp_path / "run")}))
+    assert main(["debias", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: n must be >= 1") for line in err)
+    assert not data.exists() and not (tmp_path / "run").exists()
+
+
+def test_unknown_optimizer_fails_before_any_output(tmp_path, capsys):
+    data = _gen(tmp_path)
+    cfg = _debias_config(tmp_path, data, train={"epochs": 2, "optimizer": "lbfgs"})
+    assert main(["debias", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: optimizer must be one of")
+    assert not (tmp_path / "run").exists()
+
+
 def test_oracle_check(tmp_path, capsys):
     rc = main(["oracle-check", "--seed", "0", "--out", str(tmp_path / "oc")])
     assert rc == 0

@@ -35,6 +35,12 @@ def test_config_validation():
         GenConfig(num_classes=11, n=10, bc_ratio=0.1, kind="colored-glyphs")
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_config_rejects_an_empty_dataset(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        GenConfig(n=n)
+
+
 def test_two_factor_near_zero_rho_all_aligned():
     ds = generate_two_factor(GenConfig(num_classes=10, n=100, bc_ratio=1e-9, seed=0))
     assert ds.aligned.all()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit.optim import Adam, Sgd, make_optimizer
+from debiaskit.classifier import TrainConfig
+from debiaskit.optim import OPTIMIZERS, Adam, Sgd, make_optimizer
 
 from conftest import ref_optimizer
 
@@ -64,6 +65,13 @@ def test_adam_monotone_on_quadratic():
 def test_make_optimizer_rejects_unknown():
     with pytest.raises(ValueError):
         make_optimizer("lbfgs", 0.1)
+
+
+def test_train_config_takes_the_names_make_optimizer_builds():
+    for name in OPTIMIZERS:
+        assert make_optimizer(TrainConfig(optimizer=name).optimizer, 0.1) is not None
+    with pytest.raises(ValueError, match="optimizer must be one of"):
+        TrainConfig(optimizer="lbfgs")
 
 
 # --- the flat-vector step against the per-array reference --------------------

@@ -250,6 +250,17 @@ def test_sweep_axis_validation(tmp_path):
         run_sweep(cfg, "gamma", [])
 
 
+@pytest.mark.parametrize("axis,values", [("gamma", [200.0, 200.0001]),
+                                         ("gamma", [20.0, 50.0, 20.0]),
+                                         ("t_bias", [2, 2.0])])
+def test_sweep_rejects_values_that_name_one_directory(tmp_path, axis, values):
+    """Two points in one directory would overwrite each other's files."""
+    cfg = _tiny_cfg(tmp_path, scheme="biased-confidence", t_bias=1)
+    with pytest.raises(ConfigError, match="distinct directories"):
+        run_sweep(cfg, axis, values)
+    assert not Path(cfg.out_dir).exists()
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg_s = _tiny_cfg(tmp_path / "serial", scheme="oracle-ub")
     cfg_p = _tiny_cfg(tmp_path / "parallel", scheme="oracle-ub")
