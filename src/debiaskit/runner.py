@@ -153,8 +153,8 @@ class RunConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The one CSV writer. Cells must be Python scalars (``tolist()``): a
-    numpy float64 is a ``float`` subclass whose repr, which csv writes, names its type."""
+    """The one CSV writer. ``csv`` writes ``str`` of each cell, which for a
+    Python float (and a numpy float64) is its shortest round-trip repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)

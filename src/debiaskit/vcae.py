@@ -362,7 +362,6 @@ def latent_dump(params: VcaeParams, ds: LabeledDataset,
     """Rows for the latent CSV: coordinates, posterior, weight, and the
     (unnormalized) class-conditional log density as a diagnostic."""
     z, p_true, weights = _posterior_weights(params, ds, cap, prior)
-    # Python scalars, which the CSV writer writes as their repr
     z_rows, p, w = z.tolist(), p_true.tolist(), weights.weights.tolist()
     log_pdf = log_p_z_given_y(params, z)[np.arange(len(ds)), ds.labels].tolist()
     return [{"index": i, **{f"z_{d}": v for d, v in enumerate(z_rows[i])},
