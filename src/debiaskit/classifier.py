@@ -14,7 +14,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blas
-from .data import LabeledDataset, check_schema_version, read_f64le
+from .data import (ConfigError, LabeledDataset, check_fields, check_schema_version,
+                   read_f64le)
 from .optim import OPTIMIZERS, make_optimizer
 
 # loss value at the probability floor 1e-12; caps -log p
@@ -37,8 +38,9 @@ class GceConfig:
     tau: float = 0.7
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0,1], got {self.tau}")
+            raise ConfigError(f"tau must be in (0,1], got {self.tau}")
 
 
 @dataclass
@@ -54,13 +56,22 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, "
-                             f"got {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, "
+                              f"got {self.optimizer!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not all(w >= 1 for w in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         self.hidden = tuple(self.hidden)
 
 

@@ -15,6 +15,8 @@ import colorsys
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,16 +37,21 @@ class GenConfig:
     kind: str = "two-factor"
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise ConfigError("need at least 2 classes")
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.bc_ratio < 1.0:
-            raise ValueError(f"bc_ratio must be in (0,1), got {self.bc_ratio}")
+            raise ConfigError(f"bc_ratio must be in (0,1), got {self.bc_ratio}")
+        if not all(0.0 <= s < np.inf for s in (self.sigma_u, self.sigma_b)):
+            raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigma_u, self.sigma_b}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+            raise ConfigError(f"kind must be one of {KINDS}")
         if self.kind == "colored-glyphs" and self.num_classes > PALETTE_SIZE:
-            raise ValueError(f"colored-glyphs supports at most {PALETTE_SIZE} classes")
+            raise ConfigError(f"colored-glyphs supports at most {PALETTE_SIZE} classes")
 
 
 @dataclass
@@ -184,7 +191,40 @@ def estimate_p_y_given_b(ds: LabeledDataset) -> EmpiricalConditional:
     return EmpiricalConditional(table=counts / col, counts=counts)
 
 
-# --- serialization: meta.json + data.f64le (little-endian doubles) ---------
+# --- config schema and serialization: meta.json + data.f64le ---------------
+
+class ConfigError(ValueError):
+    """A config value of the wrong type, out of range or in conflict with another."""
+
+
+def serialised_fields(cls) -> list[str]:
+    """The fields of config dataclass ``cls`` that a config file holds, in order."""
+    return [f.name for f in fields(cls) if f.metadata.get("serialise", True)]
+
+
+def _fits(value, hint) -> bool:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin in (tuple, list):  # tuple[X, ...] also takes a JSON list
+        kinds = (list, tuple) if origin is tuple else list
+        return isinstance(value, kinds) and all(_fits(v, args[0]) for v in value)
+    if hint in (int, float):  # an int passes as a float; a bool as neither
+        kinds = (int, np.integer) + ((float, np.floating) if hint is float else ())
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    return isinstance(value, hint)  # str, bool, None, a nested config dataclass
+
+
+def check_fields(obj) -> None:
+    """Raise ``ConfigError`` unless each serialised field of config dataclass ``obj``
+    holds a value of its annotated type. Converts nothing: an int stays an int."""
+    hints = get_type_hints(type(obj))
+    for name in serialised_fields(type(obj)):
+        value, hint = getattr(obj, name), hints[name]
+        if not _fits(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) and not get_args(hint) else hint
+            raise ConfigError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
+
 
 def check_schema_version(meta: dict, path: Path) -> None:
     version = meta.get("schema_version")

@@ -23,7 +23,7 @@ from .classifier import (GceConfig, MlpParams, TrainConfig, init_mlp,
                          mlp_backward, mlp_final_hidden, mlp_forward,
                          mlp_loss_forward, run_epochs, shuffle_batches,
                          softmax_numpy, softmax_xent, train)
-from .data import LabeledDataset, estimate_p_y_given_b
+from .data import ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
 from .vcae import VCAE_WEIGHT_CAP, train_vcae, vcae_weights
@@ -44,10 +44,6 @@ _COMPATIBLE = {
 }
 
 COLLAPSE_XENT = 50.0
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def check_pair(scheme: str, method: str) -> None:
@@ -103,10 +99,11 @@ class AnnealConfig:
     t_anneal: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.w_init <= 0:
-            raise ValueError("initial weight must be positive")
+            raise ConfigError("initial weight must be positive")
         if self.t_anneal < 0:
-            raise ValueError("t_anneal must be nonnegative")
+            raise ConfigError("t_anneal must be nonnegative")
 
 
 # Successful amplifications kept per process, least recently used dropped
@@ -308,8 +305,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                         t_bias: int = 10,
                         gce: GceConfig | None = None,
                         anneal: AnnealConfig | None = None,
-                        artifact: BiasedClassifierArtifact | None = None,
-                        bias_cfg: TrainConfig | None = None,
                         vcae_cfg=None,
                         vcae_train_cfg: TrainConfig | None = None,
                         vcae_weight_cap: float = VCAE_WEIGHT_CAP) -> PipelineResult:
@@ -330,16 +325,14 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
 
     # the widest model the pipeline trains sets the thread count; the
     # limits of the training calls nested in it can only lower it
-    cfgs = [c for c in (train_cfg, bias_cfg, vcae_train_cfg) if c is not None]
-    widths = [train_ds.dim, *train_cfg.hidden, *(bias_cfg or train_cfg).hidden,
-              *(vcae_cfg.hidden if vcae_cfg is not None else ())]
-    with blas.limit(max(c.batch_size for c in cfgs), widths) as policy:
+    widths = [train_ds.dim, *train_cfg.hidden, *(vcae_cfg.hidden if vcae_cfg else ())]
+    with blas.limit(max(train_cfg.batch_size, (vcae_train_cfg or train_cfg).batch_size),
+                    widths) as policy:
         if scheme == "lff":
             return replace(_run_lff(train_ds, test_ds, gce, train_cfg), blas_threads=policy)
 
-        if scheme in ("biased-confidence", "pgd") and artifact is None:
-            artifact = train_biased_classifier(train_ds, gce, t_bias,
-                                               bias_cfg or train_cfg)
+        artifact = (train_biased_classifier(train_ds, gce, t_bias, train_cfg)
+                    if scheme in ("biased-confidence", "pgd") else None)
 
         # resolve per-sample weights (or the TBA adjustment table)
         logit_offset = None

@@ -20,15 +20,15 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import blas
 from .classifier import GceConfig, TrainConfig, save_model
-from .data import (GenConfig, LabeledDataset, generate, load_dataset,
-                   unbiased_config)
-from .debias import (AnnealConfig, ConfigError, SampleWeights, check_pair,
-                     run_debias_pipeline)
+from .data import (ConfigError, GenConfig, LabeledDataset, check_fields, generate,
+                   load_dataset, serialised_fields, unbiased_config)
+from .debias import AnnealConfig, SampleWeights, check_pair, run_debias_pipeline
 from .metrics import MetricsRow
 from .vcae import VcaeConfig
 
@@ -42,26 +42,11 @@ METRICS_HEADER = ["seed", *MetricsRow.CSV_FIELDS]
 WEIGHTS_HEADER = ["index", "weight", "aligned", "provenance"]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-
-
-# the nested sections of a run config, each one a config dataclass
-_SECTIONS = {"dataset": GenConfig, "anneal": AnnealConfig, "train": TrainConfig,
-             "vcae": VcaeConfig}
-
-
-def _serialised(cls) -> list[str]:
-    """The fields of config dataclass ``cls`` that config.json holds, in order."""
-    return [f.name for f in fields(cls) if f.metadata.get("serialise", True)]
-
-
-def _take(raw: dict, cls, where: str) -> dict:
-    unknown = set(raw) - set(_serialised(cls))
+def _take(raw, cls, where: str, *extra: str) -> dict:
+    """JSON object ``raw`` as keyword arguments of config dataclass ``cls``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {*serialised_fields(cls), *extra}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
     return dict(raw)
@@ -71,7 +56,7 @@ def _to_json(obj) -> dict:
     """The serialised fields of a config dataclass as JSON values, in field
     order: sections nested, tuples as lists, None fields left out."""
     out = {}
-    for name in _serialised(type(obj)):
+    for name in serialised_fields(type(obj)):
         v = getattr(obj, name)
         if is_dataclass(v):
             v = _to_json(v)
@@ -101,45 +86,45 @@ class RunConfig:
     vcae: VcaeConfig | None = None
 
     def __post_init__(self):
+        check_fields(self)
         check_pair(self.scheme, self.method)
         if (self.dataset is None) == (self.dataset_path is None):
             raise ConfigError("need exactly one of a dataset spec and a dataset path")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
-        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
-            raise ConfigError(f"dataset_path must be a path string, got {self.dataset_path!r}")
-        if not (isinstance(self.seeds, list) and self.seeds
-                and all(_is_int(s) and s >= 0 for s in self.seeds)):
-            raise ConfigError(f"seeds must be a non-empty list of integers >= 0, "
-                              f"got {self.seeds!r}")
-        if not _is_int(self.test_n) or self.test_n < 1:
-            raise ConfigError(f"test_n must be an integer >= 1, got {self.test_n!r}")
-        if not _is_int(self.t_bias) or self.t_bias < 1:
-            raise ConfigError(f"t_bias must be an integer >= 1, got {self.t_bias!r}")
-        if not (_is_number(self.gamma) and self.gamma > 1.0):
-            raise ConfigError(f"gamma must be a number above 1, got {self.gamma!r}")
-        if not (_is_number(self.tau) and 0.0 < self.tau <= 1.0):
-            raise ConfigError(f"tau must be a number in (0, 1], got {self.tau!r}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be a non-empty list of ints >= 0, got {self.seeds}")
+        if self.test_n < 1:
+            raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
+        if self.t_bias < 1:
+            raise ConfigError(f"t_bias must be >= 1, got {self.t_bias}")
+        if not self.gamma > 1.0:
+            raise ConfigError(f"gamma must be above 1, got {self.gamma}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
+        if self.train.seed != 0:  # run_single sets it to each run seed
+            raise ConfigError(f"train.seed must be 0 (seeds sets it), got {self.train.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """A missing key takes the field's default, and so does a null section."""
-        raw = dict(raw)
-        version = raw.pop("schema_version", None)
+        """A missing key takes the field's default, and so does a null section.
+        A section is a field whose annotation names a config dataclass."""
+        kw = _take(raw, cls, "run config", "schema_version")
+        version = kw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version}")
-        kw = _take(raw, cls, "run config")
+        hints = get_type_hints(cls)
         for f in fields(cls):
-            section = kw.pop(f.name, None) if f.name in _SECTIONS else None
+            section_cls = next((t for t in (hints[f.name], *get_args(hints[f.name]))
+                                if is_dataclass(t)), None)
+            section = kw.pop(f.name, None) if section_cls else None
             if section is None:
                 continue
-            section = _take(section, _SECTIONS[f.name], f.name)
+            section = _take(section, section_cls, f.name)
             if f.name == "vcae" and section.get("num_classes") is None:
                 if kw.get("dataset") is None:
                     raise ConfigError("vcae.num_classes required with dataset_path")
                 section["num_classes"] = kw["dataset"].num_classes
             if f.default_factory is MISSING:
-                kw[f.name] = _SECTIONS[f.name](**section)
+                kw[f.name] = section_cls(**section)
             else:
                 kw[f.name] = replace(f.default_factory(), **section)
         return cls(**kw)
@@ -247,6 +232,8 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     if axis == "t_bias":  # integral floats such as 2.0 name an integer t_bias

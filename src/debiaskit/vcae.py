@@ -24,7 +24,7 @@ from .classifier import (MlpParams, TrainConfig, TrainingDiverged,
                          check_finite_gradient, flat_views, init_mlp,
                          log_softmax_numpy, mlp_forward, mlp_layers,
                          mlp_layers_backward, run_epochs, shuffle_batches)
-from .data import LabeledDataset
+from .data import ConfigError, LabeledDataset, check_fields
 from .optim import make_optimizer
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -45,19 +45,22 @@ class VcaeConfig:
     prior: np.ndarray | None = field(default=None, metadata={"serialise": False})
 
     def __post_init__(self):
-        if (not isinstance(self.dim_z, (int, np.integer)) or isinstance(self.dim_z, bool)
-                or self.dim_z < 1):
-            raise ValueError(f"dim_z must be an integer >= 1, got {self.dim_z!r}")
+        check_fields(self)
+        if self.num_classes < 2 or self.dim_z < 1:
+            raise ConfigError(f"need num_classes >= 2 and dim_z >= 1, "
+                              f"got {self.num_classes} and {self.dim_z}")
         lambdas = (self.lambda0, self.lambda1, self.lambda2)
         if not all(math.isfinite(v) and v >= 0 for v in lambdas):
-            raise ValueError(f"lambda coefficients must be finite and nonnegative, "
-                             f"got {lambdas}")
+            raise ConfigError(f"lambda coefficients must be finite and nonnegative, "
+                              f"got {lambdas}")
+        if not all(w >= 1 for w in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.prior is None:
             self.prior = np.full(self.num_classes, 1.0 / self.num_classes)
         else:
             self.prior = np.asarray(self.prior, dtype=np.float64)
             if abs(self.prior.sum() - 1.0) > 1e-12 or np.any(self.prior <= 0):
-                raise ValueError("prior must be positive and sum to 1")
+                raise ConfigError("prior must be positive and sum to 1")
         self.hidden = tuple(self.hidden)
 
 

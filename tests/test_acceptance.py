@@ -198,11 +198,10 @@ def test_criterion_7_gamma_sweep_shape():
         tr = generate_two_factor(gen)
         te = generate_two_factor(unbiased_config(gen, n=5000, seed=4000 + seed))
         cfg = TrainConfig(epochs=20, batch_size=128, seed=seed)
-        art = train_biased_classifier(tr, GceConfig(), 10, cfg)
+        train_biased_classifier(tr, GceConfig(), 10, cfg)  # fills the memo
         for g in gammas:
             h = run_debias_pipeline(tr, te, "biased-confidence", "LW",
-                                    train_cfg=cfg, gamma=g,
-                                    artifact=art).history[-1]
+                                    train_cfg=cfg, gamma=g).history[-1]
             acc_bc[g].append(h.test_acc_bc)
             acc_ba[g].append(h.test_acc_ba)
     elapsed = time.perf_counter() - t0

@@ -402,3 +402,12 @@ def test_train_matches_tape_reference_bitwise(loss, optimizer, weighted):
         chunk = ref_losses[epoch * steps:(epoch + 1) * steps]
         sizes = [64] * (steps - 1) + [len(ds) - 64 * (steps - 1)]
         assert row["train_loss"] == sum(v * k for v, k in zip(chunk, sizes)) / len(ds)
+
+
+@pytest.mark.parametrize("over", [
+    {"hidden": (0,)}, {"hidden": [16, 0]}, {"lr": -1.0}, {"lr": 0}, {"lr": float("inf")},
+    {"lr": float("nan")}, {"weight_decay": -1e-4}, {"momentum": -3.0}, {"momentum": 1.0},
+    {"optimizer": "sgd", "momentum": float("nan")}])
+def test_train_config_rejects_out_of_range_values(over):
+    with pytest.raises(ValueError, match="hidden widths|lr|weight_decay|momentum"):
+        TrainConfig(**over)

@@ -134,6 +134,49 @@ def test_bad_scheme_or_method_fails_before_any_output(tmp_path, capsys, over):
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
+# each of these once crashed with a traceback, wrote output first or ran silently
+_BAD_CONFIGS = [
+    {"train": {"epochs": "2"}}, {"train": {"hidden": 16}}, {"train": {"lr": "0.01"}},
+    {"train": {"weight_decay": "0"}}, {"train": {"batch_size": 32.5}},
+    {"train": {"shuffle": 0}}, {"train": {"seed": "x"}}, {"dataset": {"n": "200"}},
+    {"dataset": {"num_classes": 3.0}}, {"dataset": {"bc_ratio": "0.1"}},
+    {"anneal": {"t_anneal": 1.5}}, {"anneal": {"w_init": "1"}},
+    {"vcae": {"hidden": "64"}}, {"vcae": {"lambda0": "1"}}, [1, 2], {"dataset": [1, 2]},
+    {"dataset": {"seed": -1}}, {"dataset": {"sigma_u": -1.0}}, {"dataset": {"sigma_b": -1}},
+    {"train": {"hidden": [0]}}, {"vcae": {"hidden": [0]}}, {"train": {"lr": -1}},
+    {"train": {"optimizer": "sgd", "momentum": -3}}, {"train": {"weight_decay": -1}},
+    {"train": {"seed": 7}}]
+
+
+@pytest.mark.parametrize("raw", _BAD_CONFIGS, ids=json.dumps)
+def test_bad_config_fails_with_a_message_before_any_output(tmp_path, capsys, raw):
+    out = tmp_path / "run"
+    if isinstance(raw, dict):  # merged into a valid config, section by section
+        base = {"schema_version": 1, "dataset": {"num_classes": 3, "n": 60},
+                "test_n": 30, "train": {"epochs": 1, "hidden": [4]}, "out_dir": str(out)}
+        if "vcae" in raw:
+            base["scheme"] = "vcae"
+        for key, section in raw.items():
+            base[key] = {**base.get(key, {}), **section} if isinstance(section, dict) else section
+        raw = base
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["debias", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["vcae", "--hidden", "0"],
+                                  ["sweep", "--gamma", "20,50", "--jobs", "0"],
+                                  ["sweep", "--gamma", "20,50", "--jobs", "-3"]])
+def test_bad_flags_fail_with_a_message_before_any_output(tmp_path, capsys, argv):
+    data = _gen(tmp_path, n=60)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_empty_dataset_fails_before_any_output(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["generate", "--n", "0", "--out", str(data)]) == 1

@@ -1,14 +1,21 @@
 import hashlib
+import importlib
+import json
+import pkgutil
+from dataclasses import is_dataclass
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit.data import (GenConfig, LabeledDataset, color_palette,
+import debiaskit
+from debiaskit.data import (ConfigError, GenConfig, LabeledDataset, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
-                            save_dataset, unbiased_config)
+                            save_dataset, serialised_fields, unbiased_config)
 
 from conftest import split
 
@@ -39,6 +46,82 @@ def test_config_validation():
 def test_config_rejects_an_empty_dataset(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
         GenConfig(n=n)
+
+
+# --- the config schema: every field's type comes from its annotation --------
+
+def _config_classes() -> list[type]:
+    """Every ``*Config`` dataclass defined in a debiaskit module."""
+    found = []
+    for info in pkgutil.iter_modules(debiaskit.__path__):
+        module = importlib.import_module(f"debiaskit.{info.name}")
+        found += [obj for name, obj in vars(module).items()
+                  if name.endswith("Config") and is_dataclass(obj)
+                  and obj.__module__ == module.__name__]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# the smallest valid keyword arguments of the classes that need some
+_REQUIRED = {"VcaeConfig": {"num_classes": 3}, "RunConfig": {"dataset": GenConfig()}}
+
+
+def _wrong_values(hint) -> list:
+    """Values of the wrong type for a field annotated ``hint``: a str, a bool,
+    a float for an int, a bare int for a sequence, and so on."""
+    if get_origin(hint) is UnionType:  # X | None: X's wrong values, None is right
+        return [v for a in get_args(hint) if a is not NoneType
+                for v in _wrong_values(a) if v is not None]
+    if get_origin(hint) in (tuple, list):
+        return ["1", 1, None, [True], ["1"], [1.5]]
+    if is_dataclass(hint):
+        return [{}, "x", None]
+    return {int: ["1", True, 1.5, None], float: ["1.0", True, None],
+            str: [1, True, None], bool: [1, "true", None]}[hint]
+
+
+def _wrong_typed_cases():
+    for cls in _config_classes():
+        hints = get_type_hints(cls)
+        for name in serialised_fields(cls):
+            for value in _wrong_values(hints[name]):
+                yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+
+
+def test_every_config_class_is_discovered():
+    names = {cls.__name__ for cls in _config_classes()}
+    assert names == {"GenConfig", "TrainConfig", "GceConfig", "AnnealConfig",
+                     "VcaeConfig", "RunConfig"}
+
+
+@pytest.mark.parametrize("cls,name,value", list(_wrong_typed_cases()))
+def test_config_rejects_a_wrong_typed_field(cls, name, value):
+    kwargs = _REQUIRED.get(cls.__name__, {})
+    cls(**kwargs)  # the base is valid
+    with pytest.raises(ConfigError, match=rf"^{cls.__name__}\.{name} must be "):
+        cls(**{**kwargs, name: value})
+
+
+def test_config_fields_take_numpy_ints_and_ints_for_floats_unconverted():
+    cfg = GenConfig(n=np.int64(50), seed=np.uint32(7), bc_ratio=0.5, sigma_u=1)
+    assert cfg.n == 50 and type(cfg.sigma_u) is int
+    with pytest.raises(ConfigError, match=r"^GenConfig\.bc_ratio must be float, got '0.1'$"):
+        GenConfig(bc_ratio="0.1")
+
+
+@pytest.mark.parametrize("over", [{"seed": -1}, {"sigma_u": -0.1}, {"sigma_b": -1},
+                                  {"sigma_u": float("nan")}, {"sigma_b": float("inf")}])
+def test_config_rejects_negative_seed_and_noise_scale(over):
+    with pytest.raises(ConfigError):
+        GenConfig(**over)
+
+
+def test_stored_gen_block_is_type_checked(tmp_path):
+    save_dataset(generate_two_factor(GenConfig(num_classes=3, n=20, seed=1)), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["gen"]["seed"] = "1"
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match=r"GenConfig\.seed must be int"):
+        load_dataset(tmp_path)
 
 
 def test_two_factor_near_zero_rho_all_aligned():

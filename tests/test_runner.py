@@ -73,6 +73,13 @@ def test_unknown_keys_rejected(tmp_path):
         _tiny_cfg(tmp_path, train={"epochs": 2, "learning_rate": 0.1})
 
 
+@pytest.mark.parametrize("raw", [[1, 2], {"schema_version": 1, "dataset": [1, 2]},
+                                 {"schema_version": 1, "dataset": {}, "train": 5}])
+def test_config_and_sections_must_be_json_objects(raw):
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        RunConfig.from_dict(raw)
+
+
 def test_config_roundtrip(tmp_path):
     cfg = _tiny_cfg(tmp_path, gamma=50.0, anneal={"w_init": 2.0, "t_anneal": 10})
     back = RunConfig.from_dict(cfg.to_dict())
@@ -248,6 +255,21 @@ def test_sweep_axis_validation(tmp_path):
         run_sweep(cfg, "epochs", [1.0])
     with pytest.raises(ConfigError):
         run_sweep(cfg, "gamma", [])
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_fewer_than_one_job_before_any_output(tmp_path, jobs):
+    cfg = _tiny_cfg(tmp_path)
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        run_sweep(cfg, "gamma", [20.0, 50.0], jobs=jobs)
+    assert not Path(cfg.out_dir).exists()
+
+
+def test_run_config_rejects_a_train_seed_the_run_seeds_would_replace(tmp_path):
+    """run_single trains seed k with train.seed = k, whatever the config says."""
+    with pytest.raises(ConfigError, match="train.seed must be 0"):
+        _tiny_cfg(tmp_path, train={"epochs": 2, "seed": 7})
+    assert _tiny_cfg(tmp_path, train={"epochs": 2, "seed": 0}).train.seed == 0
 
 
 @pytest.mark.parametrize("axis,values", [("gamma", [200.0, 200.0001]),

@@ -417,6 +417,13 @@ def test_vcae_config_rejects_bad_dim_z_and_lambdas(over):
         VcaeConfig(num_classes=3, **over)
 
 
+@pytest.mark.parametrize("over", [{"hidden": (0,)}, {"hidden": [8, 0]}, {"num_classes": 1},
+                                  {"num_classes": 0}])
+def test_vcae_config_rejects_empty_layers_and_classes(over):
+    with pytest.raises(ValueError, match="hidden widths|num_classes"):
+        VcaeConfig(**{"num_classes": 3, **over})
+
+
 def test_non_finite_vcae_gradient_names_its_array():
     """Huge decoder hidden activations times a tiny output layer keep x_hat,
     and so the loss, finite; only the gradient of the decoder's output
