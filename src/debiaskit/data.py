@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def serialised_fields(cls) -> list[str]:
 
 def _fits(value, hint) -> bool:
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):
+    if origin is UnionType:  # X | None
         return any(_fits(value, a) for a in args)
     if origin in (tuple, list):  # tuple[X, ...] also takes a JSON list
         kinds = (list, tuple) if origin is tuple else list
