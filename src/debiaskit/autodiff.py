@@ -9,8 +9,8 @@ shared between tapes, so independent tapes may live on different threads.
 
 This module is the test oracle only: no production module imports it.
 Every model trains through a closed-form step (``classifier.mlp_backward``,
-``vcae.vcae_backward``) that the tests check against tapes built from it,
-bit for bit.
+``vcae.vcae_loss_and_grads``) that the tests check against tapes built from
+it, bit for bit.
 """
 
 from __future__ import annotations

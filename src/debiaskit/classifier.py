@@ -103,30 +103,16 @@ class MlpParams:
     ``arrays`` are views into ``flat`` in checkpoint order: W0 (fan_in x
     fan_out, row-major), b0, W1, b1, ... Writing through a view writes the
     vector, so an optimizer steps the whole model as the one array ``flat``.
-    ``MlpParams(sizes, arrays)`` copies the given arrays into a new vector;
     ``MlpParams(sizes, flat=v)`` wraps the float64 vector ``v`` without
     copying it.
     """
 
-    def __init__(self, layer_sizes: list[int],
-                 arrays: list[np.ndarray] | None = None, *,
-                 flat: np.ndarray | None = None):
+    def __init__(self, layer_sizes: list[int], *, flat: np.ndarray):
         self.layer_sizes = list(layer_sizes)
-        shapes = _mlp_shapes(self.layer_sizes)
-        if (arrays is None) == (flat is None):
-            raise ValueError("give either arrays or flat")
-        if arrays is not None:
-            if [np.shape(a) for a in arrays] != shapes:
-                raise ValueError(f"array shapes {[np.shape(a) for a in arrays]} "
-                                 f"do not fit layer sizes {self.layer_sizes}")
-            flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        elif flat.dtype != np.float64:
+        if flat.dtype != np.float64:
             raise ValueError(f"flat must be float64, got {flat.dtype}")
         self.flat = flat
-        self.arrays = flat_views(flat, shapes)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.layer_sizes, flat=self.flat.copy())
+        self.arrays = flat_views(flat, _mlp_shapes(self.layer_sizes))
 
     def __repr__(self) -> str:
         return f"MlpParams(layer_sizes={self.layer_sizes})"
@@ -304,15 +290,15 @@ def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
 
 
 def mlp_backward(fwd: MlpPass, weights: np.ndarray,
-                 out: MlpParams | None = None) -> tuple[float, list[np.ndarray]]:
+                 out: MlpParams) -> tuple[float, list[np.ndarray]]:
     """Weighted mean loss (1/B) sum(w_n loss_n) and its parameter gradients.
 
     Replays the tape's reverse sweep op for op, except that no adjoint is
     formed for the input batch. The gradients are written through the views
-    ``out.arrays`` into ``out.flat``, laid out like the parameters (a new
-    ``out`` when omitted), and ``out.arrays`` is returned. Raises
-    ``TrainingDiverged`` on a non-finite loss before any gradient is formed,
-    and ``GradientError`` on a non-finite gradient.
+    ``out.arrays`` into ``out.flat``, laid out like the parameters, and
+    ``out.arrays`` is returned. Raises ``TrainingDiverged`` on a non-finite
+    loss before any gradient is formed, and ``GradientError`` on a
+    non-finite gradient.
     """
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
@@ -338,9 +324,7 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
     g_lp = np.zeros_like(fwd.log_probs)
     g_lp[np.arange(n), fwd.labels] = g
     g = g_lp - np.exp(fwd.log_probs) * g_lp.sum(axis=-1, keepdims=True)
-    if out is None:
-        out = MlpParams(fwd.params.layer_sizes, flat=np.empty_like(fwd.params.flat))
-    elif out.layer_sizes != fwd.params.layer_sizes:
+    if out.layer_sizes != fwd.params.layer_sizes:
         raise ValueError("gradient and parameter layouts differ")
     grads = out.arrays
     mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads)
@@ -389,7 +373,6 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
           sampler: Iterator[np.ndarray] | None = None,
           logit_offset: np.ndarray | None = None,
           eval_fn: Callable[[int, MlpParams, dict], object] | None = None,
-          params: MlpParams | None = None,
           abort_xent_above: float | None = None):
     """Train one MLP by ``run_epochs``, for every weighting strategy.
 
@@ -403,10 +386,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
     the BLAS thread policy of ``blas.limit``.
     """
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
-    if params is None:
-        params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
-    else:
-        params = params.copy()
+    params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
     if sampler is None:
         sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)

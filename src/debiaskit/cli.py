@@ -55,8 +55,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train_biased(args) -> int:
     ds = load_dataset(args.data)
-    cfg = TrainConfig(epochs=args.t_bias, batch_size=args.batch_size,
-                      lr=args.lr, seed=args.seed)
+    cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     art = train_biased_classifier(ds, GceConfig(tau=args.tau), args.t_bias, cfg)
     out = Path(args.out)
     save_model(art.params, out, extra={"t_bias": art.t_bias, "tau": art.tau,
@@ -115,6 +114,8 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_vcae(args) -> int:
     from .vcae import latent_dump, train_vcae
+    if not args.cap > 0:  # also rejects nan
+        raise ConfigError(f"--cap must be > 0, got {args.cap}")
     ds = load_dataset(args.data)
     cfg = VcaeConfig(num_classes=ds.num_classes, dim_z=args.dim_z,
                      lambda0=args.lambda0, lambda1=args.lambda1,

@@ -90,13 +90,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-@dataclass
-class EmpiricalConditional:
-    """Nonparametric estimate of p(y|b): table[y, b], columns sum to 1."""
-
-    table: np.ndarray   # (C, C) float64
-    counts: np.ndarray  # (C, C) int64
-
 
 def _draw_labels_and_bias(cfg: GenConfig, rng: np.random.Generator):
     c, n, rho = cfg.num_classes, cfg.n, cfg.bc_ratio
@@ -178,7 +171,9 @@ def unbiased_config(cfg: GenConfig, n: int, seed: int) -> GenConfig:
     return replace(cfg, n=n, seed=seed, bc_ratio=(c - 1) / c)
 
 
-def estimate_p_y_given_b(ds: LabeledDataset) -> EmpiricalConditional:
+def estimate_p_y_given_b(ds: LabeledDataset) -> np.ndarray:
+    """Nonparametric estimate of p(y|b): the (C, C) table[y, b], whose
+    columns sum to 1."""
     if ds.bias is None:
         raise ValueError("dataset has no bias labels; cannot condition on b")
     c = ds.num_classes
@@ -188,7 +183,7 @@ def estimate_p_y_given_b(ds: LabeledDataset) -> EmpiricalConditional:
     if np.any(col == 0):
         missing = np.flatnonzero(col == 0).tolist()
         raise ValueError(f"cannot condition: bias value(s) {missing} never occur")
-    return EmpiricalConditional(table=counts / col, counts=counts)
+    return counts / col
 
 
 # --- config schema and serialization: meta.json + data.f64le ---------------

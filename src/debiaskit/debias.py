@@ -265,8 +265,7 @@ def oracle_ub_weights(ds: LabeledDataset) -> SampleWeights:
 
 def oracle_yb_weights(ds: LabeledDataset) -> SampleWeights:
     """1 / p_hat(y|b) from the empirical conditional of the training data."""
-    est = estimate_p_y_given_b(ds)
-    p = est.table[ds.labels, ds.bias]
+    p = estimate_p_y_given_b(ds)[ds.labels, ds.bias]
     return SampleWeights(1.0 / p, provenance="oracle-yb")
 
 
@@ -283,7 +282,6 @@ class PipelineResult:
     params: MlpParams
     history: list[MetricsRow]
     weights: SampleWeights | None
-    artifact: BiasedClassifierArtifact | None = None
     # the BLAS thread policy of the run, as ``blas.limit`` yields it
     blas_threads: dict | None = None
 
@@ -342,7 +340,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             if scheme == "biased-confidence":
                 cond = artifact.class_probs
             elif scheme == "oracle-yb":
-                cond = estimate_p_y_given_b(train_ds).table[:, train_ds.bias].T
+                cond = estimate_p_y_given_b(train_ds)[:, train_ds.bias].T
             else:  # oracle-ub
                 cond = _oracle_ub_table(train_ds)
             v = tba_floor(cond, gamma)
@@ -403,7 +401,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                                 logit_offset=logit_offset,
                                 eval_fn=_make_eval(test_ds, beta_fn))
         return PipelineResult(params=params, history=history, weights=weights,
-                              artifact=artifact, blas_threads=policy)
+                              blas_threads=policy)
 
 
 def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineResult:

@@ -7,9 +7,9 @@ class Gaussians by Bayes' rule. Sample weights are 1 / p(y_n | z_n)
 capped at a constant, with z_n the posterior mean.
 
 ``train_vcae`` runs the shared epoch loop ``classifier.run_epochs`` with a
-step through the closed-form pair ``vcae_loss_forward`` / ``vcae_backward``.
-That pair replays, op for op, the loss graph that the tests build on
-``debiaskit.autodiff`` (the test oracle), and the two agree bit for bit.
+step through the closed-form ``vcae_loss_and_grads``. It replays, op for
+op, the loss graph that the tests build on ``debiaskit.autodiff`` (the test
+oracle), and the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -152,45 +152,30 @@ def p_y_given_z(params: VcaeParams, z: np.ndarray,
     return p[0] if np.ndim(z) == 1 else p
 
 
-@dataclass
-class VcaePass:
-    """One batch through the VCAE loss, kept for ``vcae_backward``.
-
-    Names follow ``vcae_loss_forward``: the encoder and decoder layer passes
-    of ``mlp_layers``, then the intermediates whose values the reverse sweep
-    reads.
-    """
-
-    params: VcaeParams
-    cfg: VcaeConfig
-    labels: np.ndarray
-    eps: np.ndarray
-    enc_acts: list[np.ndarray]
-    enc_pre: list[np.ndarray]
-    dec_acts: list[np.ndarray]
-    dec_pre: list[np.ndarray]
-    sigma_x: np.ndarray      # (B, dz)
-    diff: np.ndarray         # (B, D) x_hat - x
-    sigma_sq_p: np.ndarray   # (B, dz) class variance of each row's label
-    dmu: np.ndarray          # (B, dz) mu_x - mu_y[y]
-    kl_num: np.ndarray       # (B, dz) sigma_x^2 + dmu^2
-    kl_den: np.ndarray       # (B, dz) 2 sigma_sq_p
-    z_dev: np.ndarray        # (B, C, dz) z - mu_y
-    inv_sigma: np.ndarray    # (1, C, dz) exp(-log_sigma_y)
-    scaled: np.ndarray       # (B, C, dz) z_dev * inv_sigma
-    log_post: np.ndarray     # (B, C) log p(y | z)
-    loss: float
+def _scatter_rows(like: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of ``like[idx]``: rows of ``g`` summed into a zero array
+    (``np.add.at``, because labels repeat within a batch)."""
+    out = np.zeros_like(like)
+    np.add.at(out, idx, g)
+    return out
 
 
-def vcae_loss_forward(params: VcaeParams, x: np.ndarray, y: np.ndarray,
-                      cfg: VcaeConfig, eps: np.ndarray) -> VcaePass:
-    """Mean VCAE loss of a batch for the reparameterisation draw ``eps``.
+def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
+                        cfg: VcaeConfig, eps: np.ndarray,
+                        out: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Mean VCAE loss of a batch for the reparameterisation draw ``eps``, and
+    its gradients for every array of ``params.arrays()``.
 
     Per sample: lambda0 * reconstruction (unit-variance Gaussian, constants
     dropped) + lambda1 * KL(q(z|x) || N(mu_y, sigma_y^2)) + lambda2 *
     -log p(y | z) under ``cfg.prior``. Performs the numpy operations of the
     tape graph in ``tests/conftest.py`` in the same order, so every value
-    matches the tape bit for bit.
+    matches the tape bit for bit, but forms no adjoint for the batch, for
+    ``eps`` or for the log-prior constant. A value with several consumers
+    sums their adjoints last consumer first, as the tape does. Gradients go
+    through views into ``out``, laid out like ``params.flat``. Raises
+    ``TrainingDiverged`` on a non-finite loss before any gradient is
+    written, and ``GradientError`` on a non-finite gradient.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -224,82 +209,55 @@ def vcae_loss_forward(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     xent = -log_post[np.arange(n), y]
 
     total = rec * cfg.lambda0 + kl * cfg.lambda1 + xent * cfg.lambda2
-    return VcaePass(params, cfg, y, eps, enc_acts, enc_pre, dec_acts, dec_pre,
-                    sigma_x, diff, sigma_sq_p, dmu, kl_num, kl_den, z_dev,
-                    inv_sigma, scaled, log_post, float(total.sum() * (1.0 / n)))
+    loss = float(total.sum() * (1.0 / n))
+    if not math.isfinite(loss):
+        raise TrainingDiverged(f"non-finite loss {loss}")
 
-
-def _scatter_rows(like: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of ``like[idx]``: rows of ``g`` summed into a zero array
-    (``np.add.at``, because labels repeat within a batch)."""
-    out = np.zeros_like(like)
-    np.add.at(out, idx, g)
-    return out
-
-
-def vcae_backward(fwd: VcaePass,
-                  out: np.ndarray | None = None) -> tuple[float, list[np.ndarray]]:
-    """The batch loss and its gradients for every array of ``params.arrays()``.
-
-    Replays the tape's reverse sweep op for op, forming no adjoint for the
-    batch, for ``eps`` or for the log-prior constant. Where a value has
-    several consumers, its adjoint sums their contributions in the tape's
-    order: last consumer first. The gradients are written through views
-    into the flat vector ``out`` (a new one when omitted), laid out like
-    ``params.flat``. Raises ``TrainingDiverged`` on a non-finite loss before
-    any gradient is formed, and ``GradientError`` on a non-finite gradient.
-    """
-    if not math.isfinite(fwd.loss):
-        raise TrainingDiverged(f"non-finite loss {fwd.loss}")
-    params, cfg, y = fwd.params, fwd.cfg, fwd.labels
-    n, dz = fwd.sigma_x.shape
-    if out is None:
-        out = np.empty_like(params.flat)
     grads = flat_views(out, [a.shape for a in params.arrays()])
     n_enc, n_dec = len(params.encoder.arrays), len(params.decoder.arrays)
     g_mu_y, g_log_sigma_y = grads[-2], grads[-1]
     g = np.full(n, 1.0 / n)  # adjoint of each sample's total
 
     # -lambda2 log p(y|z): log-softmax, log-density, quadratic form, log-det
-    g_lp = np.zeros_like(fwd.log_post)
+    g_lp = np.zeros_like(log_post)
     g_lp[np.arange(n), y] = -(g * cfg.lambda2)
-    g_logits = g_lp - np.exp(fwd.log_post) * g_lp.sum(axis=-1, keepdims=True)
+    g_logits = g_lp - np.exp(log_post) * g_lp.sum(axis=-1, keepdims=True)
     g_logdet = (-g_logits).sum(axis=0, keepdims=True)  # summed to its (1, C) shape
-    g_scaled = (g_logits * -0.5)[:, :, None] * 2.0 * fwd.scaled
-    g_z_dev = g_scaled * fwd.inv_sigma
-    g_neg_ls3 = (g_scaled * fwd.z_dev).sum(axis=0, keepdims=True) * fwd.inv_sigma
-    g_ls3 = np.broadcast_to(g_logdet[:, :, None], fwd.inv_sigma.shape) + -g_neg_ls3
+    g_scaled = (g_logits * -0.5)[:, :, None] * 2.0 * scaled
+    g_z_dev = g_scaled * inv_sigma
+    g_neg_ls3 = (g_scaled * z_dev).sum(axis=0, keepdims=True) * inv_sigma
+    g_ls3 = np.broadcast_to(g_logdet[:, :, None], inv_sigma.shape) + -g_neg_ls3
     g_log_sigma_y[...] = g_ls3.reshape(g_log_sigma_y.shape)
     g_mu_y[...] = (-g_z_dev).sum(axis=0, keepdims=True).reshape(g_mu_y.shape)
     g_z = g_z_dev.sum(axis=1, keepdims=True).reshape(n, dz)
 
     # lambda1 KL: log_sigma_p - log_sigma_x + kl_num / kl_den - 0.5
     g_kl = (g * cfg.lambda1)[:, None]
-    g_num = g_kl / fwd.kl_den
-    g_den = -g_kl * fwd.kl_num / (fwd.kl_den * fwd.kl_den)
-    g_dmu = g_num * 2.0 * fwd.dmu
-    g_sigma_x = g_num * fwd.sigma_x
+    g_num = g_kl / kl_den
+    g_den = -g_kl * kl_num / (kl_den * kl_den)
+    g_dmu = g_num * 2.0 * dmu
+    g_sigma_x = g_num * sigma_x
     g_sigma_x = g_sigma_x + g_sigma_x
-    g_log_sigma_p = g_kl + g_den * 2.0 * fwd.sigma_sq_p * 2.0
+    g_log_sigma_p = g_kl + g_den * 2.0 * sigma_sq_p * 2.0
     g_log_sigma_y += _scatter_rows(g_log_sigma_y, y, g_log_sigma_p)
     g_mu_y += _scatter_rows(g_mu_y, y, -g_dmu)
 
     # lambda0 reconstruction, through the decoder into z
-    g_diff = (g * cfg.lambda0 * 0.5)[:, None] * fwd.diff
+    g_diff = (g * cfg.lambda0 * 0.5)[:, None] * diff
     g_diff += g_diff
     dec = params.decoder.arrays
-    g_z = g_z + mlp_layers_backward(dec, fwd.dec_acts, fwd.dec_pre, g_diff,
+    g_z = g_z + mlp_layers_backward(dec, dec_acts, dec_pre, g_diff,
                                     grads[n_enc:n_enc + n_dec], input_grad=True)
 
     # z = mu_x + sigma_x * eps, sigma_x = exp(log_sigma_x), into the encoder
     g_mu_x = g_dmu + g_z
-    g_sigma_x = g_sigma_x + g_z * fwd.eps
-    g_log_sigma_x = -g_kl + g_sigma_x * fwd.sigma_x
+    g_sigma_x = g_sigma_x + g_z * eps
+    g_log_sigma_x = -g_kl + g_sigma_x * sigma_x
     g_enc = np.concatenate((g_mu_x, g_log_sigma_x), axis=1)
-    mlp_layers_backward(params.encoder.arrays, fwd.enc_acts, fwd.enc_pre, g_enc,
+    mlp_layers_backward(params.encoder.arrays, enc_acts, enc_pre, g_enc,
                         grads[:n_enc])
     check_finite_gradient(out, grads, lambda k: _array_name(k, n_enc, n_dec))
-    return fwd.loss, grads
+    return loss, grads
 
 
 def _array_name(k: int, n_enc: int, n_dec: int) -> str:
@@ -327,8 +285,8 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
 
     def step_fn(idx, step):
         eps = eps_rng.normal(size=(len(idx), cfg.dim_z))
-        fwd = vcae_loss_forward(params, ds.features[idx], ds.labels[idx], cfg, eps)
-        lval, _ = vcae_backward(fwd, out=grad)
+        lval, _ = vcae_loss_and_grads(params, ds.features[idx], ds.labels[idx],
+                                      cfg, eps, grad)
         opt.step(params.flat, grad)
         return lval
 

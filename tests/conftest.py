@@ -6,7 +6,7 @@ import pytest
 from debiaskit import autodiff as ad
 from debiaskit import classifier
 from debiaskit.causal import ClassifierTable, DiscreteJoint, conditional_u_given_b
-from debiaskit.classifier import P_FLOOR, XENT_MAX
+from debiaskit.classifier import P_FLOOR, XENT_MAX, MlpParams
 from debiaskit.data import LabeledDataset
 from debiaskit.vcae import LOG_2PI, VcaeConfig, VcaeParams
 
@@ -36,6 +36,12 @@ def central_diff(f, arrays, h=1e-5):
             gflat[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def params_of(sizes, arrays) -> MlpParams:
+    """``MlpParams`` for the layer ``sizes`` holding a copy of ``arrays``."""
+    return MlpParams(sizes, flat=np.concatenate([np.ravel(a) for a in arrays],
+                                                dtype=np.float64))
 
 
 def rel_err(a, b, floor=1e-8):
@@ -206,7 +212,7 @@ def logsumexp(a: ad.Node, axis: int = -1) -> ad.Node:
 def _loss_graph(tape: ad.Tape, leaves: dict, x: np.ndarray, y: np.ndarray,
                 cfg: VcaeConfig, eps: np.ndarray):
     """VCAE per-batch loss node. ``leaves``: enc (list), dec (list), mu_y,
-    log_sigma_y. The graph that ``vcae_loss_forward``/``vcae_backward`` replay."""
+    log_sigma_y. The graph that ``vcae_loss_and_grads`` replays."""
     n, dz = x.shape[0], cfg.dim_z
     enc_out = _forward_graph(tape, leaves["enc"], x)
     mu_x = ad.slice_cols(enc_out, 0, dz)
@@ -257,7 +263,7 @@ def _flat_leaves(leaves: dict) -> list:
 
 def tape_vcae_loss_and_grads(params: VcaeParams, x, y, cfg: VcaeConfig, eps):
     """One VCAE step through the tape: the reference that the closed-form
-    ``vcae_loss_forward``/``vcae_backward`` pair must match."""
+    ``vcae_loss_and_grads`` must match."""
     tape, leaves = _make_leaves(params)
     loss = _loss_graph(tape, leaves, x, y, cfg, eps)
     return loss.item(), tape.backward(loss, wrt=_flat_leaves(leaves))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from debiaskit import autodiff as ad
 from debiaskit.classifier import init_mlp
 
-from conftest import _forward_graph, central_diff, log, logsumexp, rel_err, softmax_xent
+from conftest import (_forward_graph, central_diff, log, logsumexp, params_of, rel_err,
+                      softmax_xent)
 
 
 def test_square_identity():
@@ -70,8 +71,8 @@ def test_values_unchanged_by_backward():
 
 
 def _mlp_loss(arrays, sizes, x, y):
-    from debiaskit.classifier import MlpParams, mlp_forward, log_softmax_numpy
-    p = MlpParams(sizes, arrays)
+    from debiaskit.classifier import mlp_forward, log_softmax_numpy
+    p = params_of(sizes, arrays)
     lp = log_softmax_numpy(mlp_forward(p, x))
     return float(-lp[np.arange(len(y)), y].mean())
 

@@ -86,7 +86,7 @@ def test_small_step_runs_one_thread_and_wide_step_the_inherited(monkeypatch, inh
 @needs_openblas
 def test_vcae_step_runs_one_thread(monkeypatch, inherit):
     inherit(2)
-    seen = _record_threads(monkeypatch, vcae, "vcae_loss_forward")
+    seen = _record_threads(monkeypatch, vcae, "vcae_loss_and_grads")
     ds = _two_factor(n=64)
     train_vcae(ds, VcaeConfig(num_classes=4, hidden=(8,)),
                TrainConfig(epochs=1, batch_size=64))

@@ -54,6 +54,15 @@ def test_train_biased_artifact(tmp_path):
     assert len(conf) == 400 and conf.min() > 0
 
 
+def test_train_biased_zero_t_bias_names_t_bias(tmp_path, capsys):
+    data = _gen(tmp_path, n=60)
+    out = tmp_path / "artifact"
+    assert main(["train-biased", "--data", str(data), "--t-bias", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: t_bias must be >= 1\n"
+    assert not out.exists()
+
+
 def _debias_config(tmp_path, data, **over):
     cfg = {
         "schema_version": 1,
@@ -224,6 +233,18 @@ def test_vcae_bad_flags_fail_with_a_message(tmp_path, capsys, flags):
     rc = main(["vcae", "--data", str(data), "--out", str(tmp_path / "vc"), *flags])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "nan"])
+def test_vcae_bad_cap_fails_before_any_work(tmp_path, capsys, cap):
+    """The cap is checked before the dataset is read: the directory given
+    as --data does not exist, and the error still names --cap."""
+    out = tmp_path / "vc"
+    rc = main(["vcae", "--data", str(tmp_path / "absent"), "--out", str(out),
+               "--cap", cap])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --cap must be > 0, got {float(cap)}\n"
+    assert not out.exists()
 
 
 def test_training_divergence_fails_with_a_message(tmp_path, capsys):

@@ -210,22 +210,22 @@ def test_estimator_single_class():
     ds = LabeledDataset(np.zeros((5, 2)), np.zeros(5, dtype=int), num_classes=1,
                         bias=np.zeros(5, dtype=int))
     est = estimate_p_y_given_b(ds)
-    assert est.table[0, 0] == 1.0
+    assert est[0, 0] == 1.0
 
 
 def test_estimator_identity_when_b_equals_y():
     y = np.arange(12) % 3
     ds = LabeledDataset(np.zeros((12, 2)), y, num_classes=3, bias=y.copy())
     est = estimate_p_y_given_b(ds)
-    np.testing.assert_array_equal(est.table, np.eye(3))
+    np.testing.assert_array_equal(est, np.eye(3))
 
 
 def test_estimator_converges_to_construction():
     c, n, rho = 10, 100000, 0.01
     ds = generate_two_factor(GenConfig(num_classes=c, n=n, bc_ratio=rho, seed=6))
     est = estimate_p_y_given_b(ds)
-    np.testing.assert_allclose(np.diag(est.table), 1 - rho, atol=0.005)
-    np.testing.assert_allclose(est.table.sum(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.diag(est), 1 - rho, atol=0.005)
+    np.testing.assert_allclose(est.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_estimator_errors():

@@ -458,9 +458,9 @@ def test_pipeline_tba_offset_is_the_log_of_the_floor(monkeypatch, scheme):
     res = run_debias_pipeline(train_ds, test_ds, scheme, "TBA", train_cfg=cfg,
                               gamma=gamma, t_bias=1)
     if scheme == "biased-confidence":
-        cond = res.artifact.class_probs
+        cond = train_biased_classifier(train_ds, GceConfig(), 1, cfg).class_probs
     elif scheme == "oracle-yb":
-        cond = estimate_p_y_given_b(train_ds).table[:, train_ds.bias].T
+        cond = estimate_p_y_given_b(train_ds)[:, train_ds.bias].T
     else:
         rho, c = train_ds.cfg.bc_ratio, train_ds.num_classes
         cond = np.where(np.arange(c) == train_ds.bias[:, None], 1.0 - rho, rho / (c - 1))

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from debiaskit.classifier import GradientError, MlpParams, TrainConfig, TrainingDiverged
+from debiaskit.classifier import GradientError, TrainConfig, TrainingDiverged
 from debiaskit.data import (GenConfig, LabeledDataset, generate_colored_glyphs,
                             generate_two_factor, unbiased_config)
 from debiaskit.debias import run_debias_pipeline
 from debiaskit.vcae import (LatentGaussian, VcaeConfig, VcaeParams, encode,
                             init_vcae, kl_diag_gauss, latent_dump,
                             log_p_z_given_y, p_y_given_z, train_vcae,
-                            vcae_backward, vcae_loss_forward, vcae_weights)
+                            vcae_loss_and_grads, vcae_weights)
 
-from conftest import (assert_views_of_flat, central_diff, ref_optimizer, rel_err,
-                      tape_vcae_loss_and_grads, vcae_loss)
+from conftest import (assert_views_of_flat, central_diff, params_of, ref_optimizer,
+                      rel_err, tape_vcae_loss_and_grads, vcae_loss)
 
 
 def _zeroed(params: VcaeParams) -> VcaeParams:
@@ -179,7 +179,6 @@ def test_loss_equals_sum_of_independent_terms(rng):
 def test_loss_gradient_vs_finite_differences(rng):
     from debiaskit import autodiff as ad
     from conftest import _loss_graph, _make_leaves, _flat_leaves
-    from debiaskit.classifier import MlpParams
 
     cfg = VcaeConfig(num_classes=2, dim_z=2, hidden=(3,))
     params = init_vcae(cfg, input_dim=3, seed=6)
@@ -195,8 +194,8 @@ def test_loss_gradient_vs_finite_differences(rng):
     n_enc, n_dec = len(params.encoder.arrays), len(params.decoder.arrays)
 
     def f(arrays):
-        p2 = VcaeParams(MlpParams(enc_sizes, arrays[:n_enc]),
-                        MlpParams(dec_sizes, arrays[n_enc:n_enc + n_dec]),
+        p2 = VcaeParams(params_of(enc_sizes, arrays[:n_enc]),
+                        params_of(dec_sizes, arrays[n_enc:n_enc + n_dec]),
                         arrays[-2], arrays[-1], dim_z=2)
         return vcae_loss(p2, x, y, cfg, eps)
 
@@ -303,8 +302,8 @@ def _ref_train_vcae(ds, cfg, t_cfg):
         for start in range(0, len(ds), t_cfg.batch_size):
             idx = order[start:start + t_cfg.batch_size]
             eps = eps_rng.normal(size=(len(idx), cfg.dim_z))
-            view = VcaeParams(MlpParams(params.encoder.layer_sizes, arrays[:n_enc]),
-                              MlpParams(params.decoder.layer_sizes,
+            view = VcaeParams(params_of(params.encoder.layer_sizes, arrays[:n_enc]),
+                              params_of(params.decoder.layer_sizes,
                                         arrays[n_enc:n_enc + n_dec]),
                               arrays[-2], arrays[-1], dim_z=cfg.dim_z)
             tape, leaves = _make_leaves(view)
@@ -375,7 +374,8 @@ def test_closed_form_vcae_step_matches_tape_bitwise(case):
     eps = rng.normal(size=(n, dz))
 
     want_loss, want = tape_vcae_loss_and_grads(params, x, y, cfg, eps)
-    got_loss, got = vcae_backward(vcae_loss_forward(params, x, y, cfg, eps))
+    got_loss, got = vcae_loss_and_grads(params, x, y, cfg, eps,
+                                        np.empty_like(params.flat))
     assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
     assert len(got) == len(want) == len(params.arrays())
     for g, t in zip(got, want):
@@ -388,12 +388,14 @@ def test_closed_form_vcae_step_writes_into_out():
     rng = np.random.default_rng(0)
     x, y, eps = rng.normal(size=(6, 4)), rng.integers(0, 3, size=6), rng.normal(size=(6, 2))
     out = np.full_like(params.flat, np.nan)
-    _, grads = vcae_backward(vcae_loss_forward(params, x, y, cfg, eps), out=out)
+    _, grads = vcae_loss_and_grads(params, x, y, cfg, eps, out)
     assert_views_of_flat(out, grads)
-    _, fresh = vcae_backward(vcae_loss_forward(params, x, y, cfg, eps))
-    assert out.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+    _, want = tape_vcae_loss_and_grads(params, x, y, cfg, eps)
+    assert out.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
+    out[:] = np.nan
     with pytest.raises(ValueError, match="label out of range"):
-        vcae_loss_forward(params, x, np.array([0, 1, 2, 3, 0, 1]), cfg, eps)
+        vcae_loss_and_grads(params, x, np.array([0, 1, 2, 3, 0, 1]), cfg, eps, out)
+    assert np.isnan(out).all()
 
 
 def test_train_vcae_names_the_step_of_a_non_finite_loss():
@@ -407,6 +409,19 @@ def test_train_vcae_names_the_step_of_a_non_finite_loss():
         with pytest.raises(TrainingDiverged, match=r"non-finite loss (nan|inf) at epoch 0 step 2$"):
             train_vcae(ds, cfg, TrainConfig(epochs=2, batch_size=4, shuffle=False))
     assert issubclass(TrainingDiverged, RuntimeError)
+
+
+def test_vcae_step_writes_no_gradient_on_a_non_finite_loss():
+    """The loss is checked before the reverse sweep: a batch whose
+    reconstruction term overflows leaves every entry of ``out`` untouched."""
+    x = np.random.default_rng(1).normal(size=(4, 3)) * 1e160
+    cfg = VcaeConfig(num_classes=2, dim_z=1, hidden=(4,))
+    params = init_vcae(cfg, input_dim=3, seed=0)
+    out = np.full_like(params.flat, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match="^non-finite loss (nan|inf)$"):
+            vcae_loss_and_grads(params, x, np.arange(4) % 2, cfg, np.ones((4, 1)), out)
+    assert np.isnan(out).all()
 
 
 @pytest.mark.parametrize("over", [
@@ -439,10 +454,9 @@ def test_non_finite_vcae_gradient_names_its_array():
     y = np.array([0, 1, 0])
     eps = np.array([[0.5], [1.0], [2.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = vcae_loss_forward(params, x, y, cfg, eps)
-        assert math.isfinite(fwd.loss)
+        assert math.isfinite(vcae_loss(params, x, y, cfg, eps))
         with pytest.raises(GradientError, match="decoder array 2$"):
-            vcae_backward(fwd)
+            vcae_loss_and_grads(params, x, y, cfg, eps, np.empty_like(params.flat))
         with pytest.raises(GradientError):
             tape_vcae_loss_and_grads(params, x, y, cfg, eps)
 
