@@ -65,23 +65,25 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = self.features.shape[0]
-        if self.labels.shape != (n,):
-            raise ValueError("labels length mismatch")
+        n, c = self.features.shape[0], self.num_classes
+        for name in ("labels", "bias"):
+            a = getattr(self, name)
+            if a is None:
+                continue
+            a = np.asarray(a)
+            if a.shape != (n,):
+                raise ValueError(f"{name} length mismatch")
+            if not np.all((a >= 0) & (a < c) & (np.floor(a) == a)):  # NaN fails too
+                raise ValueError(f"{name} must be integers in [0, {c})")
+            setattr(self, name, np.asarray(a, dtype=np.int64))
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature values")
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.int64)
-            if self.bias.shape != (n,):
-                raise ValueError("bias length mismatch")
             expected = self.bias == self.labels
-            if self.aligned is None:
-                self.aligned = expected
-            else:
-                self.aligned = np.asarray(self.aligned, dtype=bool)
-                if not np.array_equal(self.aligned, expected):
-                    raise ValueError("aligned flags inconsistent with bias == label")
+            # compared before any cast to bool, so a flag of 0.5 or 2 fails
+            if self.aligned is not None and not np.array_equal(self.aligned, expected):
+                raise ValueError("aligned flags inconsistent with bias == label")
+            self.aligned = expected
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -258,11 +260,19 @@ def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
     (out / "data.f64le").write_bytes(data.tobytes())
 
 
+def _require(keys, d: dict, where: str) -> None:
+    if missing := [k for k in keys if k not in d]:
+        raise ValueError(f"{where}: missing key(s) {missing}")
+
+
 def load_dataset(in_dir: str | Path) -> LabeledDataset:
+    """The dataset that ``save_dataset`` wrote; a malformed one raises ValueError."""
     src = Path(in_dir)
-    meta = json.loads((src / "meta.json").read_text())
-    check_schema_version(meta, src / "meta.json")
-    n, d = meta["n"], meta["feature_dim"]
+    path = src / "meta.json"
+    meta = json.loads(path.read_text())
+    check_schema_version(meta, path)
+    _require(("n", "feature_dim", "num_classes", "columns"), meta, str(path))
+    n, d, c = meta["n"], meta["feature_dim"], meta["num_classes"]
     n_columns = 4 if "bias" in meta["columns"] else 2
     raw = read_f64le(src / "data.f64le", n * d + (n_columns - 1) * n)
     pos = 0
@@ -273,14 +283,18 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
         pos += count
         return block
 
-    features = take(n * d).reshape(n, d)
-    labels = take(n).astype(np.int64)
+    features, labels = take(n * d).reshape(n, d), take(n)
     bias = aligned = None
     if "bias" in meta["columns"]:
-        bias = take(n).astype(np.int64)
-        aligned = take(n).astype(bool)
+        bias, aligned = take(n), take(n)  # as stored: LabeledDataset checks before casting
     cfg = None
     if "gen" in meta:
+        _require([f.name for f in fields(GenConfig)], meta["gen"], f"{path} gen")
         cfg = GenConfig(**{f.name: meta["gen"][f.name] for f in fields(GenConfig)})
-    return LabeledDataset(features, labels, num_classes=meta["num_classes"],
-                          bias=bias, aligned=aligned, cfg=cfg)
+        if cfg.num_classes != c:
+            raise ValueError(f"{path}: num_classes {c} != gen.num_classes {cfg.num_classes}")
+    try:
+        return LabeledDataset(features, labels, num_classes=c, bias=bias,
+                              aligned=aligned, cfg=cfg)
+    except ValueError as exc:
+        raise ValueError(f"{src}: {exc}") from None

@@ -7,7 +7,8 @@ Two families of training-time corrections:
   loss weighting (LW), annealed loss weighting (ALW), or weighted sampling
   with replacement (WS);
 * target adjustment (TBA): the classifier's logits are shifted by the log
-  of the per-class bias conditional before the cross-entropy.
+  of the per-class bias conditional before the cross-entropy. Exactly the
+  schemes with such rows p(y | bias evidence) (``conditional_rows``) drive it.
 """
 
 from __future__ import annotations
@@ -32,16 +33,10 @@ SCHEMES = ("vanilla", "oracle-ub", "oracle-yb", "biased-confidence",
            "lff", "pgd", "vcae")
 METHODS = ("LW", "ALW", "WS", "TBA")
 
-# scheme -> methods it can drive
-_COMPATIBLE = {
-    "vanilla": {"LW", "ALW", "WS"},
-    "oracle-ub": {"LW", "ALW", "WS", "TBA"},
-    "oracle-yb": {"LW", "ALW", "WS", "TBA"},
-    "biased-confidence": {"LW", "ALW", "WS", "TBA"},
-    "lff": {"LW"},
-    "pgd": {"WS"},
-    "vcae": {"LW", "ALW", "WS"},
-}
+# scheme -> methods it drives: LW, ALW, WS, plus TBA for ROW_SCHEMES; lff, pgd excepted
+ROW_SCHEMES = ("oracle-ub", "oracle-yb", "biased-confidence")
+_COMPATIBLE = {s: {"LW", "ALW", "WS"} | ({"TBA"} if s in ROW_SCHEMES else set())
+               for s in SCHEMES} | {"lff": {"LW"}, "pgd": {"WS"}}
 
 COLLAPSE_XENT = 50.0
 
@@ -252,29 +247,35 @@ def tba_adjusted_probs(logits: np.ndarray, p_psi: np.ndarray,
     return softmax_numpy(shifted)
 
 
-def oracle_ub_weights(ds: LabeledDataset) -> SampleWeights:
-    """Exact 1/p(u|b) from the generator: 1/(1-rho) aligned, (C-1)/rho conflicting."""
+def _generator_rho(ds: LabeledDataset) -> float:
     if ds.cfg is None:
         raise ValueError("dataset lacks its generation config; exact conditional unknown")
+    return ds.cfg.bc_ratio
+
+
+def oracle_ub_weights(ds: LabeledDataset) -> SampleWeights:
+    """Exact 1/p(u|b) from the generator: 1/(1-rho) aligned, (C-1)/rho conflicting.
+    Not 1/conditional_rows: 1/(rho/(C-1)) can miss (C-1)/rho by the last bit."""
+    rho, c = _generator_rho(ds), ds.num_classes
     if ds.aligned is None:
         raise ValueError("dataset lacks bias labels")
-    rho, c = ds.cfg.bc_ratio, ds.num_classes
     w = np.where(ds.aligned, 1.0 / (1.0 - rho), (c - 1) / rho)
     return SampleWeights(w, provenance="oracle-ub")
 
 
-def oracle_yb_weights(ds: LabeledDataset) -> SampleWeights:
-    """1 / p_hat(y|b) from the empirical conditional of the training data."""
-    p = estimate_p_y_given_b(ds)[ds.labels, ds.bias]
-    return SampleWeights(1.0 / p, provenance="oracle-yb")
-
-
-def _oracle_ub_table(ds: LabeledDataset) -> np.ndarray:
-    """(N, C) rows of the analytic p(y=c | b_n)."""
-    rho, c = ds.cfg.bc_ratio, ds.num_classes
+def conditional_rows(scheme: str, ds: LabeledDataset, artifact) -> np.ndarray:
+    """(N, C) rows p(y=c | bias evidence of row n): the amplified classifier's
+    probabilities, or the empirical or exact table[y, b] at each row's b."""
+    if scheme == "biased-confidence":
+        return artifact.class_probs
+    if scheme == "oracle-yb":
+        return estimate_p_y_given_b(ds)[:, ds.bias].T
+    if scheme != "oracle-ub":
+        raise ValueError(f"scheme {scheme!r} has no conditional rows")
+    rho, c = _generator_rho(ds), ds.num_classes
     table = np.full((c, c), rho / (c - 1))
     np.fill_diagonal(table, 1.0 - rho)
-    return table[:, ds.bias].T  # table[y, b] -> rows indexed by sample
+    return table[:, ds.bias].T
 
 
 @dataclass
@@ -337,25 +338,19 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
         if method == "TBA":
             if gamma is None:
                 raise ValueError("TBA needs gamma")
-            if scheme == "biased-confidence":
-                cond = artifact.class_probs
-            elif scheme == "oracle-yb":
-                cond = estimate_p_y_given_b(train_ds)[:, train_ds.bias].T
-            else:  # oracle-ub
-                cond = _oracle_ub_table(train_ds)
-            v = tba_floor(cond, gamma)
+            v = tba_floor(conditional_rows(scheme, train_ds, artifact), gamma)
             logit_offset = np.log(v)
             # implied correction magnitude per sample, for the beta metric
-            implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels],
-                                 gamma)
-            weights = SampleWeights(implied, provenance=scheme,
-                                    gamma=gamma)
+            implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels], gamma)
+            weights = SampleWeights(implied, provenance=scheme, gamma=gamma)
         elif scheme == "vanilla":
             weights = SampleWeights(np.ones(len(train_ds)), provenance="vanilla")
         elif scheme == "oracle-ub":
             weights = oracle_ub_weights(train_ds)
         elif scheme == "oracle-yb":
-            weights = oracle_yb_weights(train_ds)
+            rows = conditional_rows(scheme, train_ds, artifact)
+            p = rows[np.arange(len(train_ds)), train_ds.labels]
+            weights = SampleWeights(1.0 / p, provenance="oracle-yb")
         elif scheme == "biased-confidence":
             if gamma is None:
                 raise ValueError("biased-confidence needs gamma")
@@ -379,9 +374,8 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             raise AssertionError(scheme)
 
         w_arr = weights.weights
-        weight_fn = None
-        sampler = None
-        if method == "LW" and scheme != "vanilla":
+        weight_fn = sampler = None
+        if method == "LW":
             weight_fn = lambda idx, t: w_arr[idx]
         elif method == "ALW":
             weight_fn = lambda idx, t: anneal_weight(w_arr[idx], t, anneal)
@@ -390,10 +384,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
 
         def beta_fn(params, step_end):
-            if method == "ALW":
-                eff = anneal_weight(w_arr, step_end - 1, anneal)
-            else:
-                eff = w_arr
+            eff = anneal_weight(w_arr, step_end - 1, anneal) if method == "ALW" else w_arr
             return debias_bc_ratio(eff, train_ds.aligned)
 
         params, history = train(train_ds, train_cfg, loss="xent",

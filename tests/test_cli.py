@@ -186,6 +186,29 @@ def test_bad_flags_fail_with_a_message_before_any_output(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+def test_stored_dataset_without_feature_dim_fails_with_a_message(tmp_path, capsys):
+    data = _gen(tmp_path)
+    meta = json.loads((data / "meta.json").read_text())
+    del meta["feature_dim"]
+    (data / "meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "amp"
+    assert main(["train-biased", "--data", str(data), "--out", str(out)]) == 1
+    assert main(["debias", "--config", str(_debias_config(tmp_path, data))]) == 1
+    expected = f"error: {data / 'meta.json'}: missing key(s) ['feature_dim']\n"
+    assert capsys.readouterr().err == expected * 2
+    assert not out.exists()
+
+
+def test_stored_label_outside_the_classes_fails_with_a_message(tmp_path, capsys):
+    data = _gen(tmp_path, classes=3)
+    raw = np.frombuffer((data / "data.f64le").read_bytes(), dtype="<f8").copy()
+    raw[400 * 6] = 3.0  # the first label; 400 rows of 6 features come first
+    (data / "data.f64le").write_bytes(raw.tobytes())
+    cfg = _debias_config(tmp_path, data, scheme="oracle-yb")
+    assert main(["debias", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: labels must be integers in [0, 3)\n"
+
+
 def test_empty_dataset_fails_before_any_output(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["generate", "--n", "0", "--out", str(data)]) == 1

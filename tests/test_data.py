@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 from dataclasses import is_dataclass
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -320,3 +321,72 @@ def test_load_dataset_rejects_wrong_schema_version(tmp_path):
                                                        '"schema_version": 0'))
     with pytest.raises(ValueError, match=r"meta\.json.*schema_version"):
         load_dataset(tmp_path / "d")
+
+
+# --- stored datasets are checked where they enter -----------------------------
+
+@pytest.mark.parametrize("column,value", [("labels", -1), ("labels", 3), ("labels", 2.7),
+                                          ("labels", np.nan), ("bias", -1), ("bias", 3)])
+def test_dataset_rejects_labels_and_bias_outside_the_classes(column, value):
+    kw = {"labels": np.array([0.0, 1, 2, 0]), "bias": np.array([0.0, 1, 2, 1])}
+    kw[column][1] = value
+    with pytest.raises(ValueError, match=rf"^{column} must be integers in \[0, 3\)$"):
+        LabeledDataset(np.zeros((4, 2)), num_classes=3, **kw)
+
+
+def _store(tmp_path):
+    ds = generate_two_factor(GenConfig(num_classes=3, n=10, bc_ratio=0.2, seed=1))
+    save_dataset(ds, tmp_path)
+    return ds
+
+
+def _poke(tmp_path, ds, column, row, value):
+    """Overwrite one stored value of the labels, bias or aligned column."""
+    path = tmp_path / "data.f64le"
+    raw = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    block = ("labels", "bias", "aligned").index(column)
+    raw[len(ds) * (ds.dim + block) + row] = value
+    path.write_bytes(raw.tobytes())
+
+
+@pytest.mark.parametrize("column,value", [
+    ("bias", -1), ("bias", 3), ("labels", 3), ("labels", 2.7), ("labels", np.inf),
+    ("aligned", 0.5), ("aligned", 2)])
+def test_load_dataset_rejects_stored_values_outside_their_range(tmp_path, column, value):
+    ds = _store(tmp_path)
+    row = int(np.flatnonzero(ds.aligned)[0])  # an aligned row, so its flag is 1
+    _poke(tmp_path, ds, column, row, value)
+    message = ("aligned flags inconsistent with bias == label" if column == "aligned"
+               else f"{column} must be integers in [0, 3)")
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: {message}")):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["n", "feature_dim", "num_classes", "columns"])
+def test_load_dataset_names_a_missing_meta_key_and_the_file(tmp_path, key):
+    _store(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    del meta[key]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'}: "
+                                                   f"missing key(s) ['{key}']")):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_names_a_missing_gen_key(tmp_path):
+    _store(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    del meta["gen"]["sigma_u"]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'} gen: "
+                                                   "missing key(s) ['sigma_u']")):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_rejects_a_class_count_unlike_its_generator(tmp_path):
+    _store(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["gen"]["num_classes"] = 5
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"meta\.json: num_classes 3 != gen\.num_classes 5"):
+        load_dataset(tmp_path)

@@ -442,6 +442,98 @@ def test_pipeline_and_run_config_reject_a_bad_pair_alike(scheme, method):
     assert str(from_pipeline.value) == str(from_config.value)
 
 
+# every scheme/method pair: the accepted ones, and the message of each rejection
+ACCEPTED_PAIRS = {
+    ("vanilla", "LW"), ("vanilla", "ALW"), ("vanilla", "WS"),
+    ("oracle-ub", "LW"), ("oracle-ub", "ALW"), ("oracle-ub", "WS"), ("oracle-ub", "TBA"),
+    ("oracle-yb", "LW"), ("oracle-yb", "ALW"), ("oracle-yb", "WS"), ("oracle-yb", "TBA"),
+    ("biased-confidence", "LW"), ("biased-confidence", "ALW"),
+    ("biased-confidence", "WS"), ("biased-confidence", "TBA"),
+    ("lff", "LW"), ("pgd", "WS"),
+    ("vcae", "LW"), ("vcae", "ALW"), ("vcae", "WS"),
+}
+REJECTED_PAIRS = {
+    ("vanilla", "TBA"): "scheme 'vanilla' cannot drive method 'TBA'; it drives ['ALW', 'LW', 'WS']",
+    ("lff", "ALW"): "scheme 'lff' cannot drive method 'ALW'; it drives ['LW']",
+    ("lff", "WS"): "scheme 'lff' cannot drive method 'WS'; it drives ['LW']",
+    ("lff", "TBA"): "scheme 'lff' cannot drive method 'TBA'; it drives ['LW']",
+    ("pgd", "LW"): "scheme 'pgd' cannot drive method 'LW'; it drives ['WS']",
+    ("pgd", "ALW"): "scheme 'pgd' cannot drive method 'ALW'; it drives ['WS']",
+    ("pgd", "TBA"): "scheme 'pgd' cannot drive method 'TBA'; it drives ['WS']",
+    ("vcae", "TBA"): "scheme 'vcae' cannot drive method 'TBA'; it drives ['ALW', 'LW', 'WS']",
+}
+
+
+def test_pairing_grid_is_the_literal_table():
+    schemes = ("vanilla", "oracle-ub", "oracle-yb", "biased-confidence", "lff", "pgd", "vcae")
+    methods = ("LW", "ALW", "WS", "TBA")
+    assert (debias.SCHEMES, debias.METHODS) == (schemes, methods)
+    assert ACCEPTED_PAIRS | set(REJECTED_PAIRS) == {(s, m) for s in schemes for m in methods}
+    for scheme in schemes:
+        for method in methods:
+            if (scheme, method) in ACCEPTED_PAIRS:
+                debias.check_pair(scheme, method)
+                continue
+            with pytest.raises(ConfigError) as err:
+                debias.check_pair(scheme, method)
+            assert str(err.value) == REJECTED_PAIRS[scheme, method]
+
+
+def test_conditional_rows_of_each_scheme_and_exactly_those_drive_tba():
+    train_ds, _, cfg = _tiny_setup()
+    art = train_biased_classifier(train_ds, GceConfig(), 1, cfg)
+    rho, c, idx = 0.1, 4, np.arange(len(train_ds))
+    assert debias.conditional_rows("biased-confidence", train_ds, art) is art.class_probs
+    exact = np.where(np.arange(c) == train_ds.bias[:, None], 1.0 - rho, rho / (c - 1))
+    assert debias.conditional_rows("oracle-ub", train_ds, None).tobytes() == exact.tobytes()
+    emp = debias.conditional_rows("oracle-yb", train_ds, None)
+    assert emp.shape == (len(train_ds), c)
+    assert emp[idx, train_ds.labels].tobytes() == (
+        estimate_p_y_given_b(train_ds)[train_ds.labels, train_ds.bias].tobytes())
+    for scheme in debias.SCHEMES:
+        drives_tba = (scheme, "TBA") in ACCEPTED_PAIRS
+        assert (scheme in debias.ROW_SCHEMES) == drives_tba
+        if not drives_tba:
+            with pytest.raises(ValueError, match=f"^scheme '{scheme}' has no conditional rows$"):
+                debias.conditional_rows(scheme, train_ds, art)
+
+
+def test_oracle_yb_weights_are_one_over_the_true_class_column():
+    train_ds, test_ds, cfg = _tiny_setup()
+    res = run_debias_pipeline(train_ds, test_ds, "oracle-yb", "WS", train_cfg=cfg)
+    p = estimate_p_y_given_b(train_ds)[train_ds.labels, train_ds.bias]
+    assert res.weights.provenance == "oracle-yb"
+    assert res.weights.weights.tobytes() == (1.0 / p).tobytes()
+
+
+@pytest.mark.parametrize("c,rho", [(4, 0.049), (10, 0.007)])
+def test_oracle_ub_weights_are_the_closed_form_bit_for_bit(c, rho):
+    """(C-1)/rho, not 1/(rho/(C-1)) from the table: at these rho the two
+    differ in the last bit, so the pipeline must not take the table route."""
+    assert 1.0 / (rho / (c - 1)) != (c - 1) / rho
+    gen = GenConfig(num_classes=c, n=2000, bc_ratio=rho, seed=2)
+    train_ds = generate_two_factor(gen)
+    test_ds = generate_two_factor(unbiased_config(gen, n=50, seed=3))
+    n_bc = int((~train_ds.aligned).sum())
+    assert n_bc > 0
+    cfg = TrainConfig(epochs=1, batch_size=500, hidden=(4,), seed=0)
+    for method in ("LW", "ALW", "WS"):
+        w = run_debias_pipeline(train_ds, test_ds, "oracle-ub", method,
+                                train_cfg=cfg).weights.weights
+        assert w[~train_ds.aligned].tobytes() == np.full(n_bc, (c - 1) / rho).tobytes()
+        assert w[train_ds.aligned].tobytes() == (
+            np.full(len(train_ds) - n_bc, 1.0 / (1.0 - rho)).tobytes())
+
+
+@pytest.mark.parametrize("method", ["LW", "TBA"])
+def test_oracle_ub_without_its_generation_config_says_so(method):
+    train_ds, test_ds, cfg = _tiny_setup()
+    with pytest.raises(ValueError, match="^dataset lacks its generation config; "
+                                         "exact conditional unknown$"):
+        run_debias_pipeline(replace(train_ds, cfg=None), test_ds, "oracle-ub", method,
+                            train_cfg=cfg, gamma=30.0)
+
+
 @pytest.mark.parametrize("scheme", ["oracle-ub", "oracle-yb", "biased-confidence"])
 def test_pipeline_tba_offset_is_the_log_of_the_floor(monkeypatch, scheme):
     """TBA trains on log max(p(y|b), 1/gamma) of the scheme's conditional,
