@@ -134,27 +134,40 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.layer_sizes[0]:
         raise ValueError(f"input dim {x.shape[-1]} != {params.layer_sizes[0]}")
-    logits = mlp_final_hidden(params, x) @ params.arrays[-2] + params.arrays[-1]
+    logits = mlp_final_hidden(params, x) @ params.arrays[-2]
+    logits += params.arrays[-1]
     return logits[0] if x.ndim == 1 else logits
 
 
 def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Activation feeding the final linear layer (input x for 0 hidden layers)."""
+    """Activation feeding the final linear layer (input x for 0 hidden layers).
+    Each layer runs in place on its matmul's output, so at most two (N x
+    width) arrays are alive at once."""
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n_layers = len(params.arrays) // 2
     for i in range(n_layers - 1):
-        h = np.maximum(h @ params.arrays[2 * i] + params.arrays[2 * i + 1], 0.0)
+        h = h @ params.arrays[2 * i]
+        h += params.arrays[2 * i + 1]
+        np.maximum(h, 0.0, out=h)
     return h
 
 
-def log_softmax_numpy(logits: np.ndarray) -> np.ndarray:
+def log_softmax_numpy(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log-softmax, written into ``out`` (not ``logits``) when given."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - (np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m)
+    # row maxima as one column-wise reduction of the transposed copy, ~3x
+    # faster on short rows than the row-wise one; a max is exact in any order
+    m = np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
+    e = np.subtract(logits, m, out=out)
+    np.exp(e, out=e)
+    s = np.log(e.sum(axis=-1, keepdims=True))
+    s += m
+    return np.subtract(logits, s, out=out)
 
 
 def softmax_numpy(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax_numpy(logits))
+    lp = log_softmax_numpy(logits)
+    return np.exp(lp, out=lp)
 
 
 def softmax_xent(logits, y):
@@ -200,12 +213,22 @@ def shuffle_batches(n: int, batch_size: int, seed: int,
             yield order[start:start + batch_size]
 
 
+def _buf(scratch: dict, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The buffer ``scratch[key, shape]``, allocated on its first use."""
+    a = scratch.get((key, shape))
+    if a is None:
+        a = scratch[key, shape] = np.empty(shape, dtype=dtype)
+    return a
+
+
 @dataclass
 class MlpPass:
     """One batch through the MLP, kept for ``mlp_backward``.
 
     ``acts[i]`` is the input to linear layer i (the batch for i = 0) and
-    ``pre[i]`` the pre-activation of hidden layer i.
+    ``pre[i]`` the pre-activation of hidden layer i. Every array but the
+    batch is a buffer of ``scratch``: it lives until the next pass through
+    the same scratch, which in ``train`` and LfF is that model's next step.
     """
 
     params: MlpParams
@@ -213,44 +236,55 @@ class MlpPass:
     pre: list[np.ndarray]
     log_probs: np.ndarray          # (B, C) log-softmax of the (offset) logits
     labels: np.ndarray
-    log_p_y: np.ndarray            # (B,) log-probability of the true class
+    nll: np.ndarray                # (B,) -log-probability of the true class
     loss: str
     tau: float
+    scratch: dict
 
     def xent(self) -> np.ndarray:
         """Per-sample cross-entropy capped at XENT_MAX, as ``softmax_xent``."""
-        return np.minimum(-self.log_p_y, XENT_MAX)
+        return np.minimum(self.nll, XENT_MAX)
 
 
-def mlp_layers(arrays: list[np.ndarray], h: np.ndarray):
+def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = None):
     """Forward of a 2-D batch ``h`` through the ReLU layers ``arrays`` (W, b
     alternating): the output, the input of every linear layer (``h`` first)
     and the pre-activation of every hidden layer, as ``mlp_layers_backward``
     needs them."""
+    # each layer writes into buffers of ``scratch`` (fresh without one), in
+    # place: at 128x768 a second temporary made this layer ~3x slower. The
+    # arrays live until the next pass through the same scratch: that model's
+    # next step.
+    scratch = {} if scratch is None else scratch
     acts, pre = [h], []
     n_layers = len(arrays) // 2
     for i in range(n_layers):
-        # in place: at 128x768 a second temporary made this layer ~3x slower
-        h = h @ arrays[2 * i]
+        w = arrays[2 * i]
+        h = np.matmul(h, w, out=_buf(scratch, ("pre", i), (h.shape[0], w.shape[1])))
         h += arrays[2 * i + 1]
         if i < n_layers - 1:
             pre.append(h)
-            h = np.maximum(h, 0.0)
+            h = np.maximum(h, 0.0, out=_buf(scratch, ("act", i), h.shape))
             acts.append(h)
     return h, acts, pre
 
 
 def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray],
                         pre: list[np.ndarray], g: np.ndarray,
-                        grads: list[np.ndarray], input_grad: bool = False):
+                        grads: list[np.ndarray], input_grad: bool = False,
+                        scratch: dict | None = None):
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
     tape's operation order. Writes the gradient of each W, b into ``grads``;
-    returns the adjoint of the input batch when ``input_grad``, else None."""
+    returns the adjoint of the input batch when ``input_grad``, else None.
+    The hidden adjoints and ReLU masks are buffers of ``scratch``."""
+    scratch = {} if scratch is None else scratch
     for i in range(len(arrays) // 2 - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = (g @ arrays[2 * i].T) * (pre[i - 1] > 0.0)
+            shape = pre[i - 1].shape
+            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), shape))
+            g *= np.greater(pre[i - 1], 0.0, out=_buf(scratch, ("mask", i), shape, bool))
     return g @ arrays[0].T if input_grad else None
 
 
@@ -266,27 +300,35 @@ def check_finite_gradient(flat: np.ndarray, grads: list[np.ndarray],
 
 def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
                      loss: str = "xent", tau: float = 0.7,
-                     logit_offset: np.ndarray | None = None) -> MlpPass:
+                     logit_offset: np.ndarray | None = None,
+                     scratch: dict | None = None) -> MlpPass:
     """Closed-form forward of the ReLU MLP for an xent or GCE loss.
 
     Performs the numpy operations of the tape graph (the layers, then the
     capped cross-entropy or GCE on the true-class probability) in the same
-    order, so every value matches the tape bit for bit.
+    order, so every value matches the tape bit for bit. The pass and its
+    ``mlp_backward`` write into the buffers of ``scratch``, a dict that a
+    training loop keeps per model (a fresh one when None).
     """
     if loss not in ("xent", "gce"):
         raise ValueError(f"unknown loss {loss!r}")
     if loss == "gce" and not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0,1], got {tau}")
     y = np.asarray(y, dtype=np.int64)
-    if np.any(y < 0) or np.any(y >= params.layer_sizes[-1]):
+    if (y < 0).any() or (y >= params.layer_sizes[-1]).any():
         raise ValueError("label out of range")
+    scratch = {} if scratch is None else scratch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h, acts, pre = mlp_layers(params.arrays, x)
+    h, acts, pre = mlp_layers(params.arrays, x, scratch)
     if logit_offset is not None:
-        h = h + logit_offset
-    log_probs = log_softmax_numpy(h)
-    return MlpPass(params, acts, pre, log_probs, y,
-                   log_probs[np.arange(h.shape[0]), y], loss, float(tau))
+        h += logit_offset
+    log_probs = log_softmax_numpy(h, out=_buf(scratch, "log_probs", h.shape))
+    rows = scratch.get(("rows", len(h)))
+    if rows is None:
+        rows = scratch["rows", len(h)] = np.arange(len(h))
+    nll = log_probs[rows, y]
+    return MlpPass(params, acts, pre, log_probs, y, np.negative(nll, out=nll),
+                   loss, float(tau), scratch)
 
 
 def mlp_backward(fwd: MlpPass, weights: np.ndarray,
@@ -301,33 +343,42 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
     non-finite gradient.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("negative weight")
-    n = fwd.log_p_y.shape[0]
+    n = fwd.nll.shape[0]
     if w.shape != (n,):
         raise ValueError("weights/losses length mismatch")
     if fwd.loss == "xent":
         losses = fwd.xent()
     else:
-        p = np.exp(fwd.log_p_y)
+        p = np.exp(-fwd.nll)
         p_floored = np.maximum(p, P_FLOOR)
         losses = (1.0 - p_floored ** fwd.tau) / fwd.tau
-    lval = float((losses * w).sum() * (1.0 / n))
+    losses *= w
+    lval = float(losses.sum() * (1.0 / n))
     if not math.isfinite(lval):
         raise TrainingDiverged(f"non-finite loss {lval}")
-    g = np.full(n, 1.0 / n) * w
+    g = w * (1.0 / n)
     if fwd.loss == "xent":
-        g = -(g * (-fwd.log_p_y <= XENT_MAX))
+        g *= fwd.nll <= XENT_MAX
+        np.negative(g, out=g)
     else:
         g = -(g / fwd.tau) * fwd.tau * p_floored ** (fwd.tau - 1.0)
         g = g * (p >= P_FLOOR) * p
-    g_lp = np.zeros_like(fwd.log_probs)
-    g_lp[np.arange(n), fwd.labels] = g
-    g = g_lp - np.exp(fwd.log_probs) * g_lp.sum(axis=-1, keepdims=True)
+    scratch, shape = fwd.scratch, fwd.log_probs.shape
+    g_lp = _buf(scratch, "g_lp", shape)
+    g_lp.fill(0.0)
+    g_lp[scratch["rows", n], fwd.labels] = g
+    # g_lp's row sums: each row holds g_n and +0.0s, and any sum of those
+    # is g_n + 0.0 to the bit (-0.0 + 0.0 is +0.0), so no reduction is run
+    g += 0.0
+    g_logits = np.exp(fwd.log_probs, out=_buf(scratch, "g_logits", shape))
+    g_logits *= g[:, None]
+    g = np.subtract(g_lp, g_logits, out=g_logits)
     if out.layer_sizes != fwd.params.layer_sizes:
         raise ValueError("gradient and parameter layouts differ")
     grads = out.arrays
-    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads)
+    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads, scratch=scratch)
     check_finite_gradient(out.flat, grads, lambda k: f"parameter array {k}")
     return lval, grads
 
@@ -391,18 +442,20 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
         sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad = MlpParams(params.layer_sizes, flat=np.empty_like(params.flat))
+    scratch, ones = {}, np.ones(cfg.batch_size)  # the step's buffers, kept across steps
     xent_total = 0.0
 
     def step_fn(idx, step):
         nonlocal xent_total
-        w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
+        w = ones[:len(idx)] if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
         fwd = mlp_loss_forward(
             params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
-            logit_offset=None if logit_offset is None else logit_offset[idx])
+            logit_offset=None if logit_offset is None else logit_offset[idx],
+            scratch=scratch)
         lval, _ = mlp_backward(fwd, w, out=grad)
         opt.step(params.flat, grad.flat)
         # uncapped cross-entropy of the raw logits, for divergence tracking
-        xent_total += float((-fwd.log_p_y).sum())
+        xent_total += float(fwd.nll.sum())
         return lval
 
     def end_epoch(epoch, stats):

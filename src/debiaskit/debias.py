@@ -195,18 +195,22 @@ def anneal_weight(w_n, t: int, ac: AnnealConfig):
 
 def weighted_sampler(weights: np.ndarray, batch_size: int,
                      seed: int) -> Iterator[np.ndarray]:
-    """I.i.d. batches with replacement, P(pick n) = w_n / sum(w)."""
+    """I.i.d. batches with replacement, P(pick n) = w_n / sum(w).
+
+    Draws the indices that ``rng.choice(n, batch_size, p=w / sum(w))`` draws,
+    from the cumulative sum that ``choice`` builds, but builds it once
+    instead of once per batch."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("negative weight")
     total = w.sum()
-    if total <= 0:
-        raise ValueError("all weights are zero")
-    p = w / total
+    if not total > 0 or not np.isfinite(total):
+        raise ValueError("weights must be finite and not all zero")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    n = len(w)
     while True:
-        yield rng.choice(n, size=batch_size, p=p)
+        yield cdf.searchsorted(rng.random(batch_size), side="right")
 
 
 def lff_weight(loss_biased, loss_debiased):
@@ -407,13 +411,15 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
     grad_psi, grad_theta = (MlpParams(sizes, flat=np.empty_like(psi.flat)),
                             MlpParams(sizes, flat=np.empty_like(theta.flat)))
 
+    scratch_psi, scratch_theta, ones = {}, {}, np.ones(cfg.batch_size)
+
     def step_fn(idx, step):
         xb, yb = train_ds.features[idx], train_ds.labels[idx]
-        fwd_b = mlp_loss_forward(psi, xb, yb, loss="gce", tau=gce.tau)
-        fwd_d = mlp_loss_forward(theta, xb, yb)
+        fwd_b = mlp_loss_forward(psi, xb, yb, loss="gce", tau=gce.tau, scratch=scratch_psi)
+        fwd_d = mlp_loss_forward(theta, xb, yb, scratch=scratch_theta)
         # ratio weights from current losses, before either update
         w = lff_weight(fwd_b.xent(), fwd_d.xent())
-        mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
+        mlp_backward(fwd_b, ones[:len(idx)], out=grad_psi)
         lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
         opt_psi.step(psi.flat, grad_psi.flat)
         opt_theta.step(theta.flat, grad_theta.flat)

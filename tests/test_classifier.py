@@ -287,8 +287,9 @@ def test_closed_form_step_matches_tape_bitwise(case):
     w = rng.uniform(0.05, 20.0, size=case["batch"])
     offset = rng.normal(scale=3.0, size=(case["batch"], case["classes"])) \
         if case["offset"] or case["extreme"] else None
-    if case["extreme"]:  # push half the true classes far below the others
-        offset[::2][np.arange(len(y[::2])), y[::2]] -= 80.0
+    if case["extreme"]:  # push half the true classes 80 below every other logit
+        spread = np.ptp(mlp_forward(params, x) + offset, axis=1)
+        offset[::2][np.arange(len(y[::2])), y[::2]] -= 80.0 + spread[::2]
 
     want_loss, want = tape_loss_and_grads(params.arrays, x, y, w, loss=case["loss"],
                                           tau=case["tau"], logit_offset=offset)
@@ -297,7 +298,7 @@ def test_closed_form_step_matches_tape_bitwise(case):
     got_loss, got = mlp_backward(fwd, w, _grad_buffer(params))
     if case["extreme"]:
         assert np.any(fwd.xent() == XENT_MAX)
-        assert np.any(np.exp(fwd.log_p_y) < 1e-12)
+        assert np.any(np.exp(-fwd.nll) < 1e-12)
     assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
     assert len(got) == len(want)
     for g, t in zip(got, want):
