@@ -1,12 +1,17 @@
 """Digest every file that a fixed ``debiaskit`` CLI job list writes.
 
-A change that claims to keep the outputs byte-identical runs this on its
-parent and on itself and compares the two listings:
+A change that claims to keep the outputs byte-identical compares the
+listing of its parent with its own, in one command:
 
-    git archive <parent> | tar -x -C ../parent
+    python scripts/output_digest.py ../work --rev HEAD~1
+
+``--rev`` extracts that git revision's ``src/`` into a temporary directory
+(``git archive``), runs the job list once for it (in WORKDIR/rev) and once
+for the working tree or ``--src`` (in WORKDIR/tree), prints the unified
+diff of the two listings and exits 1 if they differ. Without ``--rev`` it
+prints the listing of one tree:
+
     python scripts/output_digest.py ../work-parent --src ../parent/src > parent.txt
-    python scripts/output_digest.py ../work-change > change.txt
-    diff parent.txt change.txt && echo byte-identical
 
 The jobs run in WORKDIR (created; it must hold no files yet) through
 ``python -m debiaskit.cli``, importing the package from ``--src`` (default:
@@ -20,12 +25,18 @@ scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 """
 
 import argparse
+import difflib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PAIRS = [(s, m) for s in ("oracle-ub", "oracle-yb", "biased-confidence")
          for m in ("LW", "ALW", "WS", "TBA")]
@@ -60,25 +71,44 @@ def jobs() -> list[list[str]]:
         ["oracle-check", "--seed", "0", "--out", "oracle"]]
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workdir", type=Path)
-    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
-    args = ap.parse_args()
-    work = args.workdir
+def digest(work: Path, src: Path) -> list[str]:
+    """Run the job list in ``work`` against the package in ``src``; one
+    ``sha256  path`` line per output file."""
     work.mkdir(parents=True, exist_ok=True)
     if any(work.iterdir()):
         sys.exit(f"{work} is not empty")
     for data, (c, *_) in DATASETS.items():
         (work / f"{data}.json").write_text(json.dumps(run_config(data, c)) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for argv in jobs():
         subprocess.run([sys.executable, "-m", "debiaskit.cli", *argv], cwd=work, env=env,
                        stdout=subprocess.DEVNULL, check=True)
-    for path in sorted(p for p in work.rglob("*") if p.is_file()):
-        if path.name != "timings.json":
-            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(work).as_posix(),
-                  sep="  ")
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+            f"{path.relative_to(work).as_posix()}"
+            for path in sorted(p for p in work.rglob("*") if p.is_file())
+            if path.name != "timings.json"]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workdir", type=Path)
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--rev", help="git revision whose src/ to compare against")
+    args = ap.parse_args()
+    if args.rev is None:
+        print(*digest(args.workdir, args.src), sep="\n")
+        return 0
+    archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, filter="data")
+        old = digest(args.workdir / "rev", Path(tmp) / "src")
+    new = digest(args.workdir / "tree", args.src)
+    diff = list(difflib.unified_diff(old, new, args.rev, "tree", lineterm=""))
+    if diff:
+        print(*diff, sep="\n")
+        return 1
+    print(f"byte-identical: {len(new)} files")
     return 0
 
 

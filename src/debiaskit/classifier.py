@@ -14,8 +14,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blas
-from .data import (ConfigError, LabeledDataset, check_fields, check_schema_version,
-                   read_f64le)
+from .data import ConfigError, LabeledDataset, check_fields, read_f64le, read_meta
 from .optim import OPTIMIZERS, make_optimizer
 
 # loss value at the probability floor 1e-12; caps -log p
@@ -140,9 +139,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Activation feeding the final linear layer (input x for 0 hidden layers).
-    Each layer runs in place on its matmul's output, so at most two (N x
-    width) arrays are alive at once."""
+    """Activation feeding the final linear layer (x for 0 hidden layers), in place."""
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n_layers = len(params.arrays) // 2
     for i in range(n_layers - 1):
@@ -153,21 +150,15 @@ def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax_numpy(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise log-softmax, written into ``out`` (not ``logits``) when given."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    # row maxima as one column-wise reduction of the transposed copy, ~3x
-    # faster on short rows than the row-wise one; a max is exact in any order
+    # row maxima of the transposed copy: ~3x faster on short rows, and exact in any order
     m = np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
-    e = np.subtract(logits, m, out=out)
-    np.exp(e, out=e)
-    s = np.log(e.sum(axis=-1, keepdims=True))
-    s += m
-    return np.subtract(logits, s, out=out)
+    e = np.exp(np.subtract(logits, m, out=out), out=out)  # ``out`` must not be ``logits``
+    return np.subtract(logits, np.log(e.sum(axis=-1, keepdims=True)) + m, out=out)
 
 
 def softmax_numpy(logits: np.ndarray) -> np.ndarray:
-    lp = log_softmax_numpy(logits)
-    return np.exp(lp, out=lp)
+    return np.exp(log_softmax_numpy(logits))
 
 
 def softmax_xent(logits, y):
@@ -215,8 +206,7 @@ def shuffle_batches(n: int, batch_size: int, seed: int,
 
 def _buf(scratch: dict, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """The buffer ``scratch[key, shape]``, allocated on its first use."""
-    a = scratch.get((key, shape))
-    if a is None:
+    if (a := scratch.get((key, shape))) is None:
         a = scratch[key, shape] = np.empty(shape, dtype=dtype)
     return a
 
@@ -246,22 +236,18 @@ class MlpPass:
         return np.minimum(self.nll, XENT_MAX)
 
 
-def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = None):
+def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict):
     """Forward of a 2-D batch ``h`` through the ReLU layers ``arrays`` (W, b
     alternating): the output, the input of every linear layer (``h`` first)
     and the pre-activation of every hidden layer, as ``mlp_layers_backward``
     needs them."""
-    # each layer writes into buffers of ``scratch`` (fresh without one), in
-    # place: at 128x768 a second temporary made this layer ~3x slower. The
-    # arrays live until the next pass through the same scratch: that model's
-    # next step.
-    scratch = {} if scratch is None else scratch
+    # in place, into buffers of ``scratch`` that live until that model's next
+    # step: at 128x768 a second temporary made this layer ~3x slower
     acts, pre = [h], []
     n_layers = len(arrays) // 2
-    for i in range(n_layers):
-        w = arrays[2 * i]
-        h = np.matmul(h, w, out=_buf(scratch, ("pre", i), (h.shape[0], w.shape[1])))
-        h += arrays[2 * i + 1]
+    for i, (w, b) in enumerate(zip(arrays[::2], arrays[1::2])):
+        h = np.matmul(h, w, out=_buf(scratch, ("pre", i), (len(h), len(b))))
+        h += b
         if i < n_layers - 1:
             pre.append(h)
             h = np.maximum(h, 0.0, out=_buf(scratch, ("act", i), h.shape))
@@ -271,20 +257,17 @@ def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = N
 
 def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray],
                         pre: list[np.ndarray], g: np.ndarray,
-                        grads: list[np.ndarray], input_grad: bool = False,
-                        scratch: dict | None = None):
+                        grads: list[np.ndarray], scratch: dict, input_grad: bool = False):
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
-    tape's operation order. Writes the gradient of each W, b into ``grads``;
-    returns the adjoint of the input batch when ``input_grad``, else None.
-    The hidden adjoints and ReLU masks are buffers of ``scratch``."""
-    scratch = {} if scratch is None else scratch
+    tape's operation order, with adjoints and ReLU masks in ``scratch``. Writes
+    the gradient of each W, b into ``grads``; returns the adjoint of the input
+    batch when ``input_grad``, else None."""
     for i in range(len(arrays) // 2 - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            shape = pre[i - 1].shape
-            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), shape))
-            g *= np.greater(pre[i - 1], 0.0, out=_buf(scratch, ("mask", i), shape, bool))
+            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), pre[i - 1].shape))
+            g *= np.greater(pre[i - 1], 0.0, out=_buf(scratch, ("mask", i), g.shape, bool))
     return g @ arrays[0].T if input_grad else None
 
 
@@ -299,16 +282,14 @@ def check_finite_gradient(flat: np.ndarray, grads: list[np.ndarray],
 
 
 def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
-                     loss: str = "xent", tau: float = 0.7,
-                     logit_offset: np.ndarray | None = None,
+                     loss: str = "xent", tau: float = 0.7, logit_offset: np.ndarray | None = None,
                      scratch: dict | None = None) -> MlpPass:
     """Closed-form forward of the ReLU MLP for an xent or GCE loss.
 
     Performs the numpy operations of the tape graph (the layers, then the
     capped cross-entropy or GCE on the true-class probability) in the same
     order, so every value matches the tape bit for bit. The pass and its
-    ``mlp_backward`` write into the buffers of ``scratch``, a dict that a
-    training loop keeps per model (a fresh one when None).
+    ``mlp_backward`` write into ``scratch``, one dict per model (fresh if None).
     """
     if loss not in ("xent", "gce"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -323,12 +304,8 @@ def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
     if logit_offset is not None:
         h += logit_offset
     log_probs = log_softmax_numpy(h, out=_buf(scratch, "log_probs", h.shape))
-    rows = scratch.get(("rows", len(h)))
-    if rows is None:
-        rows = scratch["rows", len(h)] = np.arange(len(h))
-    nll = log_probs[rows, y]
-    return MlpPass(params, acts, pre, log_probs, y, np.negative(nll, out=nll),
-                   loss, float(tau), scratch)
+    nll = -log_probs[np.arange(len(h)), y]
+    return MlpPass(params, acts, pre, log_probs, y, nll, loss, float(tau), scratch)
 
 
 def mlp_backward(fwd: MlpPass, weights: np.ndarray,
@@ -354,31 +331,27 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
         p = np.exp(-fwd.nll)
         p_floored = np.maximum(p, P_FLOOR)
         losses = (1.0 - p_floored ** fwd.tau) / fwd.tau
-    losses *= w
-    lval = float(losses.sum() * (1.0 / n))
+    lval = float((losses * w).sum() * (1.0 / n))
     if not math.isfinite(lval):
         raise TrainingDiverged(f"non-finite loss {lval}")
     g = w * (1.0 / n)
     if fwd.loss == "xent":
-        g *= fwd.nll <= XENT_MAX
-        np.negative(g, out=g)
+        g = -(g * (fwd.nll <= XENT_MAX))
     else:
         g = -(g / fwd.tau) * fwd.tau * p_floored ** (fwd.tau - 1.0)
         g = g * (p >= P_FLOOR) * p
-    scratch, shape = fwd.scratch, fwd.log_probs.shape
-    g_lp = _buf(scratch, "g_lp", shape)
+    g_lp = _buf(fwd.scratch, "g_lp", fwd.log_probs.shape)
     g_lp.fill(0.0)
-    g_lp[scratch["rows", n], fwd.labels] = g
-    # g_lp's row sums: each row holds g_n and +0.0s, and any sum of those
-    # is g_n + 0.0 to the bit (-0.0 + 0.0 is +0.0), so no reduction is run
-    g += 0.0
-    g_logits = np.exp(fwd.log_probs, out=_buf(scratch, "g_logits", shape))
-    g_logits *= g[:, None]
-    g = np.subtract(g_lp, g_logits, out=g_logits)
+    g_lp[np.arange(n), fwd.labels] = g
+    # g_lp's row sums: a row holds g_n and +0.0s, and any sum of those is
+    # g_n + 0.0 to the bit (-0.0 + 0.0 is +0.0), so no reduction is run
+    e = np.exp(fwd.log_probs, out=_buf(fwd.scratch, "g_logits", g_lp.shape))
+    e *= (g + 0.0)[:, None]
+    g = np.subtract(g_lp, e, out=e)
     if out.layer_sizes != fwd.params.layer_sizes:
         raise ValueError("gradient and parameter layouts differ")
     grads = out.arrays
-    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads, scratch=scratch)
+    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads, fwd.scratch)
     check_finite_gradient(out.flat, grads, lambda k: f"parameter array {k}")
     return lval, grads
 
@@ -450,8 +423,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
         w = ones[:len(idx)] if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
         fwd = mlp_loss_forward(
             params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
-            logit_offset=None if logit_offset is None else logit_offset[idx],
-            scratch=scratch)
+            logit_offset=None if logit_offset is None else logit_offset[idx], scratch=scratch)
         lval, _ = mlp_backward(fwd, w, out=grad)
         opt.step(params.flat, grad.flat)
         # uncapped cross-entropy of the raw logits, for divergence tracking
@@ -488,8 +460,7 @@ def save_model(params: MlpParams, out_dir: str | Path,
 
 def load_model(in_dir: str | Path) -> tuple[MlpParams, dict]:
     src = Path(in_dir)
-    meta = json.loads((src / "model.json").read_text())
-    check_schema_version(meta, src / "model.json")
+    meta = read_meta(src / "model.json", {"layer_sizes": list})
     sizes = meta["layer_sizes"]
     count = sum(map(math.prod, _mlp_shapes(sizes)))
     return MlpParams(sizes, flat=read_f64le(src / "params.f64le", count)), meta

@@ -223,10 +223,18 @@ def check_fields(obj) -> None:
             raise ConfigError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
 
 
-def check_schema_version(meta: dict, path: Path) -> None:
-    version = meta.get("schema_version")
-    if version != 1:
+def read_meta(path: Path, types: dict[str, type]) -> dict:
+    """The JSON object in ``path`` with schema_version 1 and each key of ``types`` of that type."""
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    if (version := meta.get("schema_version")) != 1:
         raise ValueError(f"{path}: schema_version must be 1, got {version!r}")
+    _require(types, meta, str(path))
+    for key, kind in types.items():
+        if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
+            raise ValueError(f"{path}: {key} must be {kind.__name__}, got {meta[key]!r}")
+    return meta
 
 
 def read_f64le(path: Path, count: int) -> np.ndarray:
@@ -269,9 +277,8 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
     """The dataset that ``save_dataset`` wrote; a malformed one raises ValueError."""
     src = Path(in_dir)
     path = src / "meta.json"
-    meta = json.loads(path.read_text())
-    check_schema_version(meta, path)
-    _require(("n", "feature_dim", "num_classes", "columns"), meta, str(path))
+    meta = read_meta(path, {"n": int, "feature_dim": int, "num_classes": int,
+                            "columns": list})
     n, d, c = meta["n"], meta["feature_dim"], meta["num_classes"]
     n_columns = 4 if "bias" in meta["columns"] else 2
     raw = read_f64le(src / "data.f64le", n * d + (n_columns - 1) * n)

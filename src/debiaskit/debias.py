@@ -193,13 +193,9 @@ def anneal_weight(w_n, t: int, ac: AnnealConfig):
     return ac.w_init + t * (w_n - ac.w_init) / ac.t_anneal
 
 
-def weighted_sampler(weights: np.ndarray, batch_size: int,
-                     seed: int) -> Iterator[np.ndarray]:
-    """I.i.d. batches with replacement, P(pick n) = w_n / sum(w).
-
-    Draws the indices that ``rng.choice(n, batch_size, p=w / sum(w))`` draws,
-    from the cumulative sum that ``choice`` builds, but builds it once
-    instead of once per batch."""
+def weighted_sampler(weights: np.ndarray, batch_size: int, seed: int) -> Iterator[np.ndarray]:
+    """I.i.d. batches with replacement, P(pick n) = w_n / sum(w): the indices that
+    ``rng.choice(n, batch_size, p=w / sum(w))`` draws, from its CDF built once."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("negative weight")
@@ -410,7 +406,6 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
     opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad_psi, grad_theta = (MlpParams(sizes, flat=np.empty_like(psi.flat)),
                             MlpParams(sizes, flat=np.empty_like(theta.flat)))
-
     scratch_psi, scratch_theta, ones = {}, {}, np.ones(cfg.batch_size)
 
     def step_fn(idx, step):

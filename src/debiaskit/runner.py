@@ -154,16 +154,20 @@ def _write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray) -> Non
                                          [w.provenance] * n))
 
 
-def _datasets_for_seed(cfg: RunConfig, run_seed: int):
-    if cfg.dataset_path is not None:
-        train_ds = load_dataset(cfg.dataset_path)
-        gen = train_ds.cfg
-        if gen is None:
-            raise ConfigError("stored dataset lacks its generation config; "
-                              "cannot build an unbiased test split")
+def _stored_dataset(cfg: RunConfig) -> LabeledDataset | None:
+    """The dataset at ``cfg.dataset_path``, checked; None without one."""
+    ds = None if cfg.dataset_path is None else load_dataset(cfg.dataset_path)
+    if ds is not None and ds.cfg is None:
+        raise ConfigError("stored dataset lacks its generation config; "
+                          "cannot build an unbiased test split")
+    return ds
+
+
+def _datasets_for_seed(cfg: RunConfig, run_seed: int, stored: LabeledDataset | None):
+    if stored is not None:
+        gen = stored.cfg
         test_seed = int(np.random.SeedSequence((gen.seed, run_seed, 1)).generate_state(1)[0])
-        test_ds = generate(unbiased_config(gen, cfg.test_n, test_seed))
-        return train_ds, test_ds
+        return stored, generate(unbiased_config(gen, cfg.test_n, test_seed))
     gen = cfg.dataset
     ss = np.random.SeedSequence((gen.seed, run_seed)).generate_state(2)
     train_ds = generate(replace(gen, seed=int(ss[0])))
@@ -171,9 +175,11 @@ def _datasets_for_seed(cfg: RunConfig, run_seed: int):
     return train_ds, test_ds
 
 
-def run_single(cfg: RunConfig, run_seed: int):
-    """Run one seed; returns (pipeline result, train split, test split)."""
-    train_ds, test_ds = _datasets_for_seed(cfg, run_seed)
+def run_single(cfg: RunConfig, run_seed: int, stored: LabeledDataset | None = None):
+    """Run one seed; returns (pipeline result, train split, test split).
+    ``stored``: the dataset at ``cfg.dataset_path``, if already read."""
+    stored = _stored_dataset(cfg) if stored is None else stored
+    train_ds, test_ds = _datasets_for_seed(cfg, run_seed, stored)
     train_cfg = replace(cfg.train, seed=run_seed)
     result = run_debias_pipeline(
         train_ds, test_ds, cfg.scheme, cfg.method,
@@ -196,12 +202,13 @@ def summarize(rows: list[dict]) -> dict:
 
 def run_experiment(cfg: RunConfig) -> dict:
     """Execute every seed, write all artifacts, and return the summary."""
+    stored = _stored_dataset(cfg)  # before any output: a bad dataset leaves none
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
     csv_rows, timings = [], {}
     for run_seed in cfg.seeds:
-        result, train_ds, _ = run_single(cfg, run_seed)
+        result, train_ds, _ = run_single(cfg, run_seed, stored)
         csv_rows += [[run_seed, *row.csv_values()] for row in result.history]
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
         if result.weights is not None:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from debiaskit.classifier import (XENT_MAX, GceConfig, MlpParams, TrainConfig,
                                   save_model, shuffle_batches, softmax_numpy,
                                   train, TrainingDiverged)
 from debiaskit.data import GenConfig, LabeledDataset, generate_two_factor, unbiased_config
+from debiaskit.debias import weighted_sampler
 from debiaskit.metrics import evaluate_accuracy
 
 from conftest import (_forward_graph, assert_views_of_flat, central_diff, gce_loss,
@@ -37,6 +39,19 @@ def test_single_row_matches_batch_row(rng):
     batch = rng.normal(size=(6, 5))
     full = mlp_forward(p, batch)
     np.testing.assert_allclose(mlp_forward(p, batch[3]), full[3], atol=1e-14)
+
+
+def test_forward_of_a_large_batch_equals_the_plain_layer_chain(rng):
+    """The in-place full-data forward gives the bytes of the plain chain
+    max(x @ W + b, 0), one fresh array per operation."""
+    p = init_mlp([20, 64, 64, 10], seed=2)
+    for a in p.arrays:
+        a += rng.normal(scale=0.1, size=a.shape)
+    x = rng.normal(size=(5000, 20))
+    h = x
+    for w, b in zip(p.arrays[:-2:2], p.arrays[1:-2:2]):
+        h = np.maximum(h @ w + b, 0.0)
+    assert mlp_forward(p, x).tobytes() == (h @ p.arrays[-2] + p.arrays[-1]).tobytes()
 
 
 def test_forward_dim_mismatch():
@@ -244,6 +259,18 @@ def test_load_model_rejects_truncated_params(tmp_path):
         load_model(tmp_path / "m")
 
 
+@pytest.mark.parametrize("meta,message", [
+    ([1], "expected a JSON object, got list"),
+    ({"schema_version": 1}, "missing key(s) ['layer_sizes']"),
+    ({"schema_version": 1, "layer_sizes": "6,4,3"}, "layer_sizes must be list")],
+    ids=["list", "no-layer_sizes", "layer_sizes-str"])
+def test_load_model_rejects_a_malformed_model_json(tmp_path, meta, message):
+    save_model(init_mlp([6, 4, 3], seed=9), tmp_path / "m")
+    (tmp_path / "m" / "model.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(f"model.json: {message}")):
+        load_model(tmp_path / "m")
+
+
 def test_load_model_rejects_wrong_schema_version(tmp_path):
     save_model(init_mlp([6, 4, 3], seed=9), tmp_path / "m")
     meta_path = tmp_path / "m" / "model.json"
@@ -364,11 +391,13 @@ def test_non_finite_gradient_names_its_array():
             tape_loss_and_grads(params.arrays, x, y, w)
 
 
-def _tape_train(ds, cfg, *, loss="xent", tau=0.7, weight_fn=None, logit_offset=None):
+def _tape_train(ds, cfg, *, loss="xent", tau=0.7, weight_fn=None, logit_offset=None,
+                sampler=None):
     """Reference loop: ``train`` as it was with a tape per step."""
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
     params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
-    sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
+    if sampler is None:
+        sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = ref_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     losses = []
     for step in range(cfg.epochs * math.ceil(len(ds) / cfg.batch_size)):
@@ -382,29 +411,41 @@ def _tape_train(ds, cfg, *, loss="xent", tau=0.7, weight_fn=None, logit_offset=N
     return params, losses
 
 
+def _choice_batches(w, batch_size, seed):
+    """Weighted sampling as numpy's own ``choice`` draws it."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.choice(len(w), size=batch_size, p=w / w.sum())
+
+
 @pytest.mark.parametrize("loss,optimizer,weighted", [
     ("xent", "adam", False), ("xent", "adam", True), ("gce", "adam", False),
-    ("xent", "sgd", True)])
+    ("xent", "sgd", True), ("xent", "adam", "ws")])
 def test_train_matches_tape_reference_bitwise(loss, optimizer, weighted):
+    """``weighted``: per-sample loss weights and a logit offset (True), or
+    batches drawn by ``weighted_sampler``, which the reference draws with
+    ``rng.choice`` ("ws")."""
     gen = GenConfig(num_classes=4, n=300, bc_ratio=0.05, seed=8)
     ds = generate_two_factor(gen)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16, 8), seed=4,
                       optimizer=optimizer, lr=1e-2, momentum=0.9, weight_decay=1e-3)
     rng = np.random.default_rng(3)
     w_all = rng.uniform(0.1, 10.0, size=len(ds))
-    weight_fn = (lambda idx, t: w_all[idx]) if weighted else None
-    offset = np.log(rng.dirichlet(np.ones(4), size=len(ds))) if weighted else None
-    params, history = train(ds, cfg, loss=loss, weight_fn=weight_fn,
-                            logit_offset=offset)
+    weight_fn = (lambda idx, t: w_all[idx]) if weighted is True else None
+    offset = np.log(rng.dirichlet(np.ones(4), size=len(ds))) if weighted is True else None
+    ws = weighted == "ws"
+    params, history = train(ds, cfg, loss=loss, weight_fn=weight_fn, logit_offset=offset,
+                            sampler=weighted_sampler(w_all, 64, 7) if ws else None)
     ref, ref_losses = _tape_train(ds, cfg, loss=loss, weight_fn=weight_fn,
-                                  logit_offset=offset)
+                                  logit_offset=offset,
+                                  sampler=_choice_batches(w_all, 64, 7) if ws else None)
     for a, b in zip(params.arrays, ref.arrays):
         assert a.tobytes() == b.tobytes()
     steps = math.ceil(len(ds) / cfg.batch_size)
     for epoch, row in enumerate(history):
         chunk = ref_losses[epoch * steps:(epoch + 1) * steps]
-        sizes = [64] * (steps - 1) + [len(ds) - 64 * (steps - 1)]
-        assert row["train_loss"] == sum(v * k for v, k in zip(chunk, sizes)) / len(ds)
+        sizes = [64] * steps if ws else [64] * (steps - 1) + [len(ds) - 64 * (steps - 1)]
+        assert row["train_loss"] == sum(v * k for v, k in zip(chunk, sizes)) / sum(sizes)
 
 
 @pytest.mark.parametrize("over", [

@@ -199,6 +199,33 @@ def test_stored_dataset_without_feature_dim_fails_with_a_message(tmp_path, capsy
     assert not out.exists()
 
 
+def test_debias_on_a_malformed_dataset_writes_no_run_directory(tmp_path, capsys):
+    data = _gen(tmp_path)
+    meta = json.loads((data / "meta.json").read_text())
+    del meta["feature_dim"]
+    (data / "meta.json").write_text(json.dumps(meta))
+    assert main(["debias", "--config", str(_debias_config(tmp_path, data))]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: [1], "expected a JSON object, got list"),
+    (lambda m: {**m, "n": "50"}, "n must be int, got '50'"),
+    (lambda m: {**m, "feature_dim": 6.0}, "feature_dim must be int, got 6.0"),
+    (lambda m: {**m, "num_classes": True}, "num_classes must be int, got True"),
+    (lambda m: {**m, "columns": "features,labels"}, "columns must be list")],
+    ids=["list", "n-str", "feature_dim-float", "num_classes-bool", "columns-str"])
+def test_malformed_meta_json_fails_with_a_message(tmp_path, capsys, edit, message):
+    data = _gen(tmp_path)
+    meta = json.loads((data / "meta.json").read_text())
+    (data / "meta.json").write_text(json.dumps(edit(meta)))
+    out = tmp_path / "amp"
+    assert main(["train-biased", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data / 'meta.json'}: {message}")
+    assert not out.exists()
+
+
 def test_stored_label_outside_the_classes_fails_with_a_message(tmp_path, capsys):
     data = _gen(tmp_path, classes=3)
     raw = np.frombuffer((data / "data.f64le").read_bytes(), dtype="<f8").copy()

@@ -122,6 +122,24 @@ def test_sampler_rejects_all_zero():
         next(weighted_sampler(np.zeros(3), batch_size=4, seed=0))
 
 
+@pytest.mark.parametrize("n", [2_000, 10_000, 100_000])
+@pytest.mark.parametrize("kind", ["uniform", "skewed", "zeros"])
+def test_sampler_draws_what_numpy_choice_draws(n, kind):
+    """Each batch holds the indices ``rng.choice(n, size, p=w / sum(w))``
+    draws from the same seed, so a numpy release that changes ``choice``
+    fails here instead of silently moving WS output."""
+    w = {"uniform": np.ones(n),
+         "skewed": np.random.default_rng(n).pareto(0.5, size=n) + 1e-3,
+         "zeros": np.where(np.arange(n) % 3 == 0, 0.0, 1.0 + np.arange(n) % 7)}[kind]
+    for seed in (0, 1, 12345):
+        gen = weighted_sampler(w, batch_size=128, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            want = rng.choice(n, size=128, p=w / w.sum())
+            got = next(gen)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_sampler_deterministic():
     a = np.concatenate([next(weighted_sampler(np.arange(1, 5.0), 64, seed=9))
                         for _ in range(3)])
