@@ -252,6 +252,7 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     out = Path(cfg.out_dir)
     points = [replace(cfg, **{axis: v}, out_dir=str(out / name))
               for v, name in zip(values, names)]
+    _stored_dataset(cfg)  # a bad dataset fails before any output
     out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
