@@ -133,8 +133,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.layer_sizes[0]:
         raise ValueError(f"input dim {x.shape[-1]} != {params.layer_sizes[0]}")
-    logits = mlp_final_hidden(params, x) @ params.arrays[-2]
-    logits += params.arrays[-1]
+    logits = mlp_final_hidden(params, x) @ params.arrays[-2] + params.arrays[-1]
     return logits[0] if x.ndim == 1 else logits
 
 
@@ -204,8 +203,10 @@ def shuffle_batches(n: int, batch_size: int, seed: int,
             yield order[start:start + batch_size]
 
 
-def _buf(scratch: dict, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """The buffer ``scratch[key, shape]``, allocated on its first use."""
+def _buf(scratch: dict | None, key, shape: tuple[int, ...], dtype=np.float64):
+    """``scratch[key, shape]``, allocated on first use; None (numpy allocates) without one."""
+    if scratch is None:
+        return None
     if (a := scratch.get((key, shape))) is None:
         a = scratch[key, shape] = np.empty(shape, dtype=dtype)
     return a
@@ -236,7 +237,7 @@ class MlpPass:
         return np.minimum(self.nll, XENT_MAX)
 
 
-def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict):
+def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = None):
     """Forward of a 2-D batch ``h`` through the ReLU layers ``arrays`` (W, b
     alternating): the output, the input of every linear layer (``h`` first)
     and the pre-activation of every hidden layer, as ``mlp_layers_backward``
@@ -257,7 +258,8 @@ def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict):
 
 def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray],
                         pre: list[np.ndarray], g: np.ndarray,
-                        grads: list[np.ndarray], scratch: dict, input_grad: bool = False):
+                        grads: list[np.ndarray], input_grad: bool = False,
+                        scratch: dict | None = None):
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
     tape's operation order, with adjoints and ReLU masks in ``scratch``. Writes
     the gradient of each W, b into ``grads``; returns the adjoint of the input
@@ -351,7 +353,7 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
     if out.layer_sizes != fwd.params.layer_sizes:
         raise ValueError("gradient and parameter layouts differ")
     grads = out.arrays
-    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads, fwd.scratch)
+    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads, scratch=fwd.scratch)
     check_finite_gradient(out.flat, grads, lambda k: f"parameter array {k}")
     return lval, grads
 

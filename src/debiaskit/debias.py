@@ -194,8 +194,7 @@ def anneal_weight(w_n, t: int, ac: AnnealConfig):
 
 
 def weighted_sampler(weights: np.ndarray, batch_size: int, seed: int) -> Iterator[np.ndarray]:
-    """I.i.d. batches with replacement, P(pick n) = w_n / sum(w): the indices that
-    ``rng.choice(n, batch_size, p=w / sum(w))`` draws, from its CDF built once."""
+    """I.i.d. batches with replacement, P(pick n) = w_n / sum(w), drawn as ``rng.choice`` draws."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("negative weight")

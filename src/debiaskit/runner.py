@@ -165,9 +165,8 @@ def _stored_dataset(cfg: RunConfig) -> LabeledDataset | None:
 
 def _datasets_for_seed(cfg: RunConfig, run_seed: int, stored: LabeledDataset | None):
     if stored is not None:
-        gen = stored.cfg
-        test_seed = int(np.random.SeedSequence((gen.seed, run_seed, 1)).generate_state(1)[0])
-        return stored, generate(unbiased_config(gen, cfg.test_n, test_seed))
+        test_seed = int(np.random.SeedSequence((stored.cfg.seed, run_seed, 1)).generate_state(1)[0])
+        return stored, generate(unbiased_config(stored.cfg, cfg.test_n, test_seed))
     gen = cfg.dataset
     ss = np.random.SeedSequence((gen.seed, run_seed)).generate_state(2)
     train_ds = generate(replace(gen, seed=int(ss[0])))

@@ -183,12 +183,12 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     n, dz, c = x.shape[0], cfg.dim_z, cfg.num_classes
     if np.any(y < 0) or np.any(y >= c):
         raise ValueError("label out of range")
-    enc_out, enc_acts, enc_pre = mlp_layers(params.encoder.arrays, x, {})
+    enc_out, enc_acts, enc_pre = mlp_layers(params.encoder.arrays, x)
     mu_x, log_sigma_x = enc_out[:, :dz], enc_out[:, dz:2 * dz]
     sigma_x = np.exp(log_sigma_x)
     z = mu_x + sigma_x * eps
 
-    x_hat, dec_acts, dec_pre = mlp_layers(params.decoder.arrays, z, {})
+    x_hat, dec_acts, dec_pre = mlp_layers(params.decoder.arrays, z)
     diff = np.subtract(x_hat, x, out=x_hat)
     rec = (diff * diff).sum(axis=1) * 0.5
 
@@ -247,7 +247,7 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     g_diff += g_diff
     dec = params.decoder.arrays
     g_z = g_z + mlp_layers_backward(dec, dec_acts, dec_pre, g_diff,
-                                    grads[n_enc:n_enc + n_dec], {}, input_grad=True)
+                                    grads[n_enc:n_enc + n_dec], input_grad=True)
 
     # z = mu_x + sigma_x * eps, sigma_x = exp(log_sigma_x), into the encoder
     g_mu_x = g_dmu + g_z
@@ -255,7 +255,7 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     g_log_sigma_x = -g_kl + g_sigma_x * sigma_x
     g_enc = np.concatenate((g_mu_x, g_log_sigma_x), axis=1)
     mlp_layers_backward(params.encoder.arrays, enc_acts, enc_pre, g_enc,
-                        grads[:n_enc], {})
+                        grads[:n_enc])
     check_finite_gradient(out, grads, lambda k: _array_name(k, n_enc, n_dec))
     return loss, grads
 
