@@ -464,5 +464,7 @@ def load_model(in_dir: str | Path) -> tuple[MlpParams, dict]:
     src = Path(in_dir)
     meta = read_meta(src / "model.json", {"layer_sizes": list})
     sizes = meta["layer_sizes"]
+    if not all(type(k) is int and k >= 1 for k in sizes):
+        raise ValueError(f"{src / 'model.json'}: layer_sizes must be ints >= 1, got {sizes!r}")
     count = sum(map(math.prod, _mlp_shapes(sizes)))
     return MlpParams(sizes, flat=read_f64le(src / "params.f64le", count)), meta

@@ -225,7 +225,10 @@ def check_fields(obj) -> None:
 
 def read_meta(path: Path, types: dict[str, type]) -> dict:
     """The JSON object in ``path`` with schema_version 1 and each key of ``types`` of that type."""
-    meta = json.loads(path.read_text())
+    try:
+        meta = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
     if (version := meta.get("schema_version")) != 1:

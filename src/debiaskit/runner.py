@@ -154,19 +154,16 @@ def _write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray) -> Non
                                          [w.provenance] * n))
 
 
-def _stored_dataset(cfg: RunConfig) -> LabeledDataset | None:
-    """The dataset at ``cfg.dataset_path``, checked; None without one."""
-    ds = None if cfg.dataset_path is None else load_dataset(cfg.dataset_path)
-    if ds is not None and ds.cfg is None:
-        raise ConfigError("stored dataset lacks its generation config; "
-                          "cannot build an unbiased test split")
-    return ds
-
-
-def _datasets_for_seed(cfg: RunConfig, run_seed: int, stored: LabeledDataset | None):
-    if stored is not None:
-        test_seed = int(np.random.SeedSequence((stored.cfg.seed, run_seed, 1)).generate_state(1)[0])
-        return stored, generate(unbiased_config(stored.cfg, cfg.test_n, test_seed))
+def _datasets_for_seed(cfg: RunConfig, run_seed: int):
+    if cfg.dataset_path is not None:
+        train_ds = load_dataset(cfg.dataset_path)
+        gen = train_ds.cfg
+        if gen is None:
+            raise ConfigError("stored dataset lacks its generation config; "
+                              "cannot build an unbiased test split")
+        test_seed = int(np.random.SeedSequence((gen.seed, run_seed, 1)).generate_state(1)[0])
+        test_ds = generate(unbiased_config(gen, cfg.test_n, test_seed))
+        return train_ds, test_ds
     gen = cfg.dataset
     ss = np.random.SeedSequence((gen.seed, run_seed)).generate_state(2)
     train_ds = generate(replace(gen, seed=int(ss[0])))
@@ -174,11 +171,9 @@ def _datasets_for_seed(cfg: RunConfig, run_seed: int, stored: LabeledDataset | N
     return train_ds, test_ds
 
 
-def run_single(cfg: RunConfig, run_seed: int, stored: LabeledDataset | None = None):
-    """Run one seed; returns (pipeline result, train split, test split).
-    ``stored``: the dataset at ``cfg.dataset_path``, if already read."""
-    stored = _stored_dataset(cfg) if stored is None else stored
-    train_ds, test_ds = _datasets_for_seed(cfg, run_seed, stored)
+def run_single(cfg: RunConfig, run_seed: int):
+    """Run one seed; returns (pipeline result, train split, test split)."""
+    train_ds, test_ds = _datasets_for_seed(cfg, run_seed)
     train_cfg = replace(cfg.train, seed=run_seed)
     result = run_debias_pipeline(
         train_ds, test_ds, cfg.scheme, cfg.method,
@@ -201,13 +196,13 @@ def summarize(rows: list[dict]) -> dict:
 
 def run_experiment(cfg: RunConfig) -> dict:
     """Execute every seed, write all artifacts, and return the summary."""
-    stored = _stored_dataset(cfg)  # before any output: a bad dataset leaves none
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
     csv_rows, timings = [], {}
     for run_seed in cfg.seeds:
-        result, train_ds, _ = run_single(cfg, run_seed, stored)
+        result, train_ds, _ = run_single(cfg, run_seed)
+        if run_seed == cfg.seeds[0]:  # after a seed ran: an unreadable dataset leaves no output
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
         csv_rows += [[run_seed, *row.csv_values()] for row in result.history]
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
         if result.weights is not None:
@@ -233,6 +228,7 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     """One experiment per axis value plus a merged long-format CSV.
 
     Every point's config is built, and so checked, before any point runs.
+    Each point creates ``out`` with its own directory.
     With ``jobs > 1`` each pool worker runs one BLAS thread: N workers that
     kept the parent's threads would run N times as many threads as cores.
     """
@@ -251,8 +247,6 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     out = Path(cfg.out_dir)
     points = [replace(cfg, **{axis: v}, out_dir=str(out / name))
               for v, name in zip(values, names)]
-    _stored_dataset(cfg)  # a bad dataset fails before any output
-    out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
                                  initargs=(1,)) as pool:

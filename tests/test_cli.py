@@ -218,12 +218,14 @@ def test_a_malformed_dataset_fails_before_any_run_or_sweep_directory(tmp_path, c
     (lambda m: {**m, "n": "50"}, "n must be int, got '50'"),
     (lambda m: {**m, "feature_dim": 6.0}, "feature_dim must be int, got 6.0"),
     (lambda m: {**m, "num_classes": True}, "num_classes must be int, got True"),
-    (lambda m: {**m, "columns": "features,labels"}, "columns must be list")],
-    ids=["list", "n-str", "feature_dim-float", "num_classes-bool", "columns-str"])
+    (lambda m: {**m, "columns": "features,labels"}, "columns must be list"),
+    (lambda m: "{not json", "Expecting property name")],
+    ids=["list", "n-str", "feature_dim-float", "num_classes-bool", "columns-str", "not-json"])
 def test_malformed_meta_json_fails_with_a_message(tmp_path, capsys, edit, message):
+    """``edit`` returns the new meta object, or the file's raw text."""
     data = _gen(tmp_path)
-    meta = json.loads((data / "meta.json").read_text())
-    (data / "meta.json").write_text(json.dumps(edit(meta)))
+    meta = edit(json.loads((data / "meta.json").read_text()))
+    (data / "meta.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
     out = tmp_path / "amp"
     assert main(["train-biased", "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {data / 'meta.json'}: {message}")
