@@ -138,7 +138,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Activation feeding the final linear layer (x for 0 hidden layers), in place."""
+    """Activation feeding the final linear layer (input x for 0 hidden layers), in place."""
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n_layers = len(params.arrays) // 2
     for i in range(n_layers - 1):
@@ -217,9 +217,9 @@ class MlpPass:
     """One batch through the MLP, kept for ``mlp_backward``.
 
     ``acts[i]`` is the input to linear layer i (the batch for i = 0) and
-    ``pre[i]`` the pre-activation of hidden layer i. Every array but the
-    batch is a buffer of ``scratch``: it lives until the next pass through
-    the same scratch, which in ``train`` and LfF is that model's next step.
+    ``pre[i]`` the pre-activation of hidden layer i. These (but the batch)
+    and ``log_probs`` are buffers of ``scratch``: they live until the next
+    pass through the same scratch, in ``train`` and LfF that model's next step.
     """
 
     params: MlpParams
