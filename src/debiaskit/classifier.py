@@ -417,12 +417,12 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
         sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad = MlpParams(params.layer_sizes, flat=np.empty_like(params.flat))
-    scratch, ones = {}, np.ones(cfg.batch_size)  # the step's buffers, kept across steps
+    scratch = {}  # the step's buffers, kept across steps
     xent_total = 0.0
 
     def step_fn(idx, step):
         nonlocal xent_total
-        w = ones[:len(idx)] if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
+        w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
         fwd = mlp_loss_forward(
             params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
             logit_offset=None if logit_offset is None else logit_offset[idx], scratch=scratch)

@@ -405,7 +405,7 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
     opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad_psi, grad_theta = (MlpParams(sizes, flat=np.empty_like(psi.flat)),
                             MlpParams(sizes, flat=np.empty_like(theta.flat)))
-    scratch_psi, scratch_theta, ones = {}, {}, np.ones(cfg.batch_size)
+    scratch_psi, scratch_theta = {}, {}  # each model's step buffers
 
     def step_fn(idx, step):
         xb, yb = train_ds.features[idx], train_ds.labels[idx]
@@ -413,7 +413,7 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
         fwd_d = mlp_loss_forward(theta, xb, yb, scratch=scratch_theta)
         # ratio weights from current losses, before either update
         w = lff_weight(fwd_b.xent(), fwd_d.xent())
-        mlp_backward(fwd_b, ones[:len(idx)], out=grad_psi)
+        mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
         lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
         opt_psi.step(psi.flat, grad_psi.flat)
         opt_theta.step(theta.flat, grad_theta.flat)
