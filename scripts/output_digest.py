@@ -22,6 +22,10 @@ The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 1/(rho/(C-1)) and (C-1)/rho differ in the last bit); every valid
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 ``sweep --t-bias 1,2 --jobs 2``; ``vcae``; ``train-biased``; ``oracle-check``.
+Then, for one seed and one epoch: biased-confidence/LW, pgd/WS and lff/LW on
+a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
+whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
+colored-glyphs dataset.
 """
 
 import argparse
@@ -43,23 +47,34 @@ PAIRS = [(s, m) for s in ("oracle-ub", "oracle-yb", "biased-confidence")
 PAIRS += [(s, m) for s in ("vanilla", "vcae") for m in ("LW", "ALW", "WS")]
 PAIRS += [("lff", "LW"), ("pgd", "WS")]
 
-DATASETS = {"d4": (4, 0.049, 800, 3), "d10": (10, 0.007, 2000, 4)}  # C, rho, n, seed
+# name: (kind, C, rho, n, seed, run config overrides, scheme/method pairs)
+DATASETS = {
+    "d4": ("two-factor", 4, 0.049, 800, 3, {}, PAIRS),
+    "d10": ("two-factor", 10, 0.007, 2000, 4, {}, PAIRS),
+    "b10": ("two-factor", 10, 0.01, 5000, 5,
+            {"seeds": [0], "test_n": 4500,
+             "train": {"epochs": 1, "batch_size": 64, "hidden": [64, 64]}},
+            [("biased-confidence", "LW"), ("pgd", "WS"), ("lff", "LW")]),
+    "g6": ("colored-glyphs", 6, 0.05, 300, 6,
+           {"seeds": [0], "train": {"epochs": 1, "batch_size": 64, "hidden": [16]}},
+           [("vcae", "LW")]),
+}
 
 
-def run_config(data: str, classes: int) -> dict:
+def run_config(data: str, classes: int, overrides: dict) -> dict:
     return {"schema_version": 1, "test_n": 300, "gamma": 50.0, "t_bias": 2,
             "anneal": {"t_anneal": 5}, "seeds": [0, 1], "dataset_path": data,
             "train": {"epochs": 2, "batch_size": 64, "hidden": [16]},
-            "vcae": {"num_classes": classes, "hidden": [16]}}
+            "vcae": {"num_classes": classes, "hidden": [16]}, **overrides}
 
 
 def jobs() -> list[list[str]]:
     out = []
-    for data, (c, rho, n, seed) in DATASETS.items():
-        out.append(["generate", "--classes", str(c), "--rho", str(rho), "--n", str(n),
-                    "--seed", str(seed), "--out", data])
+    for data, (kind, c, rho, n, seed, _, pairs) in DATASETS.items():
+        out.append(["generate", "--kind", kind, "--classes", str(c), "--rho", str(rho),
+                    "--n", str(n), "--seed", str(seed), "--out", data])
         out += [["debias", "--config", f"{data}.json", "--scheme", s, "--method", m,
-                 "--out", f"runs/{data}/{s}-{m}"] for s, m in PAIRS]
+                 "--out", f"runs/{data}/{s}-{m}"] for s, m in pairs]
     bc = ["--scheme", "biased-confidence", "--method", "LW"]
     return out + [
         ["sweep", "--config", "d10.json", *bc, "--gamma", "20,200", "--out", "sweep-gamma"],
@@ -77,8 +92,8 @@ def digest(work: Path, src: Path) -> list[str]:
     work.mkdir(parents=True, exist_ok=True)
     if any(work.iterdir()):
         sys.exit(f"{work} is not empty")
-    for data, (c, *_) in DATASETS.items():
-        (work / f"{data}.json").write_text(json.dumps(run_config(data, c)) + "\n")
+    for data, (_, c, _, _, _, overrides, _) in DATASETS.items():
+        (work / f"{data}.json").write_text(json.dumps(run_config(data, c, overrides)) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     for argv in jobs():
         subprocess.run([sys.executable, "-m", "debiaskit.cli", *argv], cwd=work, env=env,

@@ -128,24 +128,47 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpParams:
     return params
 
 
+def row_blocks(params: MlpParams, n: int) -> list[slice]:
+    """Row blocks of an ``n``-row pass through ``params``: ``rows`` rows each,
+    the last also taking the remainder; one block below ``2 * rows``.
+
+    ``rows = max(2048, ceil(2**20 / min(fan_in * fan_out)))`` keeps every layer
+    of every block above 10**6 multiply-adds. At or below that, dgemm may take
+    another kernel: against the first M rows of a 20,000-row product (OpenBLAS
+    0.3.31, 1 or 2 threads), an M-row product's rows differed up to M = 1,562
+    for 64 -> 10 (999,680 multiply-adds), 20 for 768 -> 64 (983,040), 40 for
+    768 -> 32, 1 for 20 -> 64 and 64 -> 64, and at every M to 4,199 for 16 -> 4
+    and 32 -> 4. So a block's rows are the bytes of the whole-array pass's."""
+    rows = max(2048, math.ceil(2**20 / min(w.size for w in params.arrays[::2])))
+    bounds = [*range(0, rows * max(n // rows, 1), rows), n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _forward_blocks(params: MlpParams, x: np.ndarray, final: bool) -> np.ndarray:
+    """The hidden layers, in place, then the final linear layer if ``final``,
+    on each of ``row_blocks`` of the 2-D ``x``; the blocks' results stacked."""
+    arrays, out = params.arrays, []
+    for rows in row_blocks(params, len(x)):
+        h = x[rows]
+        for w, b in zip(arrays[:-2:2], arrays[1:-2:2]):
+            h = h @ w
+            np.maximum(np.add(h, b, out=h), 0.0, out=h)
+        out.append(h @ arrays[-2] + arrays[-1] if final else h)
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a row or batch, plain numpy (no gradient tracking)."""
+    """Logits for a row or batch, plain numpy (no gradient tracking), by row blocks."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.layer_sizes[0]:
         raise ValueError(f"input dim {x.shape[-1]} != {params.layer_sizes[0]}")
-    logits = mlp_final_hidden(params, x) @ params.arrays[-2] + params.arrays[-1]
+    logits = _forward_blocks(params, np.atleast_2d(x), final=True)
     return logits[0] if x.ndim == 1 else logits
 
 
 def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Activation feeding the final linear layer (input x for 0 hidden layers), in place."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n_layers = len(params.arrays) // 2
-    for i in range(n_layers - 1):
-        h = h @ params.arrays[2 * i]
-        h += params.arrays[2 * i + 1]
-        np.maximum(h, 0.0, out=h)
-    return h
+    """Activation feeding the final linear layer (input x for 0 hidden layers), by row blocks."""
+    return _forward_blocks(params, np.atleast_2d(np.asarray(x, dtype=np.float64)), final=False)
 
 
 def log_softmax_numpy(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

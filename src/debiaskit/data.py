@@ -153,9 +153,8 @@ def generate_colored_glyphs(cfg: GenConfig) -> LabeledDataset:
     img = np.empty((n, GLYPH_SIDE, GLYPH_SIDE, 3))
     img[:] = palette[b][:, None, None, :]
     img += rng.normal(0.0, cfg.sigma_b, size=img.shape)
-    glyph = 1.0 + rng.normal(0.0, cfg.sigma_u, size=img.shape)
-    sel = masks[y][..., None]
-    img = np.where(sel, glyph, img)
+    # glyph pixels 1.0 + N(0, sigma_u^2): loc + scale * z is 1.0 + (0.0 + scale * z) to the bit
+    np.copyto(img, rng.normal(1.0, cfg.sigma_u, size=img.shape), where=masks[y][..., None])
     np.clip(img, 0.0, 1.0, out=img)
     return LabeledDataset(img.reshape(n, -1), y, num_classes=cfg.num_classes,
                           bias=b, cfg=cfg)
@@ -242,11 +241,10 @@ def read_meta(path: Path, types: dict[str, type]) -> dict:
 
 def read_f64le(path: Path, count: int) -> np.ndarray:
     """Exactly ``count`` little-endian doubles from ``path``, as float64."""
-    data = path.read_bytes()
-    if len(data) != 8 * count:
+    if (size := path.stat().st_size) != 8 * count:
         raise ValueError(f"{path}: expected {8 * count} bytes ({count} doubles), "
-                         f"found {len(data)}")
-    return np.frombuffer(data, dtype="<f8").astype(np.float64)
+                         f"found {size}")
+    return np.fromfile(path, dtype="<f8", count=count).astype(np.float64, copy=False)
 
 
 def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:

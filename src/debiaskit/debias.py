@@ -22,8 +22,8 @@ import numpy as np
 from . import blas
 from .classifier import (GceConfig, MlpParams, TrainConfig, init_mlp,
                          mlp_backward, mlp_final_hidden, mlp_forward,
-                         mlp_loss_forward, run_epochs, shuffle_batches,
-                         softmax_numpy, softmax_xent, train)
+                         mlp_loss_forward, row_blocks, run_epochs,
+                         shuffle_batches, softmax_numpy, softmax_xent, train)
 from .data import ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
@@ -357,8 +357,11 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             if method in ("LW", "ALW"):
                 weights = rescale_weights(weights)
         elif scheme == "pgd":
-            h = mlp_final_hidden(artifact.params, train_ds.features)
-            raw = pgd_weight(artifact.class_probs, train_ds.labels, h)
+            # by row blocks: the whole hidden layer and its square never exist
+            raw = np.concatenate([
+                pgd_weight(artifact.class_probs[rows], train_ds.labels[rows],
+                           mlp_final_hidden(artifact.params, train_ds.features[rows]))
+                for rows in row_blocks(artifact.params, len(train_ds))])
             total = raw.sum()
             if total <= 0:
                 raise ValueError("all gradient-norm weights are zero")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from debiaskit import autodiff as ad
 from debiaskit import classifier
 from debiaskit.classifier import (XENT_MAX, GceConfig, MlpParams, TrainConfig,
-                                  init_mlp, load_model,
-                                  mlp_backward, mlp_forward, mlp_loss_forward,
-                                  save_model, shuffle_batches, softmax_numpy,
+                                  init_mlp, load_model, mlp_backward,
+                                  mlp_final_hidden, mlp_forward, mlp_loss_forward,
+                                  row_blocks, save_model, shuffle_batches, softmax_numpy,
                                   train, TrainingDiverged)
 from debiaskit.data import GenConfig, LabeledDataset, generate_two_factor, unbiased_config
 from debiaskit.debias import weighted_sampler
@@ -42,16 +43,50 @@ def test_single_row_matches_batch_row(rng):
 
 
 def test_forward_of_a_large_batch_equals_the_plain_layer_chain(rng):
-    """The in-place full-data forward gives the bytes of the plain chain
-    max(x @ W + b, 0), one fresh array per operation."""
+    """The row-blocked, in-place full-data forward gives the bytes of the
+    plain chain max(x @ W + b, 0), one fresh array per operation, for one
+    block (4095 rows at 2048-row blocks) and several, with a remainder."""
+    for sizes, blocks in [([20, 64, 64, 10], (1, 2, 2, 4)),
+                          ([768, 64, 64, 10], (1, 2, 2, 4)),  # glyph classifier
+                          ([768, 32, 4], (1, 1, 1, 1))]:     # VCAE encoder, 8192-row blocks
+        p = init_mlp(sizes, seed=2)
+        for a in p.arrays:
+            a += rng.normal(scale=0.1, size=a.shape)
+        for n, n_blocks in zip((4095, 4097, 5000, 10000), blocks):
+            assert len(row_blocks(p, n)) == n_blocks
+            x = rng.normal(size=(n, sizes[0]))
+            h = x
+            for w, b in zip(p.arrays[:-2:2], p.arrays[1:-2:2]):
+                h = np.maximum(h @ w + b, 0.0)
+            assert mlp_final_hidden(p, x).tobytes() == h.tobytes(), (sizes, n)
+            assert mlp_forward(p, x).tobytes() == (h @ p.arrays[-2] + p.arrays[-1]).tobytes(), (sizes, n)
+    x = rng.normal(size=(20000, 768))  # two VCAE encoder blocks: 8192 rows, 11,808 rows
+    assert len(row_blocks(p, len(x))) == 2
+    h = np.maximum(x @ p.arrays[0] + p.arrays[1], 0.0)
+    assert mlp_forward(p, x).tobytes() == (h @ p.arrays[2] + p.arrays[3]).tobytes()
+
+
+def test_row_blocks_tile_the_rows_with_the_remainder_in_the_last():
+    p = init_mlp([20, 64, 64, 10], seed=0)  # 2048-row blocks
+    assert row_blocks(p, 0) == [slice(0, 0)]
+    assert row_blocks(p, 4095) == [slice(0, 4095)]
+    assert row_blocks(p, 6143) == [slice(0, 2048), slice(2048, 6143)]
+    assert row_blocks(p, 6144) == [slice(0, 2048), slice(2048, 4096), slice(4096, 6144)]
+    assert len(row_blocks(init_mlp([16, 4], seed=0), 40000)) == 2  # 16384-row blocks
+
+
+def test_full_data_forward_memory_does_not_grow_with_the_rows(rng):
+    """A 20,000-row forward through hidden (64, 64) holds a few 2048-row
+    blocks, not two (20,000 x 64) activations (20.5 MB when unblocked)."""
     p = init_mlp([20, 64, 64, 10], seed=2)
-    for a in p.arrays:
-        a += rng.normal(scale=0.1, size=a.shape)
-    x = rng.normal(size=(5000, 20))
-    h = x
-    for w, b in zip(p.arrays[:-2:2], p.arrays[1:-2:2]):
-        h = np.maximum(h @ w + b, 0.0)
-    assert mlp_forward(p, x).tobytes() == (h @ p.arrays[-2] + p.arrays[-1]).tobytes()
+    x = rng.normal(size=(20000, 20))
+    tracemalloc.start()
+    try:
+        mlp_forward(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_forward_dim_mismatch():

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import debiaskit
-from debiaskit.data import (ConfigError, GenConfig, LabeledDataset, color_palette,
+from debiaskit.data import (GLYPH_SIDE, ConfigError, GenConfig, LabeledDataset,
+                            _draw_labels_and_bias, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
                             save_dataset, serialised_fields, unbiased_config)
@@ -197,6 +198,21 @@ def test_glyphs_golden_hash():
     ds = generate_colored_glyphs(
         GenConfig(num_classes=10, n=64, bc_ratio=0.05, seed=42, kind="colored-glyphs"))
     assert _digest(ds) == GLYPH_SHA
+
+
+def test_glyphs_equal_the_np_where_formula():
+    """The in-place generator gives the bytes of the formula it replaced,
+    np.where(mask, 1.0 + noise, img), from the same seeded draws."""
+    for seed in range(3):
+        cfg = GenConfig(num_classes=10, n=3000, bc_ratio=0.05, seed=seed, kind="colored-glyphs")
+        rng = np.random.default_rng(seed)
+        y, b = _draw_labels_and_bias(cfg, rng)
+        img = np.empty((cfg.n, GLYPH_SIDE, GLYPH_SIDE, 3))
+        img[:] = color_palette()[b][:, None, None, :]
+        img += rng.normal(0.0, cfg.sigma_b, size=img.shape)
+        noise = rng.normal(0.0, cfg.sigma_u, size=img.shape)
+        img = np.clip(np.where(glyph_masks()[y][..., None], 1.0 + noise, img), 0.0, 1.0)
+        assert generate_colored_glyphs(cfg).features.tobytes() == img.tobytes(), seed
 
 
 def test_glyph_masks_distinct():

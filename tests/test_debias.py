@@ -628,6 +628,24 @@ def test_pipeline_ws_and_alw_and_tba_run():
         assert np.isfinite(res.history[-1].test_acc)
 
 
+def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain():
+    """PGD's weights, computed over 2048-row blocks (two at n = 5,000), are
+    the bytes of ``pgd_weight`` on the whole-array plain layer chain."""
+    gen = GenConfig(num_classes=10, n=5000, bc_ratio=0.05, seed=7)
+    train_ds = generate_two_factor(gen)
+    test_ds = generate_two_factor(unbiased_config(gen, n=500, seed=8))
+    cfg = TrainConfig(epochs=1, batch_size=128, hidden=(64, 64), seed=5)
+    res = run_debias_pipeline(train_ds, test_ds, "pgd", "WS", train_cfg=cfg, t_bias=1)
+    art = train_biased_classifier(train_ds, GceConfig(), 1, cfg)
+    h = train_ds.features
+    for w, b in zip(art.params.arrays[:-2:2], art.params.arrays[1:-2:2]):
+        h = np.maximum(h @ w + b, 0.0)
+    probs = softmax_numpy(h @ art.params.arrays[-2] + art.params.arrays[-1])
+    assert art.class_probs.tobytes() == probs.tobytes()
+    raw = pgd_weight(probs, train_ds.labels, h)
+    assert res.weights.weights.tobytes() == np.maximum(raw / raw.sum(), 1e-300).tobytes()
+
+
 def test_biased_confidence_lw_weights_rescaled():
     train_ds, test_ds, cfg = _tiny_setup()
     res = run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
