@@ -21,7 +21,8 @@ printed per file but ``timings.json`` (wall-clock seconds), sorted by path.
 The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 1/(rho/(C-1)) and (C-1)/rho differ in the last bit); every valid
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
-``sweep --t-bias 1,2 --jobs 2``; ``vcae``; ``train-biased``; ``oracle-check``.
+``sweep --t-bias 1,2 --jobs 2``; ``vcae``; ``train-biased``; ``oracle-check``;
+``report`` on oracle-ub/LW of C=4.
 Then, for one seed and one epoch: biased-confidence/LW, pgd/WS and lff/LW on
 a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
@@ -83,7 +84,8 @@ def jobs() -> list[list[str]]:
         ["vcae", "--data", "d4", "--epochs", "2", "--hidden", "16", "--seed", "0",
          "--out", "vcae"],
         ["train-biased", "--data", "d10", "--t-bias", "2", "--out", "amplified"],
-        ["oracle-check", "--seed", "0", "--out", "oracle"]]
+        ["oracle-check", "--seed", "0", "--out", "oracle"],
+        ["report", "--out", "runs/d4/oracle-ub-LW"]]
 
 
 def digest(work: Path, src: Path) -> list[str]:

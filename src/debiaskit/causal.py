@@ -162,14 +162,13 @@ def lw_loss_exact(j: DiscreteJoint, q: ClassifierTable) -> float:
     return float(np.einsum("u,b,ub->", j.p_u(), j.p_b(), cell_xent))
 
 
-def verify_bound(j: DiscreteJoint, q: ClassifierTable,
-                 slack: float = 1e-9) -> dict:
+def verify_bound(j: DiscreteJoint, q: ClassifierTable) -> dict:
     """Report whether the weighted loss upper-bounds the interventional one."""
     l_nill = nill(j, q)
     l_lw = lw_loss_exact(j, q)
     gap = l_lw - l_nill
     return {"L_NILL": l_nill, "L_LW": l_lw, "gap": gap,
-            "holds": bool(l_nill <= l_lw + slack)}
+            "holds": bool(l_nill <= l_lw + 1e-9)}
 
 
 def _cell_gradients(j: DiscreteJoint, params: MlpParams,
@@ -225,10 +224,9 @@ def verify_lw_ws_equivalence(j: DiscreteJoint, params: MlpParams,
 
 
 def random_instance(rng: np.random.Generator, n_u: int, n_b: int,
-                    b_invariant: bool = False,
-                    concentration: float = 1.0):
+                    b_invariant: bool = False):
     """Random joint (y = u deterministic) and classifier table for checks."""
-    p_ub = rng.gamma(concentration, size=(n_u, n_b))
+    p_ub = rng.gamma(1.0, size=(n_u, n_b))
     p_ub /= p_ub.sum()
     j = DiscreteJoint(p_ub)
     if b_invariant:
@@ -241,9 +239,9 @@ def random_instance(rng: np.random.Generator, n_u: int, n_b: int,
     return j, ClassifierTable(q)
 
 
-def oracle_report(seed: int = 0, n_bound: int = 100, n_backdoor: int = 100,
-                  n_equiv: int = 50) -> dict:
+def oracle_report(seed: int = 0) -> dict:
     """Machine-readable summary of every enumeration check."""
+    n_bound, n_backdoor, n_equiv = 100, 100, 50
     rng = np.random.default_rng(seed)
     checks = []
 

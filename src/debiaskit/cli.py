@@ -124,7 +124,7 @@ def cmd_vcae(args) -> int:
                      lr=args.lr, seed=args.seed if args.seed is not None else 0)
     params, history = train_vcae(ds, cfg, tc)
     out = Path(args.out)
-    rows = latent_dump(params, ds, cap=args.cap, prior=cfg.prior)
+    rows = latent_dump(params, ds, cap=args.cap)
     header = list(rows[0].keys())
     _write_csv(out / "latents.csv", header,
                [[row[k] for k in header] for row in rows])

@@ -117,8 +117,9 @@ def generate_two_factor(cfg: GenConfig) -> LabeledDataset:
     return LabeledDataset(x, y, num_classes=c, bias=b, cfg=cfg)
 
 
-def color_palette(k: int = PALETTE_SIZE) -> np.ndarray:
-    """k hue-equispaced fully saturated RGB colors."""
+def color_palette() -> np.ndarray:
+    """``PALETTE_SIZE`` hue-equispaced fully saturated RGB colors."""
+    k = PALETTE_SIZE
     return np.array([colorsys.hsv_to_rgb(i / k, 1.0, 1.0) for i in range(k)])
 
 
@@ -195,7 +196,7 @@ class ConfigError(ValueError):
 
 def serialised_fields(cls) -> list[str]:
     """The fields of config dataclass ``cls`` that a config file holds, in order."""
-    return [f.name for f in fields(cls) if f.metadata.get("serialise", True)]
+    return [f.name for f in fields(cls)]
 
 
 def _fits(value, hint) -> bool:

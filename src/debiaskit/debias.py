@@ -281,7 +281,7 @@ def conditional_rows(scheme: str, ds: LabeledDataset, artifact) -> np.ndarray:
 class PipelineResult:
     params: MlpParams
     history: list[MetricsRow]
-    weights: SampleWeights | None
+    weights: SampleWeights
     # the BLAS thread policy of the run, as ``blas.limit`` yields it
     blas_threads: dict | None = None
 
@@ -370,8 +370,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             if vcae_cfg is None:
                 raise ValueError("vcae scheme needs a VcaeConfig")
             vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
-            weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap,
-                                   prior=vcae_cfg.prior)
+            weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap)
         else:  # pragma: no cover
             raise AssertionError(scheme)
 

@@ -12,6 +12,7 @@ result is bit-identical to evaluating those expressions array by array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,8 +34,8 @@ class Sgd:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    _buffer: np.ndarray | None = field(default=None, repr=False)
-    _scratch: np.ndarray | None = field(default=None, repr=False)
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False)
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
         _check(p, g)
@@ -58,13 +59,14 @@ class Adam:
     p <- p - lr (m / bc1) / (sqrt(v / bc2) + eps), bc_i = 1 - beta_i^t.
     """
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
+
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    step_count: int = 0
-    _state: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    step_count: int = field(default=0, init=False)
+    _state: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
         _check(p, g)

@@ -90,8 +90,9 @@ class RunConfig:
         check_pair(self.scheme, self.method)
         if (self.dataset is None) == (self.dataset_path is None):
             raise ConfigError("need exactly one of a dataset spec and a dataset path")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be a non-empty list of ints >= 0, got {self.seeds}")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be a non-empty list of distinct ints >= 0, "
+                              f"got {self.seeds}")
         if self.test_n < 1:
             raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.t_bias < 1:
@@ -205,9 +206,8 @@ def run_experiment(cfg: RunConfig) -> dict:
             (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
         csv_rows += [[run_seed, *row.csv_values()] for row in result.history]
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
-        if result.weights is not None:
-            _write_weights_csv(out / f"weights_seed{run_seed}.csv",
-                               result.weights, train_ds.aligned)
+        _write_weights_csv(out / f"weights_seed{run_seed}.csv",
+                           result.weights, train_ds.aligned)
         save_model(result.params, out / f"checkpoint_seed{run_seed}",
                    extra={"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                           "scheme": cfg.scheme, "method": cfg.method})
@@ -271,9 +271,13 @@ def aggregate_report(out_dir: str | Path) -> dict:
     """Recompute the summary from metrics.csv (independent aggregation)."""
     out = Path(out_dir)
     with (out / "metrics.csv").open() as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != METRICS_HEADER:
+            raise ConfigError(f"{out / 'metrics.csv'}: header must be {METRICS_HEADER}, "
+                              f"got {reader.fieldnames}")
         rows = [{k: (int(v) if k in ("seed", "epoch") else float(v))
                  for k, v in row.items()}
-                for row in csv.DictReader(fh)]
+                for row in reader]
     if not rows:
         raise ConfigError("metrics.csv is empty")
     summary = summarize(rows)

@@ -41,8 +41,6 @@ class VcaeConfig:
     lambda1: float = 1.0
     lambda2: float = 1.0
     hidden: tuple[int, ...] = (64,)
-    # p(y); uniform when omitted. Not part of a run's config.json
-    prior: np.ndarray | None = field(default=None, metadata={"serialise": False})
 
     def __post_init__(self):
         check_fields(self)
@@ -55,12 +53,6 @@ class VcaeConfig:
                               f"got {lambdas}")
         if not all(w >= 1 for w in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.prior is None:
-            self.prior = np.full(self.num_classes, 1.0 / self.num_classes)
-        else:
-            self.prior = np.asarray(self.prior, dtype=np.float64)
-            if abs(self.prior.sum() - 1.0) > 1e-12 or np.any(self.prior <= 0):
-                raise ConfigError("prior must be positive and sum to 1")
         self.hidden = tuple(self.hidden)
 
 
@@ -168,13 +160,13 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
 
     Per sample: lambda0 * reconstruction (unit-variance Gaussian, constants
     dropped) + lambda1 * KL(q(z|x) || N(mu_y, sigma_y^2)) + lambda2 *
-    -log p(y | z) under ``cfg.prior``. Performs the numpy operations of the
-    tape graph in ``tests/conftest.py`` in the same order, so every value
-    matches the tape bit for bit, but forms no adjoint for the batch, for
-    ``eps`` or for the log-prior constant. A value with several consumers
-    sums their adjoints last consumer first, as the tape does. Gradients go
-    through views into ``out``, laid out like ``params.flat``. Raises
-    ``TrainingDiverged`` on a non-finite loss before any gradient is
+    -log p(y | z) under the uniform class prior. Performs the numpy
+    operations of the tape graph in ``tests/conftest.py`` in the same order,
+    so every value matches the tape bit for bit, but forms no adjoint for the
+    batch, for ``eps`` or for the log-prior constant. A value with several
+    consumers sums their adjoints last consumer first, as the tape does.
+    Gradients go through views into ``out``, laid out like ``params.flat``.
+    Raises ``TrainingDiverged`` on a non-finite loss before any gradient is
     written, and ``GradientError`` on a non-finite gradient.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -205,7 +197,7 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     scaled = z_dev * inv_sigma
     quad = (scaled ** 2.0).sum(axis=2)
     log_pdf = quad * -0.5 - ls3.sum(axis=2) - 0.5 * dz * LOG_2PI
-    log_post = log_softmax_numpy(log_pdf + np.log(cfg.prior))
+    log_post = log_softmax_numpy(log_pdf + np.log(np.full(c, 1.0 / c)))
     xent = -log_post[np.arange(n), y]
 
     total = rec * cfg.lambda0 + kl * cfg.lambda1 + xent * cfg.lambda2
@@ -272,10 +264,14 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
     """Minimize the mean loss over the dataset by ``run_epochs``;
     deterministic given seeds.
 
-    Raises ``TrainingDiverged`` naming the epoch and step of a non-finite
-    loss, and ``GradientError`` naming the array of a non-finite gradient.
-    Runs under the BLAS thread policy of ``blas.limit``.
+    Raises ``ConfigError`` before the first step when ``cfg`` and ``ds``
+    count different classes, ``TrainingDiverged`` naming the epoch and step
+    of a non-finite loss, and ``GradientError`` naming the array of a
+    non-finite gradient. Runs under the BLAS thread policy of ``blas.limit``.
     """
+    if cfg.num_classes != ds.num_classes:
+        raise ConfigError(f"vcae.num_classes is {cfg.num_classes} but the dataset "
+                          f"has {ds.num_classes} classes")
     init_seed, shuffle_seed, eps_seed = np.random.SeedSequence(t_cfg.seed).generate_state(3)
     params = init_vcae(cfg, ds.dim, int(init_seed))
     opt = make_optimizer(t_cfg.optimizer, t_cfg.lr, t_cfg.momentum,
@@ -297,32 +293,27 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
     return params, history
 
 
-def _posterior_weights(params: VcaeParams, ds: LabeledDataset, cap: float,
-                       prior: np.ndarray | None):
-    """Posterior means z_n, p(y_n | z_n) under ``prior`` (uniform when None)
-    and the checked ``SampleWeights`` min(1 / p(y_n | z_n), cap)."""
+def _posterior_weights(params: VcaeParams, ds: LabeledDataset, cap: float):
+    """Posterior means z_n, p(y_n | z_n) under the uniform class prior and
+    the checked ``SampleWeights`` min(1 / p(y_n | z_n), cap)."""
     from .debias import SampleWeights
-    if prior is None:
-        prior = np.full(ds.num_classes, 1.0 / ds.num_classes)
     z = encode(params, ds.features).mu
-    post = p_y_given_z(params, z, prior)
+    post = p_y_given_z(params, z, np.full(ds.num_classes, 1.0 / ds.num_classes))
     p_true = np.maximum(post[np.arange(len(ds)), ds.labels], 1e-300)
     return z, p_true, SampleWeights(np.minimum(1.0 / p_true, cap), provenance="vcae")
 
 
 def vcae_weights(params: VcaeParams, ds: LabeledDataset,
-                 cap: float = VCAE_WEIGHT_CAP,
-                 prior: np.ndarray | None = None):
+                 cap: float = VCAE_WEIGHT_CAP):
     """w_n = min(1 / p(y_n | z_n), cap), z_n the posterior mean."""
-    return _posterior_weights(params, ds, cap, prior)[2]
+    return _posterior_weights(params, ds, cap)[2]
 
 
 def latent_dump(params: VcaeParams, ds: LabeledDataset,
-                cap: float = VCAE_WEIGHT_CAP,
-                prior: np.ndarray | None = None) -> list[dict]:
+                cap: float = VCAE_WEIGHT_CAP) -> list[dict]:
     """Rows for the latent CSV: coordinates, posterior, weight, and the
     (unnormalized) class-conditional log density as a diagnostic."""
-    z, p_true, weights = _posterior_weights(params, ds, cap, prior)
+    z, p_true, weights = _posterior_weights(params, ds, cap)
     z_rows, p, w = z.tolist(), p_true.tolist(), weights.weights.tolist()
     log_pdf = log_p_z_given_y(params, z)[np.arange(len(ds)), ds.labels].tolist()
     return [{"index": i, **{f"z_{d}": v for d, v in enumerate(z_rows[i])},

@@ -238,7 +238,8 @@ def _loss_graph(tape: ad.Tape, leaves: dict, x: np.ndarray, y: np.ndarray,
     quad = (((z3 - mu3) * ad.exp(-ls3)) ** 2.0).sum(axis=2)
     logdet = ad.vsum(ls3, axis=2)
     log_pdf = quad * -0.5 - logdet - 0.5 * dz * LOG_2PI
-    class_logits = log_pdf + tape.const(np.log(cfg.prior))
+    uniform = np.full(cfg.num_classes, 1.0 / cfg.num_classes)
+    class_logits = log_pdf + tape.const(np.log(uniform))
     log_post = ad.log_softmax(class_logits)
     xent = -ad.take_per_row(log_post, y)
 

@@ -239,7 +239,7 @@ def test_criterion_8_vcae():
 
     cfg = VcaeConfig(num_classes=5, dim_z=2, hidden=(8,))
     params = init_vcae(cfg, input_dim=4, seed=0)
-    post = p_y_given_z(params, np.array([100.0, 0.0]), cfg.prior)
+    post = p_y_given_z(params, np.array([100.0, 0.0]), np.full(5, 1.0 / 5))
     assert abs(post.sum() - 1.0) < 1e-12
 
     for seed in (0, 1, 2):

@@ -205,7 +205,7 @@ def test_joint_validation():
 
 
 def test_oracle_report_all_pass():
-    rep = oracle_report(seed=3, n_bound=20, n_backdoor=20, n_equiv=5)
+    rep = oracle_report(seed=3)
     assert rep["all_pass"]
     names = {c["name"] for c in rep["checks"]}
     assert names == {"interventional_bound", "bound_equality_b_invariant",

@@ -298,8 +298,13 @@ def test_load_model_rejects_truncated_params(tmp_path):
     ([1], "expected a JSON object, got list"),
     ({"schema_version": 1}, "missing key(s) ['layer_sizes']"),
     ({"schema_version": 1, "layer_sizes": "6,4,3"}, "layer_sizes must be list"),
-    ({"schema_version": 1, "layer_sizes": ["6", 4, 3]}, "layer_sizes must be ints >= 1")],
-    ids=["list", "no-layer_sizes", "layer_sizes-str", "layer_size-str"])
+    ({"schema_version": 1, "layer_sizes": ["6", 4, 3]}, "layer_sizes must be ints >= 1"),
+    ({"schema_version": 1, "layer_sizes": [3]},
+     "layer_sizes must be ints >= 1, at least two of them, got [3]"),
+    ({"schema_version": 1, "layer_sizes": []},
+     "layer_sizes must be ints >= 1, at least two of them, got []")],
+    ids=["list", "no-layer_sizes", "layer_sizes-str", "layer_size-str", "one-layer",
+         "no-layers"])
 def test_load_model_rejects_a_malformed_model_json(tmp_path, meta, message):
     save_model(init_mlp([6, 4, 3], seed=9), tmp_path / "m")
     (tmp_path / "m" / "model.json").write_text(json.dumps(meta))

@@ -11,6 +11,7 @@ import pytest
 
 from debiaskit.cli import main
 from debiaskit.data import LabeledDataset, load_dataset, save_dataset
+from debiaskit.runner import METRICS_HEADER
 
 
 def _gen(tmp_path, name="data", n=400, rho=0.1, classes=4, seed=5,
@@ -154,7 +155,7 @@ _BAD_CONFIGS = [
     {"dataset": {"seed": -1}}, {"dataset": {"sigma_u": -1.0}}, {"dataset": {"sigma_b": -1}},
     {"train": {"hidden": [0]}}, {"vcae": {"hidden": [0]}}, {"train": {"lr": -1}},
     {"train": {"optimizer": "sgd", "momentum": -3}}, {"train": {"weight_decay": -1}},
-    {"train": {"seed": 7}}]
+    {"train": {"seed": 7}}, {"vcae": {"num_classes": 6}}, {"vcae": {"num_classes": 2}}]
 
 
 @pytest.mark.parametrize("raw", _BAD_CONFIGS, ids=json.dumps)
@@ -407,6 +408,18 @@ def test_report_missing_dir_fails(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nope")]) == 1
 
 
+def test_report_on_a_metrics_file_without_a_column_fails_with_a_message(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    header = [k for k in METRICS_HEADER if k != "beta"]
+    rows = [",".join(header), ",".join(["1"] * len(header))]
+    (run / "metrics.csv").write_text("\n".join(rows) + "\n")
+    assert main(["report", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / 'metrics.csv'}: header must be ")
+    assert "Traceback" not in err and not (run / "summary_recomputed.json").exists()
+
+
 def test_production_paths_leave_autodiff_unimported():
     """The CLI, a VCAE/LW pipeline and the causal oracle run without the
     tape: ``debiaskit.autodiff`` is the tests' oracle only."""
@@ -424,7 +437,7 @@ tc = TrainConfig(epochs=1, batch_size=50, seed=0, hidden=(8,))
 run_debias_pipeline(generate(gen), generate(unbiased_config(gen, 60, 2)), "vcae", "LW",
                     train_cfg=tc, vcae_cfg=VcaeConfig(num_classes=3, hidden=(6,)),
                     vcae_train_cfg=tc)
-assert oracle_report(n_bound=3, n_backdoor=3, n_equiv=3)["all_pass"]
+assert oracle_report()["all_pass"]
 print(sorted(m for m in sys.modules if m.startswith("debiaskit")))
 """
     src = str(Path(debiaskit.__file__).resolve().parents[1])

@@ -54,7 +54,7 @@ def test_run_config_rejects_bad_t_bias_and_gamma(tmp_path, over):
     {"seeds": 0}, {"seeds": []}, {"seeds": [0, "1"]}, {"seeds": [1.0]},
     {"seeds": [-1]}, {"seeds": [True]}, {"scheme": "bogus"}, {"method": "XX"},
     {"scheme": "lff", "method": "WS"}, {"scheme": "pgd", "method": "LW"},
-    {"dataset": None, "dataset_path": 7}])
+    {"dataset": None, "dataset_path": 7}, {"seeds": [3, 3]}])
 def test_run_config_rejects_bad_field_values(tmp_path, over):
     with pytest.raises(ConfigError):
         _tiny_cfg(tmp_path, **over)
@@ -92,11 +92,8 @@ def test_config_roundtrip(tmp_path):
      "vcae": {"num_classes": 4, "lambda0": 2.0}},
     {"dataset": None, "dataset_path": "data/d", "train": None, "anneal": None}])
 def test_config_roundtrip_vcae_and_dataset_path(tmp_path, over):
-    """Compared through ``to_dict``: VcaeConfig's ndarray prior has no ``==``."""
     cfg = _tiny_cfg(tmp_path, **over)
-    d = cfg.to_dict()
-    assert RunConfig.from_dict(d).to_dict() == d
-    assert "prior" not in d.get("vcae", {})
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_null_sections_take_the_run_defaults(tmp_path):

@@ -168,7 +168,7 @@ def test_loss_equals_sum_of_independent_terms(rng):
     x_hat = mlp_forward(params.decoder, z)
     rec = 0.5 * ((x_hat - x) ** 2).sum(axis=1)
     kl = kl_diag_gauss(lat, LatentGaussian(params.mu_y[y], np.exp(params.log_sigma_y[y])))
-    post = p_y_given_z(params, z, cfg.prior)
+    post = p_y_given_z(params, z, np.full(3, 1.0 / 3.0))
     xent = -np.log(post[np.arange(6), y])
     expect = (rec + kl + xent).mean()
 
@@ -256,7 +256,7 @@ def test_jensen_direction_on_matched_samples(rng):
     params.mu_y[:] = rng.normal(size=(3, 2))
     lat = LatentGaussian(rng.normal(size=2), np.exp(0.2 * rng.normal(size=2)))
     z = lat.mu + lat.sigma * rng.normal(size=(20000, 2))
-    p = p_y_given_z(params, z, cfg.prior)[:, 1]
+    p = p_y_given_z(params, z, np.full(3, 1.0 / 3.0))[:, 1]
     lhs = math.log(p.mean())
     rhs = np.log(p).mean()
     assert lhs >= rhs - 1e-12
@@ -348,16 +348,15 @@ def _vcae_cases(draw):
                 # labels drawn from the first ``labels`` classes only, so a
                 # batch repeats labels in the per-class gathers
                 labels=draw(st.integers(1, classes)),
-                prior=draw(st.booleans()),
                 lambdas=draw(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 3)),
                 seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @given(_vcae_cases())
 @example(dict(dim=768, dim_z=2, hidden=[32], classes=10, batch=1, labels=10,
-              prior=False, lambdas=(1.0, 1.0, 1.0), seed=1))
+              lambdas=(1.0, 1.0, 1.0), seed=1))
 @example(dict(dim=20, dim_z=3, hidden=[], classes=4, batch=24, labels=1,
-              prior=True, lambdas=(0.0, 1.0, 0.5), seed=2))
+              lambdas=(0.0, 1.0, 0.5), seed=2))
 @settings(max_examples=150, deadline=None)
 def test_closed_form_vcae_step_matches_tape_bitwise(case):
     """Loss and the gradient of every array equal the tape's to the bit."""
@@ -365,8 +364,7 @@ def test_closed_form_vcae_step_matches_tape_bitwise(case):
     c, dz, n = case["classes"], case["dim_z"], case["batch"]
     lam0, lam1, lam2 = case["lambdas"]
     cfg = VcaeConfig(num_classes=c, dim_z=dz, hidden=case["hidden"],
-                     lambda0=lam0, lambda1=lam1, lambda2=lam2,
-                     prior=rng.dirichlet(np.ones(c)) if case["prior"] else None)
+                     lambda0=lam0, lambda1=lam1, lambda2=lam2)
     params = init_vcae(cfg, case["dim"], case["seed"])
     params.flat += rng.normal(scale=0.3, size=params.flat.shape)
     x = rng.normal(size=(n, case["dim"]))
@@ -461,36 +459,32 @@ def test_non_finite_vcae_gradient_names_its_array():
             tape_vcae_loss_and_grads(params, x, y, cfg, eps)
 
 
-# --- the class prior ---------------------------------------------------------
+# --- the posterior weights --------------------------------------------------
 
-def _prior_setup():
+def _weights_setup():
     gen = GenConfig(num_classes=3, n=150, bc_ratio=0.1, seed=55)
     train_ds = generate_two_factor(gen)
     test_ds = generate_two_factor(unbiased_config(gen, n=60, seed=56))
-    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(6,), prior=[0.6, 0.3, 0.1])
+    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(6,))
     return train_ds, test_ds, cfg, TrainConfig(epochs=2, batch_size=50, seed=1)
 
 
-def test_pipeline_weighs_by_the_configured_prior():
-    """The VCAE is fit with cfg.prior, so its weights use that p(y) too."""
-    train_ds, test_ds, cfg, tc = _prior_setup()
+def test_pipeline_weights_are_vcae_weights_of_its_vcae():
+    train_ds, test_ds, cfg, tc = _weights_setup()
     res = run_debias_pipeline(train_ds, test_ds, "vcae", "LW", train_cfg=tc,
                               vcae_cfg=cfg, vcae_train_cfg=tc)
     vparams, _ = train_vcae(train_ds, cfg, tc)
-    want = vcae_weights(vparams, train_ds, prior=cfg.prior)
-    uniform = vcae_weights(vparams, train_ds)
+    want = vcae_weights(vparams, train_ds)
     assert res.weights.weights.tobytes() == want.weights.tobytes()
-    assert not np.array_equal(want.weights, uniform.weights)
 
 
 def test_latent_dump_shares_the_weights_posterior():
-    train_ds, _, cfg, tc = _prior_setup()
+    """Both use p(y | z) under the uniform class prior."""
+    train_ds, _, cfg, tc = _weights_setup()
     vparams, _ = train_vcae(train_ds, cfg, tc)
-    for prior in (None, cfg.prior):
-        rows = latent_dump(vparams, train_ds, cap=50.0, prior=prior)
-        w = vcae_weights(vparams, train_ds, cap=50.0, prior=prior)
-        post = p_y_given_z(vparams, encode(vparams, train_ds.features).mu,
-                           np.full(3, 1.0 / 3.0) if prior is None else prior)
-        p_true = post[np.arange(len(train_ds)), train_ds.labels]
-        assert np.array([r["weight"] for r in rows]).tobytes() == w.weights.tobytes()
-        assert np.array([r["p_y_given_z"] for r in rows]).tobytes() == p_true.tobytes()
+    rows = latent_dump(vparams, train_ds, cap=50.0)
+    w = vcae_weights(vparams, train_ds, cap=50.0)
+    post = p_y_given_z(vparams, encode(vparams, train_ds.features).mu, np.full(3, 1.0 / 3.0))
+    p_true = post[np.arange(len(train_ds)), train_ds.labels]
+    assert np.array([r["weight"] for r in rows]).tobytes() == w.weights.tobytes()
+    assert np.array([r["p_y_given_z"] for r in rows]).tobytes() == p_true.tobytes()
