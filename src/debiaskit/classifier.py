@@ -4,7 +4,6 @@ drive with their own step function and end-of-epoch hook."""
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -14,7 +13,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blas
-from .data import ConfigError, LabeledDataset, check_fields, read_f64le, read_meta
+from .data import (SCHEMA_VERSION, ConfigError, LabeledDataset, check_fields, read_f64le,
+                   read_meta, write_f64le, write_json)
 from .optim import OPTIMIZERS, make_optimizer
 
 # loss value at the probability floor 1e-12; caps -log p
@@ -475,12 +475,9 @@ def save_model(params: MlpParams, out_dir: str | Path,
                extra: dict | None = None) -> None:
     """Flat little-endian doubles in array order: W0 (row-major), b0, W1, b1, ..."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {"schema_version": 1, "layer_sizes": params.layer_sizes}
-    if extra:
-        meta.update(extra)
-    (out / "model.json").write_text(json.dumps(meta, indent=2) + "\n")
-    (out / "params.f64le").write_bytes(params.flat.astype("<f8", copy=False).tobytes())
+    write_json(out / "model.json", {"schema_version": SCHEMA_VERSION,
+                                    "layer_sizes": params.layer_sizes, **(extra or {})})
+    write_f64le(out / "params.f64le", params.flat)
 
 
 def load_model(in_dir: str | Path) -> tuple[MlpParams, dict]:

@@ -15,10 +15,11 @@ from pathlib import Path
 
 from .classifier import (GceConfig, GradientError, TrainConfig, TrainingDiverged,
                          save_model)
-from .data import KINDS, GenConfig, generate, load_dataset, save_dataset
-from .debias import METHODS, SCHEMES, train_biased_classifier
-from .runner import (WEIGHTS_HEADER, ConfigError, RunConfig, _write_csv,
-                     aggregate_report, run_experiment, run_sweep)
+from .data import (KINDS, GenConfig, generate, load_dataset, save_dataset, write_csv,
+                   write_f64le, write_json)
+from .debias import METHODS, SCHEMES, SampleWeights, train_biased_classifier
+from .runner import (ConfigError, RunConfig, aggregate_report, run_experiment, run_sweep,
+                     write_weights_csv)
 from .vcae import VCAE_WEIGHT_CAP, VcaeConfig
 
 
@@ -60,8 +61,8 @@ def cmd_train_biased(args) -> int:
     out = Path(args.out)
     save_model(art.params, out, extra={"t_bias": art.t_bias, "tau": art.tau,
                                        "n": len(ds), "num_classes": ds.num_classes})
-    (out / "confidences.f64le").write_bytes(art.confidences.astype("<f8").tobytes())
-    (out / "class_probs.f64le").write_bytes(art.class_probs.astype("<f8").tobytes())
+    write_f64le(out / "confidences.f64le", art.confidences)
+    write_f64le(out / "class_probs.f64le", art.class_probs)
     lo, hi = art.confidences.min(), art.confidences.max()
     print(f"amplified classifier trained {art.t_bias} epochs; "
           f"confidence range [{lo:.3g}, {hi:.3g}]; artifact in {args.out}")
@@ -90,7 +91,7 @@ def _load_run_config(args) -> RunConfig:
 
 def cmd_debias(args) -> int:
     cfg = _load_run_config(args)
-    summary = run_experiment(cfg)
+    summary, _ = run_experiment(cfg)
     m = summary["metrics"]
     print(f"{cfg.scheme}/{cfg.method} over seeds {cfg.seeds}: "
           f"acc={m['test_acc']['mean']:.4f}±{m['test_acc']['std']:.4f} "
@@ -103,12 +104,9 @@ def cmd_debias(args) -> int:
 def cmd_oracle_check(args) -> int:
     from .causal import oracle_report
     report = oracle_report(seed=args.seed if args.seed is not None else 0)
-    text = json.dumps(report, indent=2)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "oracle_report.json").write_text(text + "\n")
-    print(text)
+        write_json(Path(args.out) / "oracle_report.json", report)
+    print(json.dumps(report, indent=2))
     return 0 if report["all_pass"] else 1
 
 
@@ -126,12 +124,11 @@ def cmd_vcae(args) -> int:
     out = Path(args.out)
     rows = latent_dump(params, ds, cap=args.cap)
     header = list(rows[0].keys())
-    _write_csv(out / "latents.csv", header,
-               [[row[k] for k in header] for row in rows])
-    _write_csv(out / "vcae_history.csv", ["epoch", "loss"],
-               [[h["epoch"], h["loss"]] for h in history])
-    _write_csv(out / "weights.csv", WEIGHTS_HEADER,
-               [[row["index"], row["weight"], row["aligned"], "vcae"] for row in rows])
+    write_csv(out / "latents.csv", header, [[row[k] for k in header] for row in rows])
+    write_csv(out / "vcae_history.csv", ["epoch", "loss"],
+              [[h["epoch"], h["loss"]] for h in history])
+    write_weights_csv(out / "weights.csv", SampleWeights(
+        [row["weight"] for row in rows], provenance="vcae"), ds.aligned)
     print(f"trained {tc.epochs} epochs, final loss {history[-1]['loss']:.4f}; "
           f"dumps in {args.out}")
     return 0

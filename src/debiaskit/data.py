@@ -12,6 +12,7 @@ rho = (C - 1) / C.
 from __future__ import annotations
 
 import colorsys
+import csv
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -188,7 +189,10 @@ def estimate_p_y_given_b(ds: LabeledDataset) -> np.ndarray:
     return counts / col
 
 
-# --- config schema and serialization: meta.json + data.f64le ---------------
+# --- config schema and the on-disk formats: JSON, CSV, little-endian doubles ---
+
+SCHEMA_VERSION = 1  # of every meta.json, model.json and run config
+
 
 class ConfigError(ValueError):
     """A config value of the wrong type, out of range or in conflict with another."""
@@ -224,15 +228,15 @@ def check_fields(obj) -> None:
 
 
 def read_meta(path: Path, types: dict[str, type]) -> dict:
-    """The JSON object in ``path`` with schema_version 1 and each key of ``types`` of that type."""
+    """The JSON object in ``path`` at ``SCHEMA_VERSION``, each key of ``types`` of that type."""
     try:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
-    if (version := meta.get("schema_version")) != 1:
-        raise ValueError(f"{path}: schema_version must be 1, got {version!r}")
+    if (version := meta.get("schema_version")) != SCHEMA_VERSION:
+        raise ValueError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
     _require(types, meta, str(path))
     for key, kind in types.items():
         if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
@@ -248,16 +252,36 @@ def read_f64le(path: Path, count: int) -> np.ndarray:
     return np.fromfile(path, dtype="<f8", count=count).astype(np.float64, copy=False)
 
 
+def write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON plus a newline; makes the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """The one CSV writer; makes the parent directory. ``csv`` writes ``str`` of
+    each cell: for a Python float (and a numpy float64), its shortest round-trip repr."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_f64le(path: Path, a: np.ndarray) -> None:
+    """``a`` as little-endian doubles in C order, the format ``read_f64le`` reads."""
+    np.ascontiguousarray(a, dtype="<f8").tofile(path)
+
+
 def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     columns = ["features", "labels"]
     blocks = [ds.features.ravel(), ds.labels.astype(np.float64)]
     if ds.bias is not None:
         columns += ["bias", "aligned"]
         blocks += [ds.bias.astype(np.float64), ds.aligned.astype(np.float64)]
     meta = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "n": len(ds),
         "feature_dim": ds.dim,
         "num_classes": ds.num_classes,
@@ -265,9 +289,8 @@ def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
     }
     if ds.cfg is not None:
         meta["gen"] = asdict(ds.cfg)
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    data = np.concatenate(blocks).astype("<f8")
-    (out / "data.f64le").write_bytes(data.tobytes())
+    write_json(out / "meta.json", meta)
+    write_f64le(out / "data.f64le", np.concatenate(blocks))
 
 
 def _require(keys, d: dict, where: str) -> None:

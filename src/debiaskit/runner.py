@@ -26,13 +26,11 @@ import numpy as np
 
 from . import blas
 from .classifier import GceConfig, TrainConfig, save_model
-from .data import (ConfigError, GenConfig, LabeledDataset, check_fields, generate,
-                   load_dataset, serialised_fields, unbiased_config)
+from .data import (SCHEMA_VERSION, ConfigError, GenConfig, check_fields, generate,
+                   load_dataset, serialised_fields, unbiased_config, write_csv, write_json)
 from .debias import AnnealConfig, SampleWeights, check_pair, run_debias_pipeline
 from .metrics import MetricsRow
 from .vcae import VcaeConfig
-
-SCHEMA_VERSION = 1
 
 # training epochs of a run when its config names none; TrainConfig's own
 # default (30) is the library's, not the run's
@@ -138,21 +136,12 @@ class RunConfig:
         return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The one CSV writer. ``csv`` writes ``str`` of each cell, which for a
-    Python float (and a numpy float64) is its shortest round-trip repr."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray) -> None:
+def write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray | None) -> None:
+    """One row per sample; the aligned cell is empty when there are no bias labels."""
     n = len(w.weights)
-    _write_csv(path, WEIGHTS_HEADER, zip(range(n), w.weights.tolist(),
-                                         aligned.astype(np.int64).tolist(),
-                                         [w.provenance] * n))
+    flags = aligned.astype(np.int64).tolist() if aligned is not None else [""] * n
+    write_csv(path, WEIGHTS_HEADER, zip(range(n), w.weights.tolist(), flags,
+                                        [w.provenance] * n))
 
 
 def _datasets_for_seed(cfg: RunConfig, run_seed: int):
@@ -195,29 +184,28 @@ def summarize(rows: list[dict]) -> dict:
     return out
 
 
-def run_experiment(cfg: RunConfig) -> dict:
-    """Execute every seed, write all artifacts, and return the summary."""
+def run_experiment(cfg: RunConfig) -> tuple[dict, list[list]]:
+    """Run every seed, write all artifacts; return the summary and the metrics.csv rows."""
     out = Path(cfg.out_dir)
     csv_rows, timings = [], {}
     for run_seed in cfg.seeds:
         result, train_ds, _ = run_single(cfg, run_seed)
         if run_seed == cfg.seeds[0]:  # after a seed ran: an unreadable dataset leaves no output
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
+            write_json(out / "config.json", cfg.to_dict())
         csv_rows += [[run_seed, *row.csv_values()] for row in result.history]
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
-        _write_weights_csv(out / f"weights_seed{run_seed}.csv",
-                           result.weights, train_ds.aligned)
+        write_weights_csv(out / f"weights_seed{run_seed}.csv",
+                          result.weights, train_ds.aligned)
         save_model(result.params, out / f"checkpoint_seed{run_seed}",
                    extra={"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                           "scheme": cfg.scheme, "method": cfg.method})
     timings["blas_threads"] = result.blas_threads  # one config: one policy
-    _write_csv(out / "metrics.csv", METRICS_HEADER, csv_rows)
+    write_csv(out / "metrics.csv", METRICS_HEADER, csv_rows)
     summary = summarize([dict(zip(METRICS_HEADER, r)) for r in csv_rows])
     summary["scheme"], summary["method"] = cfg.scheme, cfg.method
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    (out / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
-    return summary
+    write_json(out / "summary.json", summary)
+    write_json(out / "timings.json", timings)
+    return summary, csv_rows
 
 
 SWEEP_AXES = ("gamma", "t_bias")
@@ -228,7 +216,8 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     """One experiment per axis value plus a merged long-format CSV.
 
     Every point's config is built, and so checked, before any point runs.
-    Each point creates ``out`` with its own directory.
+    Each point creates ``out`` with its own directory. ``sweep.csv`` is
+    built from the rows the points return, in point order.
     With ``jobs > 1`` each pool worker runs one BLAS thread: N workers that
     kept the parent's threads would run N times as many threads as cores.
     """
@@ -250,20 +239,13 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
                                  initargs=(1,)) as pool:
-            list(pool.map(run_experiment, points))
+            results = list(pool.map(run_experiment, points))
     else:
-        for point in points:
-            run_experiment(point)
-    merged = []
-    for value, point in zip(values, points):
-        with (Path(point.out_dir) / "metrics.csv").open() as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                merged.append([axis, f"{value:g}", row["seed"], row["epoch"],
-                               *[row[k] for k in MetricsRow.CSV_FIELDS[1:]]])
+        results = [run_experiment(point) for point in points]
     sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path, ["axis", "value", "seed", "epoch",
-                            *MetricsRow.CSV_FIELDS[1:]], merged)
+    write_csv(sweep_path, ["axis", "value", *METRICS_HEADER],
+              [[axis, f"{value:g}", *row]
+               for value, (_, rows) in zip(values, results) for row in rows])
     return sweep_path
 
 
@@ -281,6 +263,5 @@ def aggregate_report(out_dir: str | Path) -> dict:
     if not rows:
         raise ConfigError("metrics.csv is empty")
     summary = summarize(rows)
-    (out / "summary_recomputed.json").write_text(
-        json.dumps(summary, indent=2) + "\n")
+    write_json(out / "summary_recomputed.json", summary)
     return summary

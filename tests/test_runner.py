@@ -10,7 +10,7 @@ import pytest
 
 from debiaskit import runner
 from debiaskit.classifier import TrainConfig
-from debiaskit.data import GenConfig, generate, save_dataset
+from debiaskit.data import GenConfig, generate, save_dataset, write_csv
 from debiaskit.debias import AnnealConfig, SampleWeights
 from debiaskit.runner import (METRICS_HEADER, ConfigError, RunConfig, aggregate_report,
                               run_experiment, run_sweep, summarize)
@@ -171,7 +171,7 @@ def test_needs_dataset():
 
 def test_run_experiment_artifacts(tmp_path):
     cfg = _tiny_cfg(tmp_path)
-    summary = run_experiment(cfg)
+    summary, _ = run_experiment(cfg)
     out = Path(cfg.out_dir)
     with (out / "metrics.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -187,7 +187,7 @@ def test_run_experiment_artifacts(tmp_path):
 
 def test_summary_reproducible_from_csv(tmp_path):
     cfg = _tiny_cfg(tmp_path)
-    summary = run_experiment(cfg)
+    summary, _ = run_experiment(cfg)
     recomputed = aggregate_report(cfg.out_dir)
     for key, stats in summary["metrics"].items():
         assert abs(stats["mean"] - recomputed["metrics"][key]["mean"]) < 1e-12
@@ -218,15 +218,15 @@ def test_weights_csv_schema(tmp_path):
 
 
 def test_weights_csv_bytes_match_the_row_writer(tmp_path):
-    """The ``writerows`` path writes what ``_write_csv`` writes cell by cell."""
+    """The ``writerows`` path writes what ``write_csv`` writes cell by cell."""
     rng = np.random.default_rng(7)
     w = np.concatenate([rng.lognormal(0.0, 3.0, 200), [1e-300, 0.1, 1 / 3, 1e17, 10.0]])
     aligned = rng.random(len(w)) < 0.9
     weights = SampleWeights(w, provenance="biased-confidence")
-    runner._write_weights_csv(tmp_path / "new.csv", weights, aligned)
-    runner._write_csv(tmp_path / "old.csv", ["index", "weight", "aligned", "provenance"],
-                      [[i, float(w[i]), int(aligned[i]), weights.provenance]
-                       for i in range(len(w))])
+    runner.write_weights_csv(tmp_path / "new.csv", weights, aligned)
+    write_csv(tmp_path / "old.csv", ["index", "weight", "aligned", "provenance"],
+              [[i, float(w[i]), int(aligned[i]), weights.provenance]
+               for i in range(len(w))])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -329,11 +329,11 @@ def _blas_thread_getter():
 
 def _record_blas_threads(cfg):
     """Stands in for ``run_experiment`` in a pool worker: records the
-    worker's BLAS thread count and writes an empty metrics.csv."""
+    worker's BLAS thread count and returns no summary and no rows."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "blas_threads").write_text(str(_blas_thread_getter()()))
-    (out / "metrics.csv").write_text(",".join(METRICS_HEADER) + "\n")
+    return {}, []
 
 
 def test_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
