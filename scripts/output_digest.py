@@ -17,7 +17,8 @@ The jobs run in WORKDIR (created; it must hold no files yet) through
 ``python -m debiaskit.cli``, importing the package from ``--src`` (default:
 the ``src/`` next to this script). Job paths are relative to WORKDIR, so
 ``config.json`` bytes compare across trees. One ``sha256  path`` line is
-printed per file but ``timings.json`` (wall-clock seconds), sorted by path.
+printed per file but ``timings.json`` (wall-clock seconds), sorted by path,
+then one ``sha256  stdout/NN-<command>`` line per job for what job NN printed.
 The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 1/(rho/(C-1)) and (C-1)/rho differ in the last bit); every valid
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
@@ -90,20 +91,22 @@ def jobs() -> list[list[str]]:
 
 def digest(work: Path, src: Path) -> list[str]:
     """Run the job list in ``work`` against the package in ``src``; one
-    ``sha256  path`` line per output file."""
+    ``sha256  path`` line per output file, then one per job's stdout."""
     work.mkdir(parents=True, exist_ok=True)
     if any(work.iterdir()):
         sys.exit(f"{work} is not empty")
     for data, (_, c, _, _, _, overrides, _) in DATASETS.items():
         (work / f"{data}.json").write_text(json.dumps(run_config(data, c, overrides)) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    for argv in jobs():
-        subprocess.run([sys.executable, "-m", "debiaskit.cli", *argv], cwd=work, env=env,
-                       stdout=subprocess.DEVNULL, check=True)
+    printed = []
+    for k, argv in enumerate(jobs()):
+        stdout = subprocess.run([sys.executable, "-m", "debiaskit.cli", *argv], cwd=work,
+                                env=env, stdout=subprocess.PIPE, check=True).stdout
+        printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout/{k:02d}-{argv[0]}")
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(work).as_posix()}"
             for path in sorted(p for p in work.rglob("*") if p.is_file())
-            if path.name != "timings.json"]
+            if path.name != "timings.json"] + printed
 
 
 def main() -> int:

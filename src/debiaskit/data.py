@@ -14,6 +14,7 @@ from __future__ import annotations
 import colorsys
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import UnionType
@@ -45,8 +46,8 @@ class GenConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.bc_ratio < 1.0:
             raise ConfigError(f"bc_ratio must be in (0,1), got {self.bc_ratio}")
-        if not all(0.0 <= s < np.inf for s in (self.sigma_u, self.sigma_b)):
-            raise ConfigError(f"sigmas must be finite and >= 0, got {self.sigma_u, self.sigma_b}")
+        if not all(s >= 0.0 for s in (self.sigma_u, self.sigma_b)):
+            raise ConfigError(f"sigmas must be >= 0, got {self.sigma_u, self.sigma_b}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in KINDS:
@@ -210,20 +211,24 @@ def _fits(value, hint) -> bool:
     if origin in (tuple, list):  # tuple[X, ...] also takes a JSON list
         kinds = (list, tuple) if origin is tuple else list
         return isinstance(value, kinds) and all(_fits(v, args[0]) for v in value)
-    if hint in (int, float):  # an int passes as a float; a bool as neither
-        kinds = (int, np.integer) + ((float, np.floating) if hint is float else ())
-        return isinstance(value, kinds) and not isinstance(value, bool)
+    if hint in (int, float):  # an int passes as a float; a bool, NaN and inf as neither
+        if isinstance(value, (float, np.floating)):
+            return hint is float and math.isfinite(value)
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     return isinstance(value, hint)  # str, bool, None, a nested config dataclass
 
 
 def check_fields(obj) -> None:
     """Raise ``ConfigError`` unless each serialised field of config dataclass ``obj``
-    holds a value of its annotated type. Converts nothing: an int stays an int."""
+    holds a value of its annotated type; a float must be finite, as JSON has no
+    NaN or inf. Converts nothing: an int stays an int."""
     hints = get_type_hints(type(obj))
     for name in serialised_fields(type(obj)):
         value, hint = getattr(obj, name), hints[name]
         if not _fits(value, hint):
             kind = hint.__name__ if isinstance(hint, type) and not get_args(hint) else hint
+            if hint is float and isinstance(value, (float, np.floating)):
+                kind = "a finite float"
             raise ConfigError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
 
 
@@ -305,6 +310,9 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
     meta = read_meta(path, {"n": int, "feature_dim": int, "num_classes": int,
                             "columns": list})
     n, d, c = meta["n"], meta["feature_dim"], meta["num_classes"]
+    if n < 1 or d < 1 or c < 2:  # GenConfig's bounds, checked before data.f64le is read
+        raise ValueError(f"{path}: need n >= 1, feature_dim >= 1 and num_classes >= 2, "
+                         f"got {n}, {d} and {c}")
     n_columns = 4 if "bias" in meta["columns"] else 2
     raw = read_f64le(src / "data.f64le", n * d + (n_columns - 1) * n)
     pos = 0

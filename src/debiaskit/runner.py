@@ -9,6 +9,10 @@ Every run writes, under its output directory:
 * ``timings.json``  wall-clock seconds per seed and the BLAS thread policy
   in effect (kept out of the CSVs on purpose)
 
+``data`` holds the writers of each format (``write_json``, ``write_csv``,
+``write_f64le``) and ``SCHEMA_VERSION``; this module keeps only the
+weights-CSV layout, ``write_weights_csv``, which ``cli vcae`` shares.
+
 A sweep's pool workers run one BLAS thread each. A serial run's thread
 count is set by ``blas.limit`` inside the training calls.
 """

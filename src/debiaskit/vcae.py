@@ -48,9 +48,8 @@ class VcaeConfig:
             raise ConfigError(f"need num_classes >= 2 and dim_z >= 1, "
                               f"got {self.num_classes} and {self.dim_z}")
         lambdas = (self.lambda0, self.lambda1, self.lambda2)
-        if not all(math.isfinite(v) and v >= 0 for v in lambdas):
-            raise ConfigError(f"lambda coefficients must be finite and nonnegative, "
-                              f"got {lambdas}")
+        if not all(v >= 0 for v in lambdas):
+            raise ConfigError(f"lambda coefficients must be nonnegative, got {lambdas}")
         if not all(w >= 1 for w in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
         self.hidden = tuple(self.hidden)

@@ -176,6 +176,49 @@ def test_bad_config_fails_with_a_message_before_any_output(tmp_path, capsys, raw
     assert not out.exists()
 
 
+# every float field of a run config: JSON has no NaN or inf, so config.json could not hold one
+_FLOAT_FIELDS = [("dataset", "GenConfig", "bc_ratio"), ("dataset", "GenConfig", "sigma_u"),
+                 ("dataset", "GenConfig", "sigma_b"), ("train", "TrainConfig", "lr"),
+                 ("train", "TrainConfig", "momentum"), ("train", "TrainConfig", "weight_decay"),
+                 ("anneal", "AnnealConfig", "w_init"), ("vcae", "VcaeConfig", "lambda0"),
+                 ("vcae", "VcaeConfig", "lambda1"), ("vcae", "VcaeConfig", "lambda2"),
+                 (None, "RunConfig", "gamma"), (None, "RunConfig", "tau")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("section,cls,name", _FLOAT_FIELDS,
+                         ids=[f"{c}.{n}" for _, c, n in _FLOAT_FIELDS])
+def test_non_finite_config_float_fails_naming_the_field(tmp_path, capsys, section, cls,
+                                                        name, value):
+    out = tmp_path / "run"
+    raw = {"schema_version": 1, "scheme": "vcae" if section == "vcae" else "oracle-ub",
+           "dataset": {"num_classes": 3, "n": 60}, "test_n": 30,
+           "train": {"epochs": 1, "hidden": [4]}, "out_dir": str(out)}
+    if section is None:
+        raw[name] = value
+    else:
+        raw[section] = {**raw.get(section, {}), name: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))  # NaN, Infinity and -Infinity tokens
+    assert main(["debias", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cls}.{name} must be a finite float, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["debias", "--scheme", "oracle-ub", "--method", "LW", "--gamma", "inf"],
+    ["debias", "--scheme", "biased-confidence", "--method", "LW", "--gamma", "inf"],
+    ["debias", "--scheme", "oracle-yb", "--method", "TBA", "--gamma", "inf"],
+    ["sweep", "--scheme", "biased-confidence", "--method", "LW", "--gamma", "20,inf"]])
+def test_infinite_gamma_flag_fails_before_any_work(tmp_path, capsys, argv):
+    data = _gen(tmp_path, n=60)
+    cfg = _debias_config(tmp_path, data, t_bias=1)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: RunConfig.gamma must be a finite float, got inf\n"
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv", [["vcae", "--hidden", "0"],
                                   ["sweep", "--gamma", "20,50", "--jobs", "0"],
                                   ["sweep", "--gamma", "20,50", "--jobs", "-3"]])
@@ -220,6 +263,26 @@ def test_malformed_meta_json_fails_with_a_message(tmp_path, capsys, edit, messag
     out = tmp_path / "amp"
     assert main(["train-biased", "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {data / 'meta.json'}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-biased", "vcae"])
+@pytest.mark.parametrize("over", [{"n": 0}, {"n": -1}, {"feature_dim": 0},
+                                  {"feature_dim": -2}, {"num_classes": 1}],
+                         ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+def test_stored_dataset_with_a_bad_size_fails_before_reading_its_data(tmp_path, capsys,
+                                                                      command, over):
+    """The sizes in meta.json are checked against GenConfig's bounds before
+    data.f64le is read: no ZeroDivisionError, no negative byte count."""
+    data = _gen(tmp_path, n=60)
+    meta = json.loads((data / "meta.json").read_text())
+    (data / "meta.json").write_text(json.dumps({**meta, **over}))
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'meta.json'}: need n >= 1, feature_dim >= 1 "
+                          f"and num_classes >= 2, got ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -272,6 +335,23 @@ def test_vcae_command(tmp_path):
     assert len(latents) == 301
     assert (out / "weights.csv").exists()
     assert (out / "vcae_history.csv").exists()
+
+
+def test_vcae_without_bias_labels_writes_empty_aligned_cells(tmp_path):
+    """weights.csv shares the run's weights writer; a dataset without bias
+    columns has no aligned flags, so that cell stays empty."""
+    rng = np.random.default_rng(3)
+    save_dataset(LabeledDataset(rng.normal(size=(40, 3)), np.arange(40) % 2, num_classes=2),
+                 tmp_path / "d")
+    out = tmp_path / "vc"
+    assert main(["vcae", "--data", str(tmp_path / "d"), "--out", str(out), "--epochs", "1",
+                 "--hidden", "4", "--dim-z", "1", "--seed", "0"]) == 0
+    with (out / "latents.csv").open(newline="") as fh:
+        latents = list(csv.DictReader(fh))
+    assert {row["aligned"] for row in latents} == {""}
+    expected = "index,weight,aligned,provenance\r\n" + "".join(
+        f"{row['index']},{row['weight']},,vcae\r\n" for row in latents)
+    assert (out / "weights.csv").read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("flags", [["--dim-z", "0"], ["--lambda0", "nan"]])

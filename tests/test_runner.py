@@ -288,6 +288,22 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_csv_is_each_points_metrics_rows_with_axis_and_value(tmp_path, jobs):
+    """The merged rows come from memory; they must read as each point's
+    metrics.csv, in point order, with ``axis,value`` in front."""
+    cfg = _tiny_cfg(tmp_path, scheme="biased-confidence", t_bias=1)
+    path = run_sweep(cfg, "gamma", [50.0, 20.0, 200.0], jobs=jobs)
+    expected = [["axis", "value", *METRICS_HEADER]]
+    for value in ("50", "20", "200"):
+        with (tmp_path / "run" / f"gamma={value}" / "metrics.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == METRICS_HEADER and len(rows) == 4  # 2 seeds x 2 epochs
+        expected += [["gamma", value, *row] for row in rows]
+    with path.open(newline="") as fh:
+        assert list(csv.reader(fh)) == expected
+
+
 def test_sweep_t_bias_axis(tmp_path):
     cfg = _tiny_cfg(tmp_path, scheme="biased-confidence", gamma=20.0,
                     seeds=[0])
