@@ -27,7 +27,9 @@ scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 Then, for one seed and one epoch: biased-confidence/LW, pgd/WS and lff/LW on
 a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
-colored-glyphs dataset.
+colored-glyphs dataset. Last, on two more C=4 datasets, the training options
+that no other job sets: lff/LW and biased-confidence/ALW with SGD, momentum,
+weight decay and no shuffling, and lff/LW with Adam and weight decay.
 """
 
 import argparse
@@ -60,6 +62,13 @@ DATASETS = {
     "g6": ("colored-glyphs", 6, 0.05, 300, 6,
            {"seeds": [0], "train": {"epochs": 1, "batch_size": 64, "hidden": [16]}},
            [("vcae", "LW")]),
+    "s4": ("two-factor", 4, 0.049, 800, 7,
+           {"train": {"epochs": 2, "batch_size": 64, "hidden": [16], "optimizer": "sgd",
+                      "lr": 0.05, "momentum": 0.9, "weight_decay": 1e-4, "shuffle": False}},
+           [("lff", "LW"), ("biased-confidence", "ALW")]),
+    "w4": ("two-factor", 4, 0.049, 800, 8,
+           {"train": {"epochs": 2, "batch_size": 64, "hidden": [16], "weight_decay": 1e-4}},
+           [("lff", "LW")]),
 }
 
 

@@ -1,6 +1,7 @@
-"""MLP classifier, loss functions, and the one mini-batch epoch loop,
-``run_epochs``, that ``train``, LfF (``debias``) and ``vcae.train_vcae``
-drive with their own step function and end-of-epoch hook."""
+"""MLP classifier, loss functions, the one mini-batch epoch loop
+``run_epochs``, and ``train``, the one MLP trainer on it. Every weighting
+scheme, LfF (``debias``) included, trains its classifier through ``train``;
+``vcae.train_vcae`` drives ``run_epochs`` with its own step."""
 
 from __future__ import annotations
 
@@ -416,26 +417,29 @@ def run_epochs(n: int, cfg: TrainConfig, sampler: Iterator[np.ndarray],
 
 
 def train(ds: LabeledDataset, cfg: TrainConfig, *,
+          params: MlpParams | None = None,
           loss: str = "xent",
           tau: float = 0.7,
-          weight_fn: Callable[[np.ndarray, int], np.ndarray] | None = None,
+          weight_fn: Callable[[np.ndarray, int, MlpPass], np.ndarray] | None = None,
           sampler: Iterator[np.ndarray] | None = None,
           logit_offset: np.ndarray | None = None,
-          eval_fn: Callable[[int, MlpParams, dict], object] | None = None,
-          abort_xent_above: float | None = None):
+          eval_fn: Callable[[int, MlpParams, dict], object] | None = None):
     """Train one MLP by ``run_epochs``, for every weighting strategy.
 
-    ``weight_fn(indices, step)`` returns per-sample loss weights (default 1).
-    ``sampler`` yields batch index arrays per step (default: seeded epoch
-    shuffle). ``logit_offset`` is an (N, C) constant added to the logits of
-    the drawn samples before the loss (used for target adjustment).
-    ``eval_fn(epoch, params, stats)`` builds the per-epoch history record
-    (default: ``stats``, which also holds train_xent, the mean uncapped
-    cross-entropy). Deterministic given cfg.seed and inputs. Runs under
-    the BLAS thread policy of ``blas.limit``.
+    ``params`` is the model, trained in place (default: ``init_mlp`` from
+    cfg.seed). Each step runs the batch's forward pass ``fwd`` first, then
+    ``weight_fn(indices, step, fwd)`` returns its per-sample loss weights
+    (default 1). ``sampler`` yields batch index arrays per step (default:
+    seeded epoch shuffle). ``logit_offset`` is an (N, C) constant added to
+    the logits of the drawn samples before the loss (used for target
+    adjustment). ``eval_fn(epoch, params, stats)`` builds the per-epoch
+    history record (default: ``stats``, which also holds train_xent, the
+    mean uncapped cross-entropy). Deterministic given cfg.seed and inputs.
+    Runs under the BLAS thread policy of ``blas.limit``.
     """
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
-    params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
+    if params is None:
+        params = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
     if sampler is None:
         sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -445,10 +449,10 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
 
     def step_fn(idx, step):
         nonlocal xent_total
-        w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step), dtype=np.float64)
         fwd = mlp_loss_forward(
             params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
             logit_offset=None if logit_offset is None else logit_offset[idx], scratch=scratch)
+        w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step, fwd), dtype=np.float64)
         lval, _ = mlp_backward(fwd, w, out=grad)
         opt.step(params.flat, grad.flat)
         # uncapped cross-entropy of the raw logits, for divergence tracking
@@ -458,11 +462,6 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
     def end_epoch(epoch, stats):
         nonlocal xent_total
         stats["train_xent"], xent_total = xent_total / stats["seen"], 0.0
-        if abort_xent_above is not None and stats["train_xent"] > abort_xent_above:
-            raise TrainingDiverged(
-                f"mean train cross-entropy {stats['train_xent']:.1f} exceeded "
-                f"{abort_xent_above}: amplification training collapsed "
-                f"(loss spiking on rare conflicting samples); lower t_bias or tau")
         return stats if eval_fn is None else eval_fn(epoch, params, stats)
 
     with blas.limit(cfg.batch_size, [ds.dim, *cfg.hidden]):

@@ -59,12 +59,12 @@ def cmd_train_biased(args) -> int:
     cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     art = train_biased_classifier(ds, GceConfig(tau=args.tau), args.t_bias, cfg)
     out = Path(args.out)
-    save_model(art.params, out, extra={"t_bias": art.t_bias, "tau": art.tau,
+    save_model(art.params, out, extra={"t_bias": args.t_bias, "tau": args.tau,
                                        "n": len(ds), "num_classes": ds.num_classes})
     write_f64le(out / "confidences.f64le", art.confidences)
     write_f64le(out / "class_probs.f64le", art.class_probs)
     lo, hi = art.confidences.min(), art.confidences.max()
-    print(f"amplified classifier trained {art.t_bias} epochs; "
+    print(f"amplified classifier trained {args.t_bias} epochs; "
           f"confidence range [{lo:.3g}, {hi:.3g}]; artifact in {args.out}")
     return 0
 
@@ -92,7 +92,8 @@ def _load_run_config(args) -> RunConfig:
 def cmd_debias(args) -> int:
     cfg = _load_run_config(args)
     summary, _ = run_experiment(cfg)
-    m = summary["metrics"]
+    m = {key: {k: float("nan") if v is None else v for k, v in stats.items()}
+         for key, stats in summary["metrics"].items()}  # None: not finite
     print(f"{cfg.scheme}/{cfg.method} over seeds {cfg.seeds}: "
           f"acc={m['test_acc']['mean']:.4f}±{m['test_acc']['std']:.4f} "
           f"bc={m['test_acc_bc']['mean']:.4f} ba={m['test_acc_ba']['mean']:.4f} "
@@ -123,12 +124,12 @@ def cmd_vcae(args) -> int:
     params, history = train_vcae(ds, cfg, tc)
     out = Path(args.out)
     rows = latent_dump(params, ds, cap=args.cap)
+    weights = SampleWeights([row["weight"] for row in rows], provenance="vcae")
     header = list(rows[0].keys())
     write_csv(out / "latents.csv", header, [[row[k] for k in header] for row in rows])
     write_csv(out / "vcae_history.csv", ["epoch", "loss"],
               [[h["epoch"], h["loss"]] for h in history])
-    write_weights_csv(out / "weights.csv", SampleWeights(
-        [row["weight"] for row in rows], provenance="vcae"), ds.aligned)
+    write_weights_csv(out / "weights.csv", weights, ds.aligned)
     print(f"trained {tc.epochs} epochs, final loss {history[-1]['loss']:.4f}; "
           f"dumps in {args.out}")
     return 0

@@ -258,9 +258,10 @@ def read_f64le(path: Path, count: int) -> np.ndarray:
 
 
 def write_json(path: Path, obj) -> None:
-    """``obj`` as indented JSON plus a newline; makes the parent directory."""
+    """``obj`` as indented strict JSON (``ValueError`` on a NaN or infinity)
+    plus a newline; makes the parent directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:

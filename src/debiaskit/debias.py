@@ -20,10 +20,10 @@ from typing import Iterator
 import numpy as np
 
 from . import blas
-from .classifier import (GceConfig, MlpParams, TrainConfig, init_mlp,
-                         mlp_backward, mlp_final_hidden, mlp_forward,
-                         mlp_loss_forward, row_blocks, run_epochs,
-                         shuffle_batches, softmax_numpy, softmax_xent, train)
+from .classifier import (GceConfig, MlpParams, TrainConfig, TrainingDiverged,
+                         init_mlp, mlp_backward, mlp_final_hidden, mlp_forward,
+                         mlp_loss_forward, row_blocks, shuffle_batches,
+                         softmax_numpy, softmax_xent, train)
 from .data import ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
@@ -77,8 +77,6 @@ class BiasedClassifierArtifact:
     params: MlpParams
     confidences: np.ndarray        # (N,) true-class probability, in (0, 1]
     class_probs: np.ndarray        # (N, C) full probability rows
-    t_bias: int
-    tau: float
 
     def __post_init__(self):
         self.confidences = np.asarray(self.confidences, dtype=np.float64)
@@ -140,17 +138,23 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
     key = _amplify_key(train_ds, gce.tau, bias_cfg)
     art = _amplify_memo.get(key)
     if art is None:
+        def check_collapse(epoch, params, stats):
+            if stats["train_xent"] > COLLAPSE_XENT:
+                raise TrainingDiverged(
+                    f"mean train cross-entropy {stats['train_xent']:.1f} exceeded "
+                    f"{COLLAPSE_XENT}: amplification training collapsed "
+                    f"(loss spiking on rare conflicting samples); lower t_bias or tau")
+
         with blas.limit(bias_cfg.batch_size, [train_ds.dim, *bias_cfg.hidden]):
             params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
-                              abort_xent_above=COLLAPSE_XENT)
+                              eval_fn=check_collapse)
             probs = softmax_numpy(mlp_forward(params, train_ds.features))
         conf = probs[np.arange(len(train_ds)), train_ds.labels]
         conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
         for a in (params.flat, conf, probs):
             a.flags.writeable = False
         art = BiasedClassifierArtifact(params=params, confidences=conf,
-                                       class_probs=probs, t_bias=t_bias,
-                                       tau=gce.tau)
+                                       class_probs=probs)
         _amplify_memo[key] = art
         if len(_amplify_memo) > AMPLIFY_MEMO_SIZE:
             _amplify_memo.popitem(last=False)
@@ -370,16 +374,17 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             if vcae_cfg is None:
                 raise ValueError("vcae scheme needs a VcaeConfig")
             vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
-            weights = vcae_weights(vparams, train_ds, cap=vcae_weight_cap)
+            weights = SampleWeights(vcae_weights(vparams, train_ds, cap=vcae_weight_cap),
+                                    provenance="vcae")
         else:  # pragma: no cover
             raise AssertionError(scheme)
 
         w_arr = weights.weights
         weight_fn = sampler = None
         if method == "LW":
-            weight_fn = lambda idx, t: w_arr[idx]
+            weight_fn = lambda idx, t, fwd: w_arr[idx]
         elif method == "ALW":
-            weight_fn = lambda idx, t: anneal_weight(w_arr[idx], t, anneal)
+            weight_fn = lambda idx, t, fwd: anneal_weight(w_arr[idx], t, anneal)
         elif method == "WS":
             _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
             sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
@@ -397,42 +402,36 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
 
 
 def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineResult:
-    """Parallel loop: amplified and debiased classifiers update every step;
-    weights are the per-batch loss ratios of the two."""
+    """Parallel loop: ``train`` steps the debiased classifier theta on the
+    per-batch loss ratios of the amplified classifier psi and theta, which
+    ``weight_fn`` forms before either update, then takes psi's GCE step."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
     psi = init_mlp(sizes, int(seeds[0]))
-    theta = init_mlp(sizes, int(seeds[1]))
     opt_psi = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
-    opt_theta = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
-    grad_psi, grad_theta = (MlpParams(sizes, flat=np.empty_like(psi.flat)),
-                            MlpParams(sizes, flat=np.empty_like(theta.flat)))
-    scratch_psi, scratch_theta = {}, {}  # each model's step buffers
+    grad_psi = MlpParams(sizes, flat=np.empty_like(psi.flat))
+    scratch_psi = {}  # psi's step buffers
 
-    def step_fn(idx, step):
-        xb, yb = train_ds.features[idx], train_ds.labels[idx]
-        fwd_b = mlp_loss_forward(psi, xb, yb, loss="gce", tau=gce.tau, scratch=scratch_psi)
-        fwd_d = mlp_loss_forward(theta, xb, yb, scratch=scratch_theta)
-        # ratio weights from current losses, before either update
-        w = lff_weight(fwd_b.xent(), fwd_d.xent())
+    def weight_fn(idx, step, fwd):
+        fwd_b = mlp_loss_forward(psi, train_ds.features[idx], train_ds.labels[idx],
+                                 loss="gce", tau=gce.tau, scratch=scratch_psi)
+        w = lff_weight(fwd_b.xent(), fwd.xent())
         mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
-        lval, _ = mlp_backward(fwd_d, w, out=grad_theta)
         opt_psi.step(psi.flat, grad_psi.flat)
-        opt_theta.step(theta.flat, grad_theta.flat)
-        return lval
+        return w
 
     full_w = None
 
-    def beta_fn(params, step_end):  # the last epoch's weights are the run's
+    def beta_fn(theta, step_end):  # the last epoch's weights are the run's
         nonlocal full_w
         lb = softmax_xent(mlp_forward(psi, train_ds.features), train_ds.labels)
         ld = softmax_xent(mlp_forward(theta, train_ds.features), train_ds.labels)
         full_w = np.maximum(lff_weight(lb, ld), 1e-300)
         return debias_bc_ratio(full_w, train_ds.aligned)
 
-    eval_fn = _make_eval(test_ds, beta_fn)
-    sampler = shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle)
-    history = run_epochs(len(train_ds), cfg, sampler, step_fn,
-                         lambda epoch, stats: eval_fn(epoch, theta, stats))
-    return PipelineResult(params=theta, history=history,
+    params, history = train(
+        train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
+        sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
+        eval_fn=_make_eval(test_ds, beta_fn))
+    return PipelineResult(params=params, history=history,
                           weights=SampleWeights(full_w, provenance="lff"))

@@ -177,14 +177,14 @@ def run_single(cfg: RunConfig, run_seed: int):
 
 
 def summarize(rows: list[dict]) -> dict:
-    """Mean/std (across seeds) of each final-epoch metric column."""
+    """Mean/std (across seeds) of each final-epoch metric column; None if not finite."""
     last_epoch = max(r["epoch"] for r in rows)
     finals = [r for r in rows if r["epoch"] == last_epoch]
     out = {"final_epoch": last_epoch, "n_seeds": len(finals), "metrics": {}}
     for key in ("train_loss", "test_acc", "test_acc_ba", "test_acc_bc", "beta"):
         vals = np.array([float(r[key]) for r in finals])
-        std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        out["metrics"][key] = {"mean": float(vals.mean()), "std": std}
+        stats = {"mean": vals.mean(), "std": vals.std(ddof=1) if len(vals) > 1 else 0.0}
+        out["metrics"][key] = {k: float(v) if np.isfinite(v) else None for k, v in stats.items()}
     return out
 
 

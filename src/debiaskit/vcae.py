@@ -294,17 +294,16 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
 
 def _posterior_weights(params: VcaeParams, ds: LabeledDataset, cap: float):
     """Posterior means z_n, p(y_n | z_n) under the uniform class prior and
-    the checked ``SampleWeights`` min(1 / p(y_n | z_n), cap)."""
-    from .debias import SampleWeights
+    the weights min(1 / p(y_n | z_n), cap)."""
     z = encode(params, ds.features).mu
     post = p_y_given_z(params, z, np.full(ds.num_classes, 1.0 / ds.num_classes))
     p_true = np.maximum(post[np.arange(len(ds)), ds.labels], 1e-300)
-    return z, p_true, SampleWeights(np.minimum(1.0 / p_true, cap), provenance="vcae")
+    return z, p_true, np.minimum(1.0 / p_true, cap)
 
 
 def vcae_weights(params: VcaeParams, ds: LabeledDataset,
-                 cap: float = VCAE_WEIGHT_CAP):
-    """w_n = min(1 / p(y_n | z_n), cap), z_n the posterior mean."""
+                 cap: float = VCAE_WEIGHT_CAP) -> np.ndarray:
+    """(N,) weights w_n = min(1 / p(y_n | z_n), cap), z_n the posterior mean."""
     return _posterior_weights(params, ds, cap)[2]
 
 
@@ -313,7 +312,7 @@ def latent_dump(params: VcaeParams, ds: LabeledDataset,
     """Rows for the latent CSV: coordinates, posterior, weight, and the
     (unnormalized) class-conditional log density as a diagnostic."""
     z, p_true, weights = _posterior_weights(params, ds, cap)
-    z_rows, p, w = z.tolist(), p_true.tolist(), weights.weights.tolist()
+    z_rows, p, w = z.tolist(), p_true.tolist(), weights.tolist()
     log_pdf = log_p_z_given_y(params, z)[np.arange(len(ds)), ds.labels].tolist()
     return [{"index": i, **{f"z_{d}": v for d, v in enumerate(z_rows[i])},
              "label": int(ds.labels[i]),

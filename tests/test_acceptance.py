@@ -251,8 +251,8 @@ def test_criterion_8_vcae():
         vp, _ = train_vcae(ds, vc, TrainConfig(epochs=30, batch_size=128,
                                                seed=seed, lr=3e-3))
         w = vcae_weights(vp, ds, cap=100.0)
-        w_bc = w.weights[~ds.aligned].mean()
-        w_ba = w.weights[ds.aligned].mean()
+        w_bc = w[~ds.aligned].mean()
+        w_ba = w[ds.aligned].mean()
         assert w_bc > w_ba, f"seed {seed}: BC {w_bc:.2f} <= BA {w_ba:.2f}"
     _report(8, "clustering autoencoder", f"last seed BC/BA weights "
             f"{w_bc:.1f}/{w_ba:.1f}")

@@ -113,9 +113,12 @@ def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit)
 def test_count_restored_after_divergence(monkeypatch, inherit):
     inherit(2)
     ds = _two_factor(n=64)
+
+    def diverge(*args, **kwargs):
+        raise TrainingDiverged("evaluation diverged")
+
     with pytest.raises(TrainingDiverged):
-        train(ds, TrainConfig(epochs=1, batch_size=64, hidden=(16,)),
-              abort_xent_above=0.0)
+        train(ds, TrainConfig(epochs=1, batch_size=64, hidden=(16,)), eval_fn=diverge)
     assert blas.threads() == 2
     x = np.random.default_rng(1).normal(size=(12, 3))
     x[8:] *= 1e160  # overflows the reconstruction term on the first step
@@ -124,10 +127,6 @@ def test_count_restored_after_divergence(monkeypatch, inherit):
                    VcaeConfig(num_classes=2, dim_z=1, hidden=(4,)),
                    TrainConfig(epochs=1, hidden=(4,)))
     assert blas.threads() == 2
-
-    def diverge(*args, **kwargs):
-        raise TrainingDiverged("evaluation diverged")
-
     monkeypatch.setattr(debias, "evaluate_accuracy", diverge)
     with pytest.raises(TrainingDiverged):
         run_debias_pipeline(ds, ds, "vanilla", "LW",

@@ -213,7 +213,7 @@ def test_constant_weight_rescales_gradient():
     def one_step(weight, lr):
         cfg = TrainConfig(epochs=1, batch_size=32, hidden=(4,), seed=5,
                           optimizer="sgd", lr=lr, shuffle=False)
-        params, _ = train(ds, cfg, weight_fn=lambda idx, t: np.full(len(idx), weight))
+        params, _ = train(ds, cfg, weight_fn=lambda idx, t, fwd: np.full(len(idx), weight))
         return params
 
     a = one_step(c, 0.01)
@@ -412,7 +412,7 @@ def test_finite_loss_with_overflowing_gradient_raises(monkeypatch):
         monkeypatch.setattr(classifier, "init_mlp",
                             lambda sizes, seed: params_of(sizes, params.arrays))
         with pytest.raises(ad.GradientError):
-            train(ds, cfg, weight_fn=lambda idx, t: w[idx])
+            train(ds, cfg, weight_fn=lambda idx, t, fwd: w[idx])
 
 
 def test_non_finite_gradient_names_its_array():
@@ -443,7 +443,8 @@ def _tape_train(ds, cfg, *, loss="xent", tau=0.7, weight_fn=None, logit_offset=N
     losses = []
     for step in range(cfg.epochs * math.ceil(len(ds) / cfg.batch_size)):
         idx = next(sampler)
-        w = np.ones(len(idx)) if weight_fn is None else weight_fn(idx, step)
+        # the tape's loop forms no closed-form pass, so its weight_fn gets None
+        w = np.ones(len(idx)) if weight_fn is None else weight_fn(idx, step, None)
         lval, grads = tape_loss_and_grads(
             params.arrays, ds.features[idx], ds.labels[idx], w, loss=loss, tau=tau,
             logit_offset=None if logit_offset is None else logit_offset[idx])
@@ -461,25 +462,41 @@ def _choice_batches(w, batch_size, seed):
 
 @pytest.mark.parametrize("loss,optimizer,weighted", [
     ("xent", "adam", False), ("xent", "adam", True), ("gce", "adam", False),
-    ("xent", "sgd", True), ("xent", "adam", "ws")])
+    ("xent", "sgd", True), ("xent", "adam", "ws"), ("xent", "adam", "params")])
 def test_train_matches_tape_reference_bitwise(loss, optimizer, weighted):
-    """``weighted``: per-sample loss weights and a logit offset (True), or
+    """``weighted``: per-sample loss weights and a logit offset (True),
     batches drawn by ``weighted_sampler``, which the reference draws with
-    ``rng.choice`` ("ws")."""
+    ``rng.choice`` ("ws"), or weights and a model passed as ``params``,
+    which ``train`` steps in place ("params")."""
     gen = GenConfig(num_classes=4, n=300, bc_ratio=0.05, seed=8)
     ds = generate_two_factor(gen)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16, 8), seed=4,
                       optimizer=optimizer, lr=1e-2, momentum=0.9, weight_decay=1e-3)
     rng = np.random.default_rng(3)
     w_all = rng.uniform(0.1, 10.0, size=len(ds))
-    weight_fn = (lambda idx, t: w_all[idx]) if weighted is True else None
+    weight_fn = (lambda idx, t, fwd: w_all[idx]) if weighted is True else None
     offset = np.log(rng.dirichlet(np.ones(4), size=len(ds))) if weighted is True else None
     ws = weighted == "ws"
-    params, history = train(ds, cfg, loss=loss, weight_fn=weight_fn, logit_offset=offset,
+    model = None
+    if weighted == "params":
+        init_seed = np.random.SeedSequence(cfg.seed).generate_state(2)[0]
+        model = init_mlp([ds.dim, *cfg.hidden, ds.num_classes], int(init_seed))
+        flat, drawn = model.flat, []
+
+        def weight_fn(idx, t, fwd):  # the forward pass of the drawn batch
+            if fwd is not None:
+                assert fwd.params is model and fwd.labels.tobytes() == ds.labels[idx].tobytes()
+                drawn.append(idx)
+            return w_all[idx]
+
+    params, history = train(ds, cfg, params=model, loss=loss, weight_fn=weight_fn,
+                            logit_offset=offset,
                             sampler=weighted_sampler(w_all, 64, 7) if ws else None)
     ref, ref_losses = _tape_train(ds, cfg, loss=loss, weight_fn=weight_fn,
                                   logit_offset=offset,
                                   sampler=_choice_batches(w_all, 64, 7) if ws else None)
+    if model is not None:
+        assert params is model and params.flat is flat and len(drawn) == len(ref_losses)
     for a, b in zip(params.arrays, ref.arrays):
         assert a.tobytes() == b.tobytes()
     steps = math.ceil(len(ds) / cfg.batch_size)

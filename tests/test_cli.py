@@ -484,6 +484,28 @@ def test_report_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_empty_test_subset_writes_null_and_prints_nan(tmp_path, capsys):
+    """One test row leaves the aligned or the conflicting subset empty. Its
+    accuracy has no mean, which summary.json and the report write as null
+    (strict JSON has no NaN) and the debias line prints as nan."""
+    data = _gen(tmp_path, n=200)
+    cfg = _debias_config(tmp_path, data, test_n=1, seeds=[0, 1])
+    assert main(["debias", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["report", "--out", str(tmp_path / "run")]) == 0
+    assert "NaN" not in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    for name in ("summary.json", "summary_recomputed.json"):
+        stats = json.loads((tmp_path / "run" / name).read_text(), parse_constant=reject)
+        empty = [k for k in ("test_acc_ba", "test_acc_bc")
+                 if stats["metrics"][k] == {"mean": None, "std": None}]
+        assert empty and stats["metrics"]["test_acc"]["mean"] is not None
+    assert re.search(r"(bc|ba)=nan", printed)
+
+
 def test_report_missing_dir_fails(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nope")]) == 1
 

@@ -363,6 +363,21 @@ def test_memo_does_not_keep_a_failed_call(monkeypatch, amp_calls):
     assert len(amp_calls) == 2 and len(debias._amplify_memo) == 1
 
 
+def test_amplification_collapse_aborts_and_is_not_kept(monkeypatch, amp_calls):
+    """A mean train cross-entropy above COLLAPSE_XENT aborts amplification
+    with the collapse diagnostic, and the failed call leaves no memo entry."""
+    ds, gce, cfg = _amp_setup()
+    collapse = debias.COLLAPSE_XENT
+    monkeypatch.setattr(debias, "COLLAPSE_XENT", 0.0)
+    with pytest.raises(TrainingDiverged, match=r"^mean train cross-entropy \S+ exceeded 0\.0: "
+                       r"amplification training collapsed .*; lower t_bias or tau$"):
+        train_biased_classifier(ds, gce, 1, cfg)
+    assert len(amp_calls) == 1 and not debias._amplify_memo
+    monkeypatch.setattr(debias, "COLLAPSE_XENT", collapse)
+    train_biased_classifier(ds, gce, 1, cfg)
+    assert len(amp_calls) == 2 and len(debias._amplify_memo) == 1
+
+
 def test_memo_stays_at_its_bound_and_drops_the_least_recent(amp_calls):
     ds, gce, cfg = _amp_setup()
     bound = debias.AMPLIFY_MEMO_SIZE
@@ -593,7 +608,7 @@ def test_vanilla_lw_matches_plain_training():
 def test_uniform_weight_fn_matches_vanilla():
     train_ds, _, cfg = _tiny_setup()
     p1, _ = train(train_ds, cfg)
-    p2, _ = train(train_ds, cfg, weight_fn=lambda idx, t: np.ones(len(idx)))
+    p2, _ = train(train_ds, cfg, weight_fn=lambda idx, t, fwd: np.ones(len(idx)))
     for a, b in zip(p1.arrays, p2.arrays):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -721,7 +736,8 @@ def test_every_trainer_runs_the_shared_epoch_loop_once(monkeypatch):
         calls.append(args[1].epochs)
         return run_epochs(*args, **kwargs)
 
-    for module in (classifier, debias, vcae):
+    assert not hasattr(debias, "run_epochs")  # LfF trains through ``train``
+    for module in (classifier, vcae):
         monkeypatch.setattr(module, "run_epochs", counted)
     train_ds, test_ds, cfg = _tiny_setup()
     cfg = replace(cfg, epochs=1)

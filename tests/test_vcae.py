@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,9 +216,9 @@ def test_weights_examples_and_cap():
                         bias=np.array([0, 0]))
     w = vcae_weights(params, ds, cap=100.0)
     # zero-weight encoder puts every z at the class-0 mean
-    assert abs(w.weights[0] - 1.0) < 1e-9   # p(y=0|z) == 1
-    assert w.weights[1] == 100.0            # p(y=1|z) astronomically small -> capped
-    assert w.provenance == "vcae"
+    assert abs(w[0] - 1.0) < 1e-9   # p(y=0|z) == 1
+    assert w[1] == 100.0            # p(y=1|z) astronomically small -> capped
+    assert w.shape == (2,) and w.dtype == np.float64
 
 
 def test_train_vcae_loss_decreases():
@@ -246,7 +249,7 @@ def test_conflicting_samples_get_larger_weights():
     params, _ = train_vcae(ds, cfg,
                            TrainConfig(epochs=30, batch_size=128, seed=1, lr=3e-3))
     w = vcae_weights(params, ds, cap=100.0)
-    assert w.weights[~ds.aligned].mean() > w.weights[ds.aligned].mean()
+    assert w[~ds.aligned].mean() > w[ds.aligned].mean()
 
 
 def test_jensen_direction_on_matched_samples(rng):
@@ -475,7 +478,8 @@ def test_pipeline_weights_are_vcae_weights_of_its_vcae():
                               vcae_cfg=cfg, vcae_train_cfg=tc)
     vparams, _ = train_vcae(train_ds, cfg, tc)
     want = vcae_weights(vparams, train_ds)
-    assert res.weights.weights.tobytes() == want.weights.tobytes()
+    assert res.weights.weights.tobytes() == want.tobytes()
+    assert res.weights.provenance == "vcae"
 
 
 def test_latent_dump_shares_the_weights_posterior():
@@ -486,5 +490,27 @@ def test_latent_dump_shares_the_weights_posterior():
     w = vcae_weights(vparams, train_ds, cap=50.0)
     post = p_y_given_z(vparams, encode(vparams, train_ds.features).mu, np.full(3, 1.0 / 3.0))
     p_true = post[np.arange(len(train_ds)), train_ds.labels]
-    assert np.array([r["weight"] for r in rows]).tobytes() == w.weights.tobytes()
+    assert np.array([r["weight"] for r in rows]).tobytes() == w.tobytes()
     assert np.array([r["p_y_given_z"] for r in rows]).tobytes() == p_true.tobytes()
+
+
+def test_weights_leave_debias_unimported():
+    """The model layer holds no scheme: training a VCAE and weighing by it
+    loads neither ``debiaskit.debias`` nor its schemes."""
+    import debiaskit
+    script = """
+import sys
+from debiaskit.classifier import TrainConfig
+from debiaskit.data import GenConfig, generate
+from debiaskit.vcae import VcaeConfig, train_vcae, vcae_weights
+ds = generate(GenConfig(num_classes=3, n=60, bc_ratio=0.1, seed=1))
+params, _ = train_vcae(ds, VcaeConfig(num_classes=3, hidden=(4,)),
+                       TrainConfig(epochs=1, batch_size=30, hidden=(4,)))
+vcae_weights(params, ds)
+print(sorted(m for m in sys.modules if m.startswith("debiaskit")))
+"""
+    src = str(Path(debiaskit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "debiaskit.vcae" in done.stdout and "debiaskit.debias" not in done.stdout
