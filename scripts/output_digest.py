@@ -27,9 +27,13 @@ scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 Then, for one seed and one epoch: biased-confidence/LW, pgd/WS and lff/LW on
 a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
-colored-glyphs dataset. Last, on two more C=4 datasets, the training options
+colored-glyphs dataset. Then, on two more C=4 datasets, the training options
 that no other job sets: lff/LW and biased-confidence/ALW with SGD, momentum,
 weight decay and no shuffling, and lff/LW with Adam and weight decay.
+Last, two runs whose config holds the dataset section itself, so that
+``config.json`` carries it: biased-confidence/LW on two-factor data, seeds 0
+and 1, and vcae/LW on colored glyphs at n=120 for one epoch, where the
+classifier and the VCAE have no hidden layer (``"hidden": []``).
 """
 
 import argparse
@@ -71,10 +75,22 @@ DATASETS = {
            [("lff", "LW")]),
 }
 
+# name: (dataset section, run config overrides, scheme/method pair); each run
+# generates its data from the section
+INLINE = {
+    "i4": ({"num_classes": 4, "n": 400, "bc_ratio": 0.05, "seed": 9}, {},
+           ("biased-confidence", "LW")),
+    "ig3": ({"num_classes": 3, "n": 120, "bc_ratio": 0.1, "seed": 10,
+             "kind": "colored-glyphs"},
+            {"seeds": [0], "test_n": 60, "train": {"epochs": 1, "batch_size": 64, "hidden": []},
+             "vcae": {"num_classes": 3, "hidden": []}},
+            ("vcae", "LW")),
+}
 
-def run_config(data: str, classes: int, overrides: dict) -> dict:
+
+def run_config(classes: int, overrides: dict) -> dict:
     return {"schema_version": 1, "test_n": 300, "gamma": 50.0, "t_bias": 2,
-            "anneal": {"t_anneal": 5}, "seeds": [0, 1], "dataset_path": data,
+            "anneal": {"t_anneal": 5}, "seeds": [0, 1],
             "train": {"epochs": 2, "batch_size": 64, "hidden": [16]},
             "vcae": {"num_classes": classes, "hidden": [16]}, **overrides}
 
@@ -95,7 +111,9 @@ def jobs() -> list[list[str]]:
          "--out", "vcae"],
         ["train-biased", "--data", "d10", "--t-bias", "2", "--out", "amplified"],
         ["oracle-check", "--seed", "0", "--out", "oracle"],
-        ["report", "--out", "runs/d4/oracle-ub-LW"]]
+        ["report", "--out", "runs/d4/oracle-ub-LW"]] + [
+        ["debias", "--config", f"{name}.json", "--scheme", s, "--method", m,
+         "--out", f"runs/{name}/{s}-{m}"] for name, (_, _, (s, m)) in INLINE.items()]
 
 
 def digest(work: Path, src: Path) -> list[str]:
@@ -104,8 +122,12 @@ def digest(work: Path, src: Path) -> list[str]:
     work.mkdir(parents=True, exist_ok=True)
     if any(work.iterdir()):
         sys.exit(f"{work} is not empty")
-    for data, (_, c, _, _, _, overrides, _) in DATASETS.items():
-        (work / f"{data}.json").write_text(json.dumps(run_config(data, c, overrides)) + "\n")
+    configs = {data: run_config(c, {"dataset_path": data, **overrides})
+               for data, (_, c, _, _, _, overrides, _) in DATASETS.items()}
+    configs |= {name: run_config(section["num_classes"], {"dataset": section, **overrides})
+                for name, (section, overrides, _) in INLINE.items()}
+    for name, config in configs.items():
+        (work / f"{name}.json").write_text(json.dumps(config) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     printed = []
     for k, argv in enumerate(jobs()):

@@ -32,18 +32,6 @@ class GradientError(RuntimeError):
 
 
 @dataclass
-class GceConfig:
-    """Generalized cross-entropy (1 - p^tau) / tau; tau in (0, 1]."""
-
-    tau: float = 0.7
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must be in (0,1], got {self.tau}")
-
-
-@dataclass
 class TrainConfig:
     epochs: int = 30
     batch_size: int = 128

@@ -13,8 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .classifier import (GceConfig, GradientError, TrainConfig, TrainingDiverged,
-                         save_model)
+from .classifier import GradientError, TrainConfig, TrainingDiverged, save_model
 from .data import (KINDS, GenConfig, generate, load_dataset, save_dataset, write_csv,
                    write_f64le, write_json)
 from .debias import METHODS, SCHEMES, SampleWeights, train_biased_classifier
@@ -57,7 +56,7 @@ def cmd_generate(args) -> int:
 def cmd_train_biased(args) -> int:
     ds = load_dataset(args.data)
     cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr, seed=args.seed)
-    art = train_biased_classifier(ds, GceConfig(tau=args.tau), args.t_bias, cfg)
+    art = train_biased_classifier(ds, args.tau, args.t_bias, cfg)
     out = Path(args.out)
     save_model(art.params, out, extra={"t_bias": args.t_bias, "tau": args.tau,
                                        "n": len(ds), "num_classes": ds.num_classes})
@@ -181,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-biased", help="train and freeze the amplified classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--t-bias", type=int, default=RunConfig.t_bias)
-    p.add_argument("--tau", type=float, default=GceConfig.tau)
+    p.add_argument("--tau", type=float, default=RunConfig.tau)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
@@ -236,7 +235,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, TrainingDiverged, GradientError) as exc:
+    except (ValueError, OSError, TrainingDiverged, GradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,9 @@ Every sample carries a class label ``y`` and (optionally) a bias label
 P(y=c | b=c) = 1 - rho and P(y=c' | b=c) = rho / (C - 1).
 An unbiased split (b independent of y) is the special case
 rho = (C - 1) / C.
+
+Below the generators: the config schema (``check_fields``; ``take_fields``, the
+one reader of a config object) and the reader and writer of each file format.
 """
 
 from __future__ import annotations
@@ -199,11 +202,6 @@ class ConfigError(ValueError):
     """A config value of the wrong type, out of range or in conflict with another."""
 
 
-def serialised_fields(cls) -> list[str]:
-    """The fields of config dataclass ``cls`` that a config file holds, in order."""
-    return [f.name for f in fields(cls)]
-
-
 def _fits(value, hint) -> bool:
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # X | None
@@ -219,17 +217,26 @@ def _fits(value, hint) -> bool:
 
 
 def check_fields(obj) -> None:
-    """Raise ``ConfigError`` unless each serialised field of config dataclass ``obj``
+    """Raise ``ConfigError`` unless each field of config dataclass ``obj``
     holds a value of its annotated type; a float must be finite, as JSON has no
     NaN or inf. Converts nothing: an int stays an int."""
     hints = get_type_hints(type(obj))
-    for name in serialised_fields(type(obj)):
-        value, hint = getattr(obj, name), hints[name]
+    for f in fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
         if not _fits(value, hint):
             kind = hint.__name__ if isinstance(hint, type) and not get_args(hint) else hint
             if hint is float and isinstance(value, (float, np.floating)):
                 kind = "a finite float"
-            raise ConfigError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
+            raise ConfigError(f"{type(obj).__name__}.{f.name} must be {kind}, got {value!r}")
+
+
+def take_fields(raw, cls, where: str, *extra: str) -> dict:
+    """JSON object ``raw`` as keyword arguments of ``cls``; ``extra`` names other keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    if unknown := set(raw) - {*(f.name for f in fields(cls)), *extra}:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    return dict(raw)
 
 
 def read_meta(path: Path, types: dict[str, type]) -> dict:
@@ -330,8 +337,9 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
         bias, aligned = take(n), take(n)  # as stored: LabeledDataset checks before casting
     cfg = None
     if "gen" in meta:
-        _require([f.name for f in fields(GenConfig)], meta["gen"], f"{path} gen")
-        cfg = GenConfig(**{f.name: meta["gen"][f.name] for f in fields(GenConfig)})
+        gen = take_fields(meta["gen"], GenConfig, f"{path}: gen")
+        _require([f.name for f in fields(GenConfig)], gen, f"{path}: gen")
+        cfg = GenConfig(**gen)
         if cfg.num_classes != c:
             raise ValueError(f"{path}: num_classes {c} != gen.num_classes {cfg.num_classes}")
     try:

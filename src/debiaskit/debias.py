@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import blas
-from .classifier import (GceConfig, MlpParams, TrainConfig, TrainingDiverged,
+from .classifier import (MlpParams, TrainConfig, TrainingDiverged,
                          init_mlp, mlp_backward, mlp_final_hidden, mlp_forward,
                          mlp_loss_forward, row_blocks, shuffle_batches,
                          softmax_numpy, softmax_xent, train)
@@ -116,9 +116,9 @@ def _amplify_key(train_ds: LabeledDataset, tau: float,
             astuple(bias_cfg))
 
 
-def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
+def train_biased_classifier(train_ds: LabeledDataset, tau: float,
                             t_bias: int, cfg: TrainConfig) -> BiasedClassifierArtifact:
-    """Amplify the shortcut: t_bias epochs of mean-GCE training, then freeze.
+    """Amplify the shortcut: t_bias epochs of mean-GCE training at exponent tau, then freeze.
 
     Aborts with a diagnostic if the mean (uncapped) train cross-entropy
     blows past COLLAPSE_XENT, the signature of amplification collapse.
@@ -134,8 +134,10 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
     """
     if t_bias < 1:
         raise ValueError("t_bias must be >= 1")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
     bias_cfg = replace(cfg, epochs=t_bias)
-    key = _amplify_key(train_ds, gce.tau, bias_cfg)
+    key = _amplify_key(train_ds, tau, bias_cfg)
     art = _amplify_memo.get(key)
     if art is None:
         def check_collapse(epoch, params, stats):
@@ -146,7 +148,7 @@ def train_biased_classifier(train_ds: LabeledDataset, gce: GceConfig,
                     f"(loss spiking on rare conflicting samples); lower t_bias or tau")
 
         with blas.limit(bias_cfg.batch_size, [train_ds.dim, *bias_cfg.hidden]):
-            params, _ = train(train_ds, bias_cfg, loss="gce", tau=gce.tau,
+            params, _ = train(train_ds, bias_cfg, loss="gce", tau=tau,
                               eval_fn=check_collapse)
             probs = softmax_numpy(mlp_forward(params, train_ds.features))
         conf = probs[np.arange(len(train_ds)), train_ds.labels]
@@ -305,7 +307,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                         train_cfg: TrainConfig,
                         gamma: float | None = None,
                         t_bias: int = 10,
-                        gce: GceConfig | None = None,
+                        tau: float = 0.7,
                         anneal: AnnealConfig | None = None,
                         vcae_cfg=None,
                         vcae_train_cfg: TrainConfig | None = None,
@@ -322,7 +324,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     check_pair(scheme, method)
     if train_ds.aligned is None:
         raise ValueError("training data needs bias labels for metrics")
-    gce = gce or GceConfig()
     anneal = anneal or AnnealConfig()
 
     # the widest model the pipeline trains sets the thread count; the
@@ -331,9 +332,9 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     with blas.limit(max(train_cfg.batch_size, (vcae_train_cfg or train_cfg).batch_size),
                     widths) as policy:
         if scheme == "lff":
-            return replace(_run_lff(train_ds, test_ds, gce, train_cfg), blas_threads=policy)
+            return replace(_run_lff(train_ds, test_ds, tau, train_cfg), blas_threads=policy)
 
-        artifact = (train_biased_classifier(train_ds, gce, t_bias, train_cfg)
+        artifact = (train_biased_classifier(train_ds, tau, t_bias, train_cfg)
                     if scheme in ("biased-confidence", "pgd") else None)
 
         # resolve per-sample weights (or the TBA adjustment table)
@@ -401,7 +402,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                               blas_threads=policy)
 
 
-def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineResult:
+def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
     """Parallel loop: ``train`` steps the debiased classifier theta on the
     per-batch loss ratios of the amplified classifier psi and theta, which
     ``weight_fn`` forms before either update, then takes psi's GCE step."""
@@ -414,7 +415,7 @@ def _run_lff(train_ds, test_ds, gce: GceConfig, cfg: TrainConfig) -> PipelineRes
 
     def weight_fn(idx, step, fwd):
         fwd_b = mlp_loss_forward(psi, train_ds.features[idx], train_ds.labels[idx],
-                                 loss="gce", tau=gce.tau, scratch=scratch_psi)
+                                 loss="gce", tau=tau, scratch=scratch_psi)
         w = lff_weight(fwd_b.xent(), fwd.xent())
         mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
         opt_psi.step(psi.flat, grad_psi.flat)

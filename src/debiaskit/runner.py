@@ -9,9 +9,9 @@ Every run writes, under its output directory:
 * ``timings.json``  wall-clock seconds per seed and the BLAS thread policy
   in effect (kept out of the CSVs on purpose)
 
-``data`` holds the writers of each format (``write_json``, ``write_csv``,
-``write_f64le``) and ``SCHEMA_VERSION``; this module keeps only the
-weights-CSV layout, ``write_weights_csv``, which ``cli vcae`` shares.
+``data`` holds the reader and writers of each format and config object
+(``read_meta``, ``take_fields``, ``write_json``, ``write_csv``, ``write_f64le``); this
+module keeps only the weights-CSV layout, ``write_weights_csv``, which ``cli vcae`` shares.
 
 A sweep's pool workers run one BLAS thread each. A serial run's thread
 count is set by ``blas.limit`` inside the training calls.
@@ -20,18 +20,18 @@ count is set by ``blas.limit`` inside the training calls.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import blas
-from .classifier import GceConfig, TrainConfig, save_model
+from .classifier import TrainConfig, save_model
 from .data import (SCHEMA_VERSION, ConfigError, GenConfig, check_fields, generate,
-                   load_dataset, serialised_fields, unbiased_config, write_csv, write_json)
+                   load_dataset, read_meta, take_fields, unbiased_config, write_csv,
+                   write_json)
 from .debias import AnnealConfig, SampleWeights, check_pair, run_debias_pipeline
 from .metrics import MetricsRow
 from .vcae import VcaeConfig
@@ -42,31 +42,6 @@ RUN_EPOCHS = 20
 
 METRICS_HEADER = ["seed", *MetricsRow.CSV_FIELDS]
 WEIGHTS_HEADER = ["index", "weight", "aligned", "provenance"]
-
-
-def _take(raw, cls, where: str, *extra: str) -> dict:
-    """JSON object ``raw`` as keyword arguments of config dataclass ``cls``."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
-    unknown = set(raw) - {*serialised_fields(cls), *extra}
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    return dict(raw)
-
-
-def _to_json(obj) -> dict:
-    """The serialised fields of a config dataclass as JSON values, in field
-    order: sections nested, tuples as lists, None fields left out."""
-    out = {}
-    for name in serialised_fields(type(obj)):
-        v = getattr(obj, name)
-        if is_dataclass(v):
-            v = _to_json(v)
-        elif isinstance(v, (tuple, list)):
-            v = list(v)
-        if v is not None:
-            out[name] = v
-    return out
 
 
 @dataclass
@@ -110,7 +85,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         """A missing key takes the field's default, and so does a null section.
         A section is a field whose annotation names a config dataclass."""
-        kw = _take(raw, cls, "run config", "schema_version")
+        kw = take_fields(raw, cls, "run config", "schema_version")
         version = kw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version}")
@@ -121,7 +96,7 @@ class RunConfig:
             section = kw.pop(f.name, None) if section_cls else None
             if section is None:
                 continue
-            section = _take(section, section_cls, f.name)
+            section = take_fields(section, section_cls, f.name)
             if f.name == "vcae" and section.get("num_classes") is None:
                 if kw.get("dataset") is None:
                     raise ConfigError("vcae.num_classes required with dataset_path")
@@ -134,10 +109,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_meta(Path(path), {}))
 
-    def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **_to_json(self)}
+    def to_dict(self) -> dict:  # None fields left out
+        return {"schema_version": SCHEMA_VERSION,
+                **{k: v for k, v in asdict(self).items() if v is not None}}
 
 
 def write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray | None) -> None:
@@ -172,7 +148,7 @@ def run_single(cfg: RunConfig, run_seed: int):
     result = run_debias_pipeline(
         train_ds, test_ds, cfg.scheme, cfg.method,
         train_cfg=train_cfg, gamma=cfg.gamma, t_bias=cfg.t_bias,
-        gce=GceConfig(tau=cfg.tau), anneal=cfg.anneal, vcae_cfg=cfg.vcae)
+        tau=cfg.tau, anneal=cfg.anneal, vcae_cfg=cfg.vcae)
     return result, train_ds, test_ds
 
 
@@ -256,14 +232,18 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
 def aggregate_report(out_dir: str | Path) -> dict:
     """Recompute the summary from metrics.csv (independent aggregation)."""
     out = Path(out_dir)
-    with (out / "metrics.csv").open() as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != METRICS_HEADER:
-            raise ConfigError(f"{out / 'metrics.csv'}: header must be {METRICS_HEADER}, "
-                              f"got {reader.fieldnames}")
-        rows = [{k: (int(v) if k in ("seed", "epoch") else float(v))
-                 for k, v in row.items()}
-                for row in reader]
+    path = out / "metrics.csv"
+    with path.open() as fh:
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) != METRICS_HEADER:
+            raise ConfigError(f"{path}: header must be {METRICS_HEADER}, got {header}")
+        rows = []
+        for cells in filter(None, reader):  # a blank line holds no row
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: line {reader.line_num} has {len(cells)} cells, "
+                                  f"the header {len(header)}")
+            rows.append({k: (int(v) if k in ("seed", "epoch") else float(v))
+                         for k, v in zip(header, cells)})
     if not rows:
         raise ConfigError("metrics.csv is empty")
     summary = summarize(rows)

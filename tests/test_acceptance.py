@@ -18,7 +18,7 @@ from debiaskit import autodiff as ad
 from debiaskit.causal import (interventional, interventional_ipw,
                               random_instance, verify_bound,
                               verify_lw_ws_equivalence)
-from debiaskit.classifier import GceConfig, TrainConfig, init_mlp, softmax_numpy
+from debiaskit.classifier import TrainConfig, init_mlp, softmax_numpy
 from debiaskit.cli import main as cli_main
 from debiaskit.data import GenConfig, generate_two_factor, unbiased_config
 from debiaskit.debias import (AnnealConfig, anneal_weight,
@@ -198,7 +198,7 @@ def test_criterion_7_gamma_sweep_shape():
         tr = generate_two_factor(gen)
         te = generate_two_factor(unbiased_config(gen, n=5000, seed=4000 + seed))
         cfg = TrainConfig(epochs=20, batch_size=128, seed=seed)
-        train_biased_classifier(tr, GceConfig(), 10, cfg)  # fills the memo
+        train_biased_classifier(tr, 0.7, 10, cfg)  # fills the memo
         for g in gammas:
             h = run_debias_pipeline(tr, te, "biased-confidence", "LW",
                                     train_cfg=cfg, gamma=g).history[-1]

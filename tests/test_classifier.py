@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
 from debiaskit import classifier
-from debiaskit.classifier import (XENT_MAX, GceConfig, MlpParams, TrainConfig,
+from debiaskit.classifier import (XENT_MAX, MlpParams, TrainConfig,
                                   init_mlp, load_model, mlp_backward,
                                   mlp_final_hidden, mlp_forward, mlp_loss_forward,
                                   row_blocks, save_model, shuffle_batches, softmax_numpy,
@@ -149,7 +149,7 @@ def test_gce_invalid_tau():
     with pytest.raises(ValueError):
         gce_loss(0.5, 0.0)
     with pytest.raises(ValueError):
-        GceConfig(tau=1.5)
+        gce_loss(0.5, 1.5)
 
 
 def test_gce_gradient_matches_closed_form_and_fd():

@@ -253,8 +253,13 @@ def test_stored_dataset_without_feature_dim_fails_with_a_message(tmp_path, capsy
     (lambda m: {**m, "feature_dim": 6.0}, "feature_dim must be int, got 6.0"),
     (lambda m: {**m, "num_classes": True}, "num_classes must be int, got True"),
     (lambda m: {**m, "columns": "features,labels"}, "columns must be list"),
-    (lambda m: "{not json", "Expecting property name")],
-    ids=["list", "n-str", "feature_dim-float", "num_classes-bool", "columns-str", "not-json"])
+    (lambda m: "{not json", "Expecting property name"),
+    (lambda m: {**m, "gen": 5}, "gen must be a JSON object, got 5"),
+    (lambda m: {**m, "gen": list(m["gen"])}, "gen must be a JSON object, got ['num_classes'"),
+    (lambda m: {**m, "gen": None}, "gen must be a JSON object, got None"),
+    (lambda m: {**m, "gen": {**m["gen"], "rho": 0.1}}, "gen: unknown key(s) ['rho']")],
+    ids=["list", "n-str", "feature_dim-float", "num_classes-bool", "columns-str", "not-json",
+         "gen-int", "gen-list", "gen-null", "gen-unknown-key"])
 def test_malformed_meta_json_fails_with_a_message(tmp_path, capsys, edit, message):
     """``edit`` returns the new meta object, or the file's raw text."""
     data = _gen(tmp_path)
@@ -262,8 +267,27 @@ def test_malformed_meta_json_fails_with_a_message(tmp_path, capsys, edit, messag
     (data / "meta.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
     out = tmp_path / "amp"
     assert main(["train-biased", "--data", str(data), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {data / 'meta.json'}: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'meta.json'}: {message}")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_a_path_of_the_wrong_kind_fails_with_a_message(tmp_path, capsys):
+    """A directory where a file belongs, and a file where a directory belongs."""
+    a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+    a_dir.mkdir()
+    a_file.write_text("")
+    for argv, named in [(["debias", "--config", str(a_dir), "--out", str(tmp_path / "run")],
+                         a_dir),
+                        (["train-biased", "--data", str(a_file), "--out", str(tmp_path / "amp")],
+                         a_file / "meta.json"),
+                        (["report", "--out", str(a_file)], a_file / "metrics.csv")]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err, argv
+        assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
 
 @pytest.mark.parametrize("command", ["train-biased", "vcae"])
@@ -520,6 +544,20 @@ def test_report_on_a_metrics_file_without_a_column_fails_with_a_message(tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run / 'metrics.csv'}: header must be ")
     assert "Traceback" not in err and not (run / "summary_recomputed.json").exists()
+
+
+@pytest.mark.parametrize("cells", [["0", "1"], ["1"] * (len(METRICS_HEADER) + 1)],
+                         ids=["short", "long"])
+def test_report_on_a_ragged_metrics_file_fails_naming_the_line(tmp_path, capsys, cells):
+    run = tmp_path / "run"
+    run.mkdir()
+    full = ",".join(["1"] * len(METRICS_HEADER))
+    rows = [",".join(METRICS_HEADER), full, ",".join(cells), full]
+    (run / "metrics.csv").write_text("\n".join(rows) + "\n")
+    assert main(["report", "--out", str(run)]) == 1
+    assert capsys.readouterr().err == (f"error: {run / 'metrics.csv'}: line 3 has "
+                                       f"{len(cells)} cells, the header {len(METRICS_HEADER)}\n")
+    assert not (run / "summary_recomputed.json").exists()
 
 
 def test_production_paths_leave_autodiff_unimported():

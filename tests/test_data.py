@@ -3,7 +3,7 @@ import importlib
 import json
 import pkgutil
 import re
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -17,7 +17,7 @@ from debiaskit.data import (GLYPH_SIDE, ConfigError, GenConfig, LabeledDataset,
                             _draw_labels_and_bias, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
-                            save_dataset, serialised_fields, unbiased_config)
+                            save_dataset, unbiased_config)
 
 from conftest import split
 
@@ -84,14 +84,14 @@ def _wrong_values(hint) -> list:
 def _wrong_typed_cases():
     for cls in _config_classes():
         hints = get_type_hints(cls)
-        for name in serialised_fields(cls):
+        for name in (f.name for f in fields(cls)):
             for value in _wrong_values(hints[name]):
                 yield pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
 
 
 def test_every_config_class_is_discovered():
     names = {cls.__name__ for cls in _config_classes()}
-    assert names == {"GenConfig", "TrainConfig", "GceConfig", "AnnealConfig",
+    assert names == {"GenConfig", "TrainConfig", "AnnealConfig",
                      "VcaeConfig", "RunConfig"}
 
 
@@ -394,7 +394,7 @@ def test_load_dataset_names_a_missing_gen_key(tmp_path):
     meta = json.loads((tmp_path / "meta.json").read_text())
     del meta["gen"]["sigma_u"]
     (tmp_path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'} gen: "
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'}: gen: "
                                                    "missing key(s) ['sigma_u']")):
         load_dataset(tmp_path)
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit import debias
-from debiaskit.classifier import (GceConfig, TrainConfig, TrainingDiverged,
-                                  init_mlp, mlp_forward, shuffle_batches,
-                                  softmax_xent, train)
+from debiaskit.classifier import (TrainConfig, TrainingDiverged, init_mlp, mlp_forward,
+                                  shuffle_batches, softmax_xent, train)
 from debiaskit.data import (GenConfig, LabeledDataset, estimate_p_y_given_b,
                             generate_two_factor, load_dataset, save_dataset,
                             unbiased_config)
@@ -213,14 +212,21 @@ def test_tba_direct_evaluation():
 def test_t_bias_zero_rejected():
     ds = generate_two_factor(GenConfig(num_classes=3, n=60, bc_ratio=0.2, seed=0))
     with pytest.raises(ValueError):
-        train_biased_classifier(ds, GceConfig(), t_bias=0,
+        train_biased_classifier(ds, 0.7, t_bias=0,
                                 cfg=TrainConfig(epochs=1, hidden=(8,)))
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, float("nan")])
+def test_tau_outside_the_unit_interval_rejected(tau):
+    ds = generate_two_factor(GenConfig(num_classes=3, n=60, bc_ratio=0.2, seed=0))
+    with pytest.raises(ValueError, match=r"^tau must be in \(0, 1\], got "):
+        train_biased_classifier(ds, tau, 1, TrainConfig(epochs=1, hidden=(8,)))
 
 
 def test_biased_classifier_separates_conflicting_samples():
     """After amplification training, conflicting samples get lower confidence."""
     ds = generate_two_factor(GenConfig(num_classes=10, n=4000, bc_ratio=0.02, seed=31))
-    art = train_biased_classifier(ds, GceConfig(tau=0.7), t_bias=5,
+    art = train_biased_classifier(ds, 0.7, t_bias=5,
                                   cfg=TrainConfig(epochs=1, batch_size=128, seed=2))
     conf_bc = art.confidences[~ds.aligned].mean()
     conf_ba = art.confidences[ds.aligned].mean()
@@ -248,7 +254,7 @@ def amp_calls(monkeypatch):
 
 def _amp_setup():
     ds = generate_two_factor(GenConfig(num_classes=3, n=90, bc_ratio=0.2, seed=8))
-    return ds, GceConfig(tau=0.7), TrainConfig(batch_size=32, hidden=(8,), seed=1)
+    return ds, 0.7, TrainConfig(batch_size=32, hidden=(8,), seed=1)
 
 
 def _artifact_bytes(art):
@@ -257,71 +263,71 @@ def _artifact_bytes(art):
 
 
 def test_memo_trains_equal_content_once(tmp_path, amp_calls):
-    ds, gce, cfg = _amp_setup()
+    ds, tau, cfg = _amp_setup()
     save_dataset(ds, tmp_path / "d")
-    first = train_biased_classifier(ds, gce, 2, cfg)
-    again = train_biased_classifier(load_dataset(tmp_path / "d"), gce, 2, cfg)
+    first = train_biased_classifier(ds, tau, 2, cfg)
+    again = train_biased_classifier(load_dataset(tmp_path / "d"), tau, 2, cfg)
     assert len(amp_calls) == 1
     debias._amplify_memo.clear()
-    fresh = train_biased_classifier(ds, gce, 2, cfg)
+    fresh = train_biased_classifier(ds, tau, 2, cfg)
     assert len(amp_calls) == 2
     assert _artifact_bytes(first) == _artifact_bytes(again) == _artifact_bytes(fresh)
 
 
 def test_memo_ignores_epochs(amp_calls):
-    ds, gce, cfg = _amp_setup()
-    train_biased_classifier(ds, gce, 2, replace(cfg, epochs=3))
-    train_biased_classifier(ds, gce, 2, replace(cfg, epochs=40))
+    ds, tau, cfg = _amp_setup()
+    train_biased_classifier(ds, tau, 2, replace(cfg, epochs=3))
+    train_biased_classifier(ds, tau, 2, replace(cfg, epochs=40))
     assert len(amp_calls) == 1
 
 
-def _changed(ds, gce, t_bias, cfg, what):
+def _changed(ds, tau, t_bias, cfg, what):
     f, y = ds.features.copy(), ds.labels.copy()
     if what == "features":
         f[5, 0] += 1e-9
     elif what == "labels":
         y[5] = (y[5] + 1) % ds.num_classes
     elif what == "num_classes":
-        return LabeledDataset(f, y, ds.num_classes + 1), gce, t_bias, cfg
+        return LabeledDataset(f, y, ds.num_classes + 1), tau, t_bias, cfg
     elif what == "tau":
-        gce = GceConfig(tau=0.5)
+        tau = 0.5
     elif what == "t_bias":
         t_bias += 1
     else:
         cfg = replace(cfg, **{what: {"seed": 2, "hidden": (9,), "lr": 2e-3,
                                      "batch_size": 33}[what]})
-    return LabeledDataset(f, y, ds.num_classes), gce, t_bias, cfg
+    return LabeledDataset(f, y, ds.num_classes), tau, t_bias, cfg
 
 
 @pytest.mark.parametrize("what", ["features", "labels", "num_classes", "tau",
                                   "t_bias", "seed", "hidden", "lr", "batch_size"])
 def test_memo_retrains_when_an_input_changes(amp_calls, what):
-    ds, gce, cfg = _amp_setup()
+    ds, tau, cfg = _amp_setup()
     base = LabeledDataset(ds.features.copy(), ds.labels.copy(), ds.num_classes)
-    train_biased_classifier(base, gce, 1, cfg)
-    train_biased_classifier(*_changed(ds, gce, 1, cfg, what))
+    train_biased_classifier(base, tau, 1, cfg)
+    train_biased_classifier(*_changed(ds, tau, 1, cfg, what))
     assert len(amp_calls) == 2
 
 
 def test_memo_arrays_are_read_only(amp_calls):
-    ds, gce, cfg = _amp_setup()
-    art = train_biased_classifier(ds, gce, 1, cfg)
+    ds, tau, cfg = _amp_setup()
+    art = train_biased_classifier(ds, tau, 1, cfg)
     for a in (*art.params.arrays, art.confidences, art.class_probs):
         with pytest.raises(ValueError):
             a[0] = 0.5
     kept = _artifact_bytes(art)
     art.params.arrays[0] = np.zeros_like(art.params.arrays[0])  # rebinding
     art.confidences = np.full(len(ds), 0.5)
-    assert _artifact_bytes(train_biased_classifier(ds, gce, 1, cfg)) == kept
+    assert _artifact_bytes(train_biased_classifier(ds, tau, 1, cfg)) == kept
     assert len(amp_calls) == 1
 
 
 def test_memo_vector_and_every_view_are_read_only(amp_calls):
     """On a miss and on a hit, no view of the shared vector takes a write:
     the views made while training are not the ones handed out."""
-    ds, gce, cfg = _amp_setup()
-    for art in (train_biased_classifier(ds, gce, 1, cfg),
-                train_biased_classifier(ds, gce, 1, cfg)):
+    ds, tau, cfg = _amp_setup()
+    for art in (train_biased_classifier(ds, tau, 1, cfg),
+                train_biased_classifier(ds, tau, 1, cfg)):
         views = (art.params.flat, *art.params.arrays, art.confidences,
                  art.class_probs)
         for a in views:
@@ -335,9 +341,9 @@ def test_memo_vector_and_every_view_are_read_only(amp_calls):
 
 
 def test_memo_hit_shares_the_vector_with_new_views(amp_calls):
-    ds, gce, cfg = _amp_setup()
-    first = train_biased_classifier(ds, gce, 1, cfg)
-    hit = train_biased_classifier(ds, gce, 1, cfg)
+    ds, tau, cfg = _amp_setup()
+    first = train_biased_classifier(ds, tau, 1, cfg)
+    hit = train_biased_classifier(ds, tau, 1, cfg)
     assert len(amp_calls) == 1
     assert hit.params is not first.params and hit.params.arrays is not first.params.arrays
     assert hit.params.flat is first.params.flat  # shared, not copied
@@ -345,7 +351,7 @@ def test_memo_hit_shares_the_vector_with_new_views(amp_calls):
 
 
 def test_memo_does_not_keep_a_failed_call(monkeypatch, amp_calls):
-    ds, gce, cfg = _amp_setup()
+    ds, tau, cfg = _amp_setup()
     counted = debias.train
 
     def diverge_once(ds, cfg, **kw):
@@ -356,34 +362,34 @@ def test_memo_does_not_keep_a_failed_call(monkeypatch, amp_calls):
 
     monkeypatch.setattr(debias, "train", diverge_once)
     with pytest.raises(TrainingDiverged):
-        train_biased_classifier(ds, gce, 1, cfg)
+        train_biased_classifier(ds, tau, 1, cfg)
     assert not debias._amplify_memo
-    train_biased_classifier(ds, gce, 1, cfg)
-    train_biased_classifier(ds, gce, 1, cfg)
+    train_biased_classifier(ds, tau, 1, cfg)
+    train_biased_classifier(ds, tau, 1, cfg)
     assert len(amp_calls) == 2 and len(debias._amplify_memo) == 1
 
 
 def test_amplification_collapse_aborts_and_is_not_kept(monkeypatch, amp_calls):
     """A mean train cross-entropy above COLLAPSE_XENT aborts amplification
     with the collapse diagnostic, and the failed call leaves no memo entry."""
-    ds, gce, cfg = _amp_setup()
+    ds, tau, cfg = _amp_setup()
     collapse = debias.COLLAPSE_XENT
     monkeypatch.setattr(debias, "COLLAPSE_XENT", 0.0)
     with pytest.raises(TrainingDiverged, match=r"^mean train cross-entropy \S+ exceeded 0\.0: "
                        r"amplification training collapsed .*; lower t_bias or tau$"):
-        train_biased_classifier(ds, gce, 1, cfg)
+        train_biased_classifier(ds, tau, 1, cfg)
     assert len(amp_calls) == 1 and not debias._amplify_memo
     monkeypatch.setattr(debias, "COLLAPSE_XENT", collapse)
-    train_biased_classifier(ds, gce, 1, cfg)
+    train_biased_classifier(ds, tau, 1, cfg)
     assert len(amp_calls) == 2 and len(debias._amplify_memo) == 1
 
 
 def test_memo_stays_at_its_bound_and_drops_the_least_recent(amp_calls):
-    ds, gce, cfg = _amp_setup()
+    ds, tau, cfg = _amp_setup()
     bound = debias.AMPLIFY_MEMO_SIZE
 
     def amplify(seed):
-        train_biased_classifier(ds, gce, 1, replace(cfg, seed=seed))
+        train_biased_classifier(ds, tau, 1, replace(cfg, seed=seed))
         return len(amp_calls)
 
     for seed in range(bound + 2):
@@ -514,7 +520,7 @@ def test_pairing_grid_is_the_literal_table():
 
 def test_conditional_rows_of_each_scheme_and_exactly_those_drive_tba():
     train_ds, _, cfg = _tiny_setup()
-    art = train_biased_classifier(train_ds, GceConfig(), 1, cfg)
+    art = train_biased_classifier(train_ds, 0.7, 1, cfg)
     rho, c, idx = 0.1, 4, np.arange(len(train_ds))
     assert debias.conditional_rows("biased-confidence", train_ds, art) is art.class_probs
     exact = np.where(np.arange(c) == train_ds.bias[:, None], 1.0 - rho, rho / (c - 1))
@@ -583,7 +589,7 @@ def test_pipeline_tba_offset_is_the_log_of_the_floor(monkeypatch, scheme):
     res = run_debias_pipeline(train_ds, test_ds, scheme, "TBA", train_cfg=cfg,
                               gamma=gamma, t_bias=1)
     if scheme == "biased-confidence":
-        cond = train_biased_classifier(train_ds, GceConfig(), 1, cfg).class_probs
+        cond = train_biased_classifier(train_ds, 0.7, 1, cfg).class_probs
     elif scheme == "oracle-yb":
         cond = estimate_p_y_given_b(train_ds)[:, train_ds.bias].T
     else:
@@ -651,7 +657,7 @@ def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain():
     test_ds = generate_two_factor(unbiased_config(gen, n=500, seed=8))
     cfg = TrainConfig(epochs=1, batch_size=128, hidden=(64, 64), seed=5)
     res = run_debias_pipeline(train_ds, test_ds, "pgd", "WS", train_cfg=cfg, t_bias=1)
-    art = train_biased_classifier(train_ds, GceConfig(), 1, cfg)
+    art = train_biased_classifier(train_ds, 0.7, 1, cfg)
     h = train_ds.features
     for w, b in zip(art.params.arrays[:-2:2], art.params.arrays[1:-2:2]):
         h = np.maximum(h @ w + b, 0.0)
@@ -682,7 +688,7 @@ def test_perfect_separator_beta_matches_alignment_share():
     assert abs(beta - 0.995) < 5e-5
 
 
-def _tape_lff(train_ds, gce, cfg):
+def _tape_lff(train_ds, tau, cfg):
     """Reference loop: LfF as it was, with one tape per model and step."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
@@ -696,7 +702,7 @@ def _tape_lff(train_ds, gce, cfg):
         w = lff_weight(softmax_xent(mlp_forward(psi, xb), yb),
                        softmax_xent(mlp_forward(theta, xb), yb))
         _, grads = tape_loss_and_grads(psi.arrays, xb, yb, np.ones(len(idx)),
-                                       loss="gce", tau=gce.tau)
+                                       loss="gce", tau=tau)
         opt_psi.step(psi.arrays, grads)
         _, grads = tape_loss_and_grads(theta.arrays, xb, yb, w)
         opt_theta.step(theta.arrays, grads)
@@ -708,8 +714,8 @@ def _tape_lff(train_ds, gce, cfg):
 def test_lff_matches_tape_reference_bitwise():
     train_ds, test_ds, cfg = _tiny_setup()
     cfg = TrainConfig(epochs=2, batch_size=48, hidden=(16,), seed=3)  # 1/48 is inexact
-    result = _run_lff(train_ds, test_ds, GceConfig(tau=0.7), cfg)
-    theta, w = _tape_lff(train_ds, GceConfig(tau=0.7), cfg)
+    result = _run_lff(train_ds, test_ds, 0.7, cfg)
+    theta, w = _tape_lff(train_ds, 0.7, cfg)
     for a, b in zip(result.params.arrays, theta.arrays):
         assert a.tobytes() == b.tobytes()
     assert result.weights.weights.tobytes() == w.tobytes()
@@ -725,7 +731,7 @@ def test_lff_divergence_names_epoch_and_step():
     cfg = TrainConfig(epochs=2, batch_size=4, hidden=(4,), shuffle=False)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged, match=r"non-finite loss nan at epoch 0 step 2$"):
-            _run_lff(ds, ds, GceConfig(), cfg)
+            _run_lff(ds, ds, 0.7, cfg)
 
 
 def test_every_trainer_runs_the_shared_epoch_loop_once(monkeypatch):
@@ -743,7 +749,7 @@ def test_every_trainer_runs_the_shared_epoch_loop_once(monkeypatch):
     cfg = replace(cfg, epochs=1)
     train(train_ds, cfg)
     assert calls == [1]
-    _run_lff(train_ds, test_ds, GceConfig(), cfg)
+    _run_lff(train_ds, test_ds, 0.7, cfg)
     assert calls == [1, 1]
     vcae.train_vcae(train_ds, vcae.VcaeConfig(num_classes=4, hidden=(4,)), cfg)
     assert calls == [1, 1, 1]
