@@ -28,6 +28,23 @@ slightly lower wall time, but made the D=768 glyph workload 7 % slower in
 wall time (2.38 to 2.55 s). So the crossover lies between 32,768 elements,
 where one thread won, and the glyph step's 98,304.
 
+At two threads the glyph step is bimodal per process. One VCAE step of
+the glyph workload (batch 128, D=768, hidden (32,): ``vcae_loss_and_grads``
+plus ``Adam.step``), the median of 600 steps in each of 12 fresh processes
+per thread count, alternated, on 2 cores (AMD EPYC, OpenBLAS 0.3.31):
+
+    threads   processes   step          Adam.step alone
+    2         9 of 12     0.60-0.62 ms  124-127 us
+    2         3 of 12     0.96-0.98 ms  186-187 us
+    1         12 of 12    0.74-0.76 ms  118-121 us
+
+In the slow processes even the Adam step, which calls no BLAS, slows by
+half. The second OpenBLAS thread, spinning on the core the main thread
+needs, is the likely cause; it would also explain why the glyph workload's
+end-to-end wall time sits in one of two modes (0.82-0.86 s or 0.68-0.69 s
+in perfbench, for a parent and its change alike). The policy stays: two
+threads win in most processes.
+
 Through some wide operands OpenBLAS's sums depend on its thread count (a
 hidden layer of 3000 at batch 32 does, one of 2048 does not). A run above
 the crossover can so write other bytes at another inherited count; below

@@ -125,13 +125,21 @@ def cmd_vcae(args) -> int:
     rows = latent_dump(params, ds, cap=args.cap)
     weights = SampleWeights([row["weight"] for row in rows], provenance="vcae")
     header = list(rows[0].keys())
-    write_csv(out / "latents.csv", header, [[row[k] for k in header] for row in rows])
+    write_csv(out / "latents.csv", header, [[row[k] for row in rows] for k in header])
     write_csv(out / "vcae_history.csv", ["epoch", "loss"],
-              [[h["epoch"], h["loss"]] for h in history])
+              [[h[k] for h in history] for k in ("epoch", "loss")])
     write_weights_csv(out / "weights.csv", weights, ds.aligned)
     print(f"trained {tc.epochs} epochs, final loss {history[-1]['loss']:.4f}; "
           f"dumps in {args.out}")
     return 0
+
+
+def _flag_list(text: str, kind: type, flag: str, what: str) -> list:
+    """The comma-separated values of ``flag``, each parsed by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated {what}, got {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -139,18 +147,14 @@ def cmd_sweep(args) -> int:
     otherwise --t-bias is the axis."""
     t_bias = None
     if args.t_bias_list is not None:
-        try:
-            t_bias = [int(v) for v in args.t_bias_list.split(",")]
-        except ValueError:
-            raise ConfigError("--t-bias takes comma-separated integers, "
-                              f"got {args.t_bias_list!r}") from None
+        t_bias = _flag_list(args.t_bias_list, int, "--t-bias", "integers")
     if args.gamma_list is not None:
         if t_bias is not None:
             if len(t_bias) != 1:
                 raise ConfigError("with --gamma as the sweep axis, --t-bias "
                                   "takes one fixed value, not a list")
             args.t_bias = t_bias[0]  # overrides t_bias like debias --t-bias
-        axis, values = "gamma", [float(v) for v in args.gamma_list.split(",")]
+        axis, values = "gamma", _flag_list(args.gamma_list, float, "--gamma", "numbers")
     elif t_bias is not None:
         axis, values = "t_bias", t_bias
     else:

@@ -20,7 +20,6 @@ count is set by ``blas.limit`` inside the training calls.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -120,8 +119,12 @@ def write_weights_csv(path: Path, w: SampleWeights, aligned: np.ndarray | None) 
     """One row per sample; the aligned cell is empty when there are no bias labels."""
     n = len(w.weights)
     flags = aligned.astype(np.int64).tolist() if aligned is not None else [""] * n
-    write_csv(path, WEIGHTS_HEADER, zip(range(n), w.weights.tolist(), flags,
-                                        [w.provenance] * n))
+    write_csv(path, WEIGHTS_HEADER, [range(n), w.weights.tolist(), flags, [w.provenance] * n])
+
+
+def _metrics_columns(rows: list[list]) -> list:
+    """The ``METRICS_HEADER`` columns of metrics rows, one per name also for no rows."""
+    return [[row[i] for row in rows] for i in range(len(METRICS_HEADER))]
 
 
 def _datasets_for_seed(cfg: RunConfig, run_seed: int):
@@ -180,7 +183,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, list[list]]:
                    extra={"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                           "scheme": cfg.scheme, "method": cfg.method})
     timings["blas_threads"] = result.blas_threads  # one config: one policy
-    write_csv(out / "metrics.csv", METRICS_HEADER, csv_rows)
+    write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_columns(csv_rows))
     summary = summarize([dict(zip(METRICS_HEADER, r)) for r in csv_rows])
     summary["scheme"], summary["method"] = cfg.scheme, cfg.method
     write_json(out / "summary.json", summary)
@@ -216,16 +219,18 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
     out = Path(cfg.out_dir)
     points = [replace(cfg, **{axis: v}, out_dir=str(out / name))
               for v, name in zip(values, names)]
-    if jobs > 1:
+    if jobs > 1:  # imported here, so that a serial sweep loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
                                  initargs=(1,)) as pool:
             results = list(pool.map(run_experiment, points))
     else:
         results = [run_experiment(point) for point in points]
+    point_cells = [f"{value:g}" for value, (_, rows) in zip(values, results) for _ in rows]
     sweep_path = out / "sweep.csv"
     write_csv(sweep_path, ["axis", "value", *METRICS_HEADER],
-              [[axis, f"{value:g}", *row]
-               for value, (_, rows) in zip(values, results) for row in rows])
+              [[axis] * len(point_cells), point_cells,
+               *_metrics_columns([row for _, rows in results for row in rows])])
     return sweep_path
 
 

@@ -484,6 +484,19 @@ def test_sweep_rejects_non_integer_t_bias(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["50,abc", "50,"])
+def test_sweep_names_gamma_on_a_list_it_cannot_parse(tmp_path, capsys, values):
+    data = _gen(tmp_path)
+    cfg = _debias_config(tmp_path, data, scheme="biased-confidence")
+    out = tmp_path / "sw"
+    capsys.readouterr()  # what generating the dataset printed
+    assert main(["sweep", "--config", str(cfg), "--gamma", values,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --gamma takes comma-separated numbers, got {values!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("values", ["5,0", "0"])
 def test_sweep_checks_every_point_before_running_any(tmp_path, capsys, values):
     data = _gen(tmp_path)
@@ -587,3 +600,24 @@ print(sorted(m for m in sys.modules if m.startswith("debiaskit")))
     loaded = done.stdout.strip()
     assert "debiaskit.vcae" in loaded and "debiaskit.causal" in loaded
     assert "debiaskit.autodiff" not in loaded
+
+
+def test_serial_sweep_leaves_the_pool_and_colorsys_unimported(tmp_path):
+    """Importing the CLI and running a ``--jobs 1`` sweep on two-factor data
+    loads neither the process pool (``concurrent.futures``, and through it
+    ``multiprocessing``) nor ``colorsys``, which only glyph data needs."""
+    import debiaskit
+    script = """
+import sys
+from debiaskit.cli import main
+assert main(["generate", "--classes", "3", "--n", "120", "--rho", "0.2", "--out", "d"]) == 0
+assert main(["sweep", "--data", "d", "--scheme", "biased-confidence", "--gamma", "20,50",
+             "--t-bias", "1", "--jobs", "1", "--out", "sw"]) == 0
+print(sorted(m for m in ("concurrent.futures", "colorsys") if m in sys.modules))
+"""
+    src = str(Path(debiaskit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={"PYTHONPATH": src}, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sw" / "sweep.csv").exists()

@@ -1,9 +1,13 @@
+import csv
 import hashlib
 import importlib
 import json
+import math
 import pkgutil
 import re
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -17,7 +21,7 @@ from debiaskit.data import (GLYPH_SIDE, ConfigError, GenConfig, LabeledDataset,
                             _draw_labels_and_bias, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
-                            save_dataset, unbiased_config)
+                            save_dataset, unbiased_config, write_csv)
 
 from conftest import split
 
@@ -406,3 +410,88 @@ def test_load_dataset_rejects_a_class_count_unlike_its_generator(tmp_path):
     (tmp_path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=r"meta\.json: num_classes 3 != gen\.num_classes 5"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("gen,message", [
+    ({"n": 7}, "n 60 != gen.n 7"),
+    ({"kind": "colored-glyphs"}, "feature_dim 6 != 768, the width of gen.kind colored-glyphs "
+                                 "at 3 classes"),
+    ({"n": "60"}, "GenConfig.n must be int, got '60'"),
+    ({"sigma_u": -1.0}, "sigmas must be >= 0, got (-1.0, 0.1)"),
+], ids=["n", "kind", "wrong-type", "out-of-range"])
+def test_load_dataset_checks_the_gen_block_naming_the_file(tmp_path, gen, message):
+    """A 60-row two-factor dataset at 3 classes (6 features) whose stored gen
+    block disagrees with meta.json or is malformed fails before its data is read."""
+    save_dataset(generate_two_factor(GenConfig(num_classes=3, n=60, seed=1)), tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["gen"].update(gen)
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    (tmp_path / "data.f64le").unlink()
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'}: {message}")):
+        load_dataset(tmp_path)
+
+
+# --- the CSV writer writes csv.writer's bytes ------------------------------------
+
+_UNQUOTED = st.text(st.characters(max_codepoint=0x7F, blacklist_characters=',"\r\n'))
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e17, 5e-324,
+                2.2250738585072014e-308 / 3, 0.1, 1 / 3]
+_CELLS = st.one_of(
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    _UNQUOTED,
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and its columns: each column cycles through a few drawn
+    cells, so that 2,048 and 2,049 rows cost no more to draw than 3."""
+    width = draw(st.integers(1, 4))
+    cells = _CELLS.filter(lambda c: c != "") if width == 1 else _CELLS  # "" alone is quoted
+    n = draw(st.sampled_from([0, 1, 2, 3, 2047, 2048, 2049]))
+    header = draw(st.lists(_UNQUOTED.filter(bool), min_size=width, max_size=width))
+    columns = []
+    for _ in range(width):
+        pool = draw(st.lists(cells, min_size=1, max_size=5))
+        columns.append([pool[i % len(pool)] for i in range(n)])
+    return header, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_write_csv_writes_the_bytes_of_csv_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        write_csv(ours, header, columns)
+        with theirs.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *zip(*columns)])
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("header,columns,message", [
+    (["a", "b"], [[1, None], [2, 3]], "type ['NoneType']"),
+    (["a", "b"], [[1, 2], ["x", "y,z"]], "'y,z' unquoted"),
+    (["a", "b"], [[1, 2], ["x", 'y"z']], "'y\"z' unquoted"),
+    (["a", "b"], [[1, 2], ["x", "y\rz"]], "'y\\rz' unquoted"),
+    (["a", "b"], [[1, 2], ["x", "y\nz"]], "'y\\nz' unquoted"),
+    (["a"], [["x", ""]], "'' unquoted"),
+    ([""], [["x"]], "'' unquoted"),
+    (["a,b"], [[1]], "'a,b' unquoted"),
+    (["a", "b"], [[1, 2], [(1, 2), 3]], "type ['tuple']"),
+    (["a", "b"], [[1, 2], [3]], "columns of unequal lengths [2, 1]"),
+    (["a", "b"], [[1, 2]], "2 header names but 1 columns"),
+], ids=["none", "comma", "quote", "cr", "lf", "empty-alone", "empty-header", "header-comma",
+        "tuple", "ragged", "missing-column"])
+def test_write_csv_refuses_what_csv_writer_writes_otherwise(tmp_path, header, columns, message):
+    path = tmp_path / "out" / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        write_csv(path, header, columns)
+    assert not path.parent.exists()

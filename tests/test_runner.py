@@ -10,7 +10,7 @@ import pytest
 
 from debiaskit import runner
 from debiaskit.classifier import TrainConfig
-from debiaskit.data import GenConfig, generate, save_dataset, write_csv
+from debiaskit.data import GenConfig, generate, save_dataset
 from debiaskit.debias import AnnealConfig, SampleWeights
 from debiaskit.runner import (METRICS_HEADER, ConfigError, RunConfig, aggregate_report,
                               run_experiment, run_sweep, summarize)
@@ -218,15 +218,16 @@ def test_weights_csv_schema(tmp_path):
 
 
 def test_weights_csv_bytes_match_the_row_writer(tmp_path):
-    """The ``writerows`` path writes what ``write_csv`` writes cell by cell."""
+    """The column writer writes what ``csv.writer`` writes row by row."""
     rng = np.random.default_rng(7)
     w = np.concatenate([rng.lognormal(0.0, 3.0, 200), [1e-300, 0.1, 1 / 3, 1e17, 10.0]])
     aligned = rng.random(len(w)) < 0.9
     weights = SampleWeights(w, provenance="biased-confidence")
     runner.write_weights_csv(tmp_path / "new.csv", weights, aligned)
-    write_csv(tmp_path / "old.csv", ["index", "weight", "aligned", "provenance"],
-              [[i, float(w[i]), int(aligned[i]), weights.provenance]
-               for i in range(len(w))])
+    with (tmp_path / "old.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([["index", "weight", "aligned", "provenance"],
+                                  *([i, float(w[i]), int(aligned[i]), weights.provenance]
+                                    for i in range(len(w)))])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
