@@ -29,7 +29,10 @@ a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
 colored-glyphs dataset. Then, on two more C=4 datasets, the training options
 that no other job sets: lff/LW and biased-confidence/ALW with SGD, momentum,
-weight decay and no shuffling, and lff/LW with Adam and weight decay.
+weight decay and no shuffling, and lff/LW with Adam and weight decay. Then
+biased-confidence/LW on a C=4 dataset of 300 rows for one seed and one
+epoch, at batch 32 through a hidden layer of 3000, where OpenBLAS's sums
+depend on its thread count: its bytes show that training ran one thread.
 Last, two runs whose config holds the dataset section itself, so that
 ``config.json`` carries it: biased-confidence/LW on two-factor data, seeds 0
 and 1, and vcae/LW on colored glyphs at n=120 for one epoch, where the
@@ -73,6 +76,10 @@ DATASETS = {
     "w4": ("two-factor", 4, 0.049, 800, 8,
            {"train": {"epochs": 2, "batch_size": 64, "hidden": [16], "weight_decay": 1e-4}},
            [("lff", "LW")]),
+    "h4": ("two-factor", 4, 0.1, 300, 11,
+           {"seeds": [0], "test_n": 200,
+            "train": {"epochs": 1, "batch_size": 32, "hidden": [3000]}},
+           [("biased-confidence", "LW")]),
 }
 
 # name: (dataset section, run config overrides, scheme/method pair); each run

@@ -423,7 +423,6 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
     adjustment). ``eval_fn(epoch, params, stats)`` builds the per-epoch
     history record (default: ``stats``, which also holds train_xent, the
     mean uncapped cross-entropy). Deterministic given cfg.seed and inputs.
-    Runs under the BLAS thread policy of ``blas.limit``.
     """
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).generate_state(2)
     if params is None:
@@ -452,7 +451,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
         stats["train_xent"], xent_total = xent_total / stats["seen"], 0.0
         return stats if eval_fn is None else eval_fn(epoch, params, stats)
 
-    with blas.limit(cfg.batch_size, [ds.dim, *cfg.hidden]):
+    with blas.limit():
         return params, run_epochs(len(ds), cfg, sampler, step_fn, end_epoch)
 
 

@@ -325,13 +325,17 @@ def write_f64le(path: Path, a: np.ndarray) -> None:
     np.ascontiguousarray(a, dtype="<f8").tofile(path)
 
 
+# the blocks of data.f64le, in order; a dataset without bias labels stores
+# the first two
+DATASET_COLUMNS = ["features", "labels", "bias", "aligned"]
+
+
 def save_dataset(ds: LabeledDataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    columns = ["features", "labels"]
     blocks = [ds.features.ravel(), ds.labels.astype(np.float64)]
     if ds.bias is not None:
-        columns += ["bias", "aligned"]
         blocks += [ds.bias.astype(np.float64), ds.aligned.astype(np.float64)]
+    columns = DATASET_COLUMNS[:len(blocks)]
     meta = {
         "schema_version": SCHEMA_VERSION,
         "n": len(ds),
@@ -360,6 +364,10 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
     if n < 1 or d < 1 or c < 2:  # GenConfig's bounds, checked before data.f64le is read
         raise ValueError(f"{path}: need n >= 1, feature_dim >= 1 and num_classes >= 2, "
                          f"got {n}, {d} and {c}")
+    columns = meta["columns"]
+    if columns not in (DATASET_COLUMNS[:2], DATASET_COLUMNS):
+        raise ValueError(f"{path}: columns must be {DATASET_COLUMNS[:2]} or "
+                         f"{DATASET_COLUMNS}, got {columns}")
     cfg = None
     if "gen" in meta:
         gen = take_fields(meta["gen"], GenConfig, f"{path}: gen")
@@ -376,8 +384,7 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
         if width != d:
             raise ValueError(f"{path}: feature_dim {d} != {width}, the width of "
                              f"gen.kind {cfg.kind} at {c} classes")
-    n_columns = 4 if "bias" in meta["columns"] else 2
-    raw = read_f64le(src / "data.f64le", n * d + (n_columns - 1) * n)
+    raw = read_f64le(src / "data.f64le", n * d + (len(columns) - 1) * n)
     pos = 0
 
     def take(count):
@@ -388,7 +395,7 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
 
     features, labels = take(n * d).reshape(n, d), take(n)
     bias = aligned = None
-    if "bias" in meta["columns"]:
+    if len(columns) == 4:
         bias, aligned = take(n), take(n)  # as stored: LabeledDataset checks before casting
     try:
         return LabeledDataset(features, labels, num_classes=c, bias=bias,

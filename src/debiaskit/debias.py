@@ -147,7 +147,7 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
                     f"{COLLAPSE_XENT}: amplification training collapsed "
                     f"(loss spiking on rare conflicting samples); lower t_bias or tau")
 
-        with blas.limit(bias_cfg.batch_size, [train_ds.dim, *bias_cfg.hidden]):
+        with blas.limit():
             params, _ = train(train_ds, bias_cfg, loss="gce", tau=tau,
                               eval_fn=check_collapse)
             probs = softmax_numpy(mlp_forward(params, train_ds.features))
@@ -288,8 +288,6 @@ class PipelineResult:
     params: MlpParams
     history: list[MetricsRow]
     weights: SampleWeights
-    # the BLAS thread policy of the run, as ``blas.limit`` yields it
-    blas_threads: dict | None = None
 
 
 def _make_eval(test_ds, beta_fn):
@@ -317,22 +315,16 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     Two-stage schemes freeze their weights before the main run; the
     loss-ratio scheme recomputes weights from both classifiers every step.
     The per-epoch beta records the weight mass on conflicting samples for
-    whatever weights were in force at the epoch's final step. Everything
-    from amplification to the last evaluation runs under one BLAS thread
-    policy (``blas.limit``), sized by the widest model it trains.
+    whatever weights were in force at the epoch's final step.
     """
     check_pair(scheme, method)
     if train_ds.aligned is None:
         raise ValueError("training data needs bias labels for metrics")
     anneal = anneal or AnnealConfig()
 
-    # the widest model the pipeline trains sets the thread count; the
-    # limits of the training calls nested in it can only lower it
-    widths = [train_ds.dim, *train_cfg.hidden, *(vcae_cfg.hidden if vcae_cfg else ())]
-    with blas.limit(max(train_cfg.batch_size, (vcae_train_cfg or train_cfg).batch_size),
-                    widths) as policy:
+    with blas.limit():
         if scheme == "lff":
-            return replace(_run_lff(train_ds, test_ds, tau, train_cfg), blas_threads=policy)
+            return _run_lff(train_ds, test_ds, tau, train_cfg)
 
         artifact = (train_biased_classifier(train_ds, tau, t_bias, train_cfg)
                     if scheme in ("biased-confidence", "pgd") else None)
@@ -398,8 +390,7 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                                 weight_fn=weight_fn, sampler=sampler,
                                 logit_offset=logit_offset,
                                 eval_fn=_make_eval(test_ds, beta_fn))
-        return PipelineResult(params=params, history=history, weights=weights,
-                              blas_threads=policy)
+        return PipelineResult(params=params, history=history, weights=weights)
 
 
 def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:

@@ -6,15 +6,11 @@ Every run writes, under its output directory:
 * ``summary.json``  mean/std of the final-epoch metrics across seeds
 * ``weights_seed<k>.csv``  per-sample weight dump (index,weight,aligned,provenance)
 * ``checkpoint_seed<k>/``  trained classifier
-* ``timings.json``  wall-clock seconds per seed and the BLAS thread policy
-  in effect (kept out of the CSVs on purpose)
+* ``timings.json``  wall-clock seconds per seed (kept out of the CSVs on purpose)
 
 ``data`` holds the reader and writers of each format and config object
 (``read_meta``, ``take_fields``, ``write_json``, ``write_csv``, ``write_f64le``); this
 module keeps only the weights-CSV layout, ``write_weights_csv``, which ``cli vcae`` shares.
-
-A sweep's pool workers run one BLAS thread each. A serial run's thread
-count is set by ``blas.limit`` inside the training calls.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import blas
 from .classifier import TrainConfig, save_model
 from .data import (SCHEMA_VERSION, ConfigError, GenConfig, check_fields, generate,
                    load_dataset, read_meta, take_fields, unbiased_config, write_csv,
@@ -182,7 +177,6 @@ def run_experiment(cfg: RunConfig) -> tuple[dict, list[list]]:
         save_model(result.params, out / f"checkpoint_seed{run_seed}",
                    extra={"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                           "scheme": cfg.scheme, "method": cfg.method})
-    timings["blas_threads"] = result.blas_threads  # one config: one policy
     write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_columns(csv_rows))
     summary = summarize([dict(zip(METRICS_HEADER, r)) for r in csv_rows])
     summary["scheme"], summary["method"] = cfg.scheme, cfg.method
@@ -200,9 +194,8 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
 
     Every point's config is built, and so checked, before any point runs.
     Each point creates ``out`` with its own directory. ``sweep.csv`` is
-    built from the rows the points return, in point order.
-    With ``jobs > 1`` each pool worker runs one BLAS thread: N workers that
-    kept the parent's threads would run N times as many threads as cores.
+    built from the rows the points return, in point order. The pool
+    starts no more workers than there are points.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
@@ -221,8 +214,7 @@ def run_sweep(cfg: RunConfig, axis: str, values: list[float],
               for v, name in zip(values, names)]
     if jobs > 1:  # imported here, so that a serial sweep loads no process pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=blas.set_threads,
-                                 initargs=(1,)) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = list(pool.map(run_experiment, points))
     else:
         results = [run_experiment(point) for point in points]

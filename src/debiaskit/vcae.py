@@ -266,7 +266,7 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
     Raises ``ConfigError`` before the first step when ``cfg`` and ``ds``
     count different classes, ``TrainingDiverged`` naming the epoch and step
     of a non-finite loss, and ``GradientError`` naming the array of a
-    non-finite gradient. Runs under the BLAS thread policy of ``blas.limit``.
+    non-finite gradient.
     """
     if cfg.num_classes != ds.num_classes:
         raise ConfigError(f"vcae.num_classes is {cfg.num_classes} but the dataset "
@@ -286,7 +286,7 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
         return lval
 
     sampler = shuffle_batches(len(ds), t_cfg.batch_size, int(shuffle_seed), t_cfg.shuffle)
-    with blas.limit(t_cfg.batch_size, [ds.dim, *cfg.hidden]):
+    with blas.limit():
         history = run_epochs(len(ds), t_cfg, sampler, step_fn, lambda epoch, stats: {
             "epoch": epoch, "loss": stats["train_loss"], "seconds": stats["seconds"]})
     return params, history

@@ -1,7 +1,7 @@
-"""The BLAS thread policy: the rule, the restored count, the recorded
-policy and identical outputs whatever count a run inherits."""
+"""The BLAS thread policy: one thread inside training, the restored count
+and identical outputs whatever count a run inherits."""
 
-import json
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,6 @@ from debiaskit.vcae import VcaeConfig, train_vcae
 
 needs_openblas = pytest.mark.skipif(blas.threads() is None,
                                     reason="no OpenBLAS thread functions in numpy.libs")
-
-# a batch of 64 rows through a hidden layer this wide is above the crossover
-WIDE = blas.CROSSOVER // 64 + 1
 
 
 @pytest.fixture
@@ -54,22 +51,12 @@ def _record_threads(monkeypatch, module, name):
     return seen
 
 
-def test_threads_for_rule():
-    assert blas.threads_for(128, [20, 64, 64], 2) == 1
-    assert blas.threads_for(512, [20, 64, 64], 2) == 1
-    assert blas.threads_for(128, [768, 64], 2) == 2  # the glyphs step
-    assert blas.threads_for(1, [blas.CROSSOVER], 4) == 1  # at the crossover
-    assert blas.threads_for(1, [blas.CROSSOVER + 1], 4) == 4
-    assert blas.threads_for(512, [768, 64], 2) == 2
-    assert blas.threads_for(512, [768, 64], 1) == 1  # never above the inherited
-
-
 def test_limit_without_openblas_changes_nothing(monkeypatch):
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     assert blas.threads() is None
     blas.set_threads(1)
-    with blas.limit(128, [20]) as policy:
-        assert policy is None
+    with blas.limit():
+        assert blas.threads() is None
 
 
 @needs_openblas
@@ -78,8 +65,9 @@ def test_small_step_runs_one_thread_and_wide_step_the_inherited(monkeypatch, inh
     seen = _record_threads(monkeypatch, classifier, "mlp_loss_forward")
     ds = _two_factor(n=64)
     train(ds, TrainConfig(epochs=1, batch_size=64, hidden=(16,)))
-    train(ds, TrainConfig(epochs=1, batch_size=64, hidden=(WIDE,)))
-    assert seen == [1, 2]
+    # a width at which OpenBLAS's sums depend on its thread count
+    train(ds, TrainConfig(epochs=1, batch_size=64, hidden=(3000,)))
+    assert seen == [1, 1]
     assert blas.threads() == 2
 
 
@@ -102,10 +90,9 @@ def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit)
     seen_fwd = _record_threads(monkeypatch, debias, "mlp_forward")
     train_ds, test_ds = _two_factor(), _two_factor(n=100, seed=4)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16,), seed=11)
-    result = run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
-                                 train_cfg=cfg, gamma=20.0, t_bias=1)
+    run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
+                        train_cfg=cfg, gamma=20.0, t_bias=1)
     assert seen == [1, 1] and seen_fwd == [1]
-    assert result.blas_threads == {"inherited": 2, "training": 1}
     assert blas.threads() == 2
 
 
@@ -134,7 +121,9 @@ def test_count_restored_after_divergence(monkeypatch, inherit):
     assert blas.threads() == 2
 
 
-def _run_bytes(tmp_path, name, batch_size, hidden):
+def _run_bytes(tmp_path, name, batch_size, hidden, monkeypatch):
+    # a fresh memo: each run amplifies at the count it inherits
+    monkeypatch.setattr(debias, "_amplify_memo", OrderedDict())
     cfg = RunConfig.from_dict({
         "schema_version": 1, "scheme": "biased-confidence", "method": "LW",
         "dataset": {"num_classes": 4, "n": 300, "bc_ratio": 0.1, "seed": 5},
@@ -143,36 +132,19 @@ def _run_bytes(tmp_path, name, batch_size, hidden):
         "out_dir": str(tmp_path / name), "seeds": [0]})
     run_experiment(cfg)
     out = Path(cfg.out_dir)
-    timings = json.loads((out / "timings.json").read_text())
     files = ("metrics.csv", "weights_seed0.csv", "checkpoint_seed0/params.f64le")
-    return [(out / f).read_bytes() for f in files], timings["blas_threads"]
+    return [(out / f).read_bytes() for f in files]
 
 
 @needs_openblas
 def test_outputs_identical_from_one_or_two_inherited_threads(tmp_path, inherit,
                                                              monkeypatch):
     """Through a hidden layer of 3000, OpenBLAS's sums depend on its thread
-    count: run at the count each inherits, the two runs write other bytes.
-    With the crossover at 32 x 3000, both train on one thread."""
-    monkeypatch.setattr(blas, "CROSSOVER", 32 * 3000)
+    count: run at the count each inherits, the two runs would write other
+    bytes. Both train on one thread."""
     inherit(1)
-    one, policy_one = _run_bytes(tmp_path, "one", 32, [3000])
+    one = _run_bytes(tmp_path, "one", 32, [3000], monkeypatch)
     inherit(2)
-    two, policy_two = _run_bytes(tmp_path, "two", 32, [3000])
+    two = _run_bytes(tmp_path, "two", 32, [3000], monkeypatch)
     assert one == two
-    assert policy_one == {"inherited": 1, "training": 1}
-    assert policy_two == {"inherited": 2, "training": 1}
     assert blas.threads() == 2
-
-
-@needs_openblas
-def test_timings_record_the_inherited_count_above_the_crossover(tmp_path, inherit):
-    inherit(2)
-    _, policy = _run_bytes(tmp_path, "wide", 32, [blas.CROSSOVER // 32 + 1])
-    assert policy == {"inherited": 2, "training": 2}
-
-
-def test_timings_record_no_policy_without_openblas(tmp_path, monkeypatch):
-    monkeypatch.setattr(blas, "_openblas", lambda: None)
-    _, policy = _run_bytes(tmp_path, "none", 32, [16])
-    assert policy is None

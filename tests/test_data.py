@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import debiaskit
-from debiaskit.data import (GLYPH_SIDE, ConfigError, GenConfig, LabeledDataset,
-                            _draw_labels_and_bias, color_palette,
+from debiaskit.data import (DATASET_COLUMNS, GLYPH_SIDE, ConfigError, GenConfig,
+                            LabeledDataset, _draw_labels_and_bias, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
                             save_dataset, unbiased_config, write_csv)
@@ -391,6 +391,31 @@ def test_load_dataset_names_a_missing_meta_key_and_the_file(tmp_path, key):
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'}: "
                                                    f"missing key(s) ['{key}']")):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("columns", [["features", "bias", "labels", "aligned"],
+                                     ["features", "labels", "bias"]])
+def test_load_dataset_rejects_columns_unlike_either_layout(tmp_path, columns):
+    _store(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta["columns"] = columns
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    (tmp_path / "data.f64le").unlink()  # rejected before the data is read
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'}: columns must "
+                                                   f"be {DATASET_COLUMNS[:2]} or")):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_reads_both_layouts(tmp_path):
+    ds = _store(tmp_path / "biased")
+    save_dataset(LabeledDataset(ds.features, ds.labels, num_classes=3), tmp_path / "plain")
+    for name, columns in (("biased", DATASET_COLUMNS), ("plain", DATASET_COLUMNS[:2])):
+        assert json.loads((tmp_path / name / "meta.json").read_text())["columns"] == columns
+        back = load_dataset(tmp_path / name)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert (back.bias is None) == (name == "plain")
+    np.testing.assert_array_equal(load_dataset(tmp_path / "biased").bias, ds.bias)
 
 
 def test_load_dataset_names_a_missing_gen_key(tmp_path):

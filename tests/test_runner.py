@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import ctypes
 import glob
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debiaskit import runner
+from debiaskit import blas, classifier, runner
 from debiaskit.classifier import TrainConfig
 from debiaskit.data import GenConfig, generate, save_dataset
 from debiaskit.debias import AnnealConfig, SampleWeights
@@ -344,21 +345,52 @@ def _blas_thread_getter():
     return None
 
 
-def _record_blas_threads(cfg):
-    """Stands in for ``run_experiment`` in a pool worker: records the
-    worker's BLAS thread count and returns no summary and no rows."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "blas_threads").write_text(str(_blas_thread_getter()()))
-    return {}, []
-
-
 def test_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
-    if _blas_thread_getter() is None:
+    """Each worker's training steps run one BLAS thread, whatever count the
+    worker inherits; the parent keeps its count."""
+    get = _blas_thread_getter()
+    if get is None:
         pytest.skip("no OpenBLAS thread getter in numpy.libs")
-    before = _blas_thread_getter()()
-    monkeypatch.setattr(runner, "run_experiment", _record_blas_threads)
-    run_sweep(_tiny_cfg(tmp_path), "gamma", [50.0, 200.0], jobs=2)
-    for point in ("gamma=50", "gamma=200"):
-        assert (tmp_path / "run" / point / "blas_threads").read_text() == "1"
-    assert _blas_thread_getter()() == before  # the parent keeps its threads
+    log, step = tmp_path / "threads", classifier.mlp_loss_forward
+
+    def recording_step(*args, **kwargs):  # runs in the forked workers
+        with log.open("a") as fh:
+            fh.write(f"{get()}\n")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "mlp_loss_forward", recording_step)
+    before = get()
+    blas.set_threads(2)  # the count the workers inherit
+    try:
+        inherited = get()
+        run_sweep(_tiny_cfg(tmp_path), "gamma", [50.0, 200.0], jobs=2)
+        counts = log.read_text().split()
+        assert counts and set(counts) == {"1"}
+        assert get() == inherited  # the parent keeps its threads
+    finally:
+        blas.set_threads(before)
+
+
+def test_sweep_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    made = []
+
+    class SerialPool:
+        """Stands in for ``ProcessPoolExecutor``: notes ``max_workers`` and
+        maps in this process, so no worker is started."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    path = run_sweep(_tiny_cfg(tmp_path), "gamma", [50.0, 200.0], jobs=10**6)
+    assert made == [2]
+    assert len(path.read_text().splitlines()) == 1 + 2 * 2 * 2  # points x seeds x epochs
