@@ -24,12 +24,15 @@ The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 ``sweep --t-bias 1,2 --jobs 2``; ``vcae``; ``train-biased``; ``oracle-check``;
 ``report`` on oracle-ub/LW of C=4.
-Then, for one seed and one epoch: biased-confidence/LW, pgd/WS and lff/LW on
-a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
+Then, for one seed and two epochs: biased-confidence/LW, pgd/WS and lff/LW
+on a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
-colored-glyphs dataset. Then, on two more C=4 datasets, the training options
-that no other job sets: lff/LW and biased-confidence/ALW with SGD, momentum,
-weight decay and no shuffling, and lff/LW with Adam and weight decay. Then
+colored-glyphs dataset. With two epochs, the evaluation of epoch 0 (the
+4,500-row test pass, LfF's 5,000-row loss ratios, the glyph test pass) runs
+on the evaluation thread while epoch 1 trains. Then, on two more C=4
+datasets, the training options that no other job sets: lff/LW and
+biased-confidence/ALW with SGD, momentum, weight decay and no shuffling,
+and lff/LW with Adam and weight decay. Then
 biased-confidence/LW on a C=4 dataset of 300 rows for one seed and one
 epoch, at batch 32 through a hidden layer of 3000, where OpenBLAS's sums
 depend on its thread count: its bytes show that training ran one thread.
@@ -64,10 +67,10 @@ DATASETS = {
     "d10": ("two-factor", 10, 0.007, 2000, 4, {}, PAIRS),
     "b10": ("two-factor", 10, 0.01, 5000, 5,
             {"seeds": [0], "test_n": 4500,
-             "train": {"epochs": 1, "batch_size": 64, "hidden": [64, 64]}},
+             "train": {"epochs": 2, "batch_size": 64, "hidden": [64, 64]}},
             [("biased-confidence", "LW"), ("pgd", "WS"), ("lff", "LW")]),
     "g6": ("colored-glyphs", 6, 0.05, 300, 6,
-           {"seeds": [0], "train": {"epochs": 1, "batch_size": 64, "hidden": [16]}},
+           {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": [16]}},
            [("vcae", "LW")]),
     "s4": ("two-factor", 4, 0.049, 800, 7,
            {"train": {"epochs": 2, "batch_size": 64, "hidden": [16], "optimizer": "sgd",

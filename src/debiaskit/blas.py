@@ -82,8 +82,12 @@ def set_threads(n: int) -> None:
 def limit() -> Iterator[None]:
     """Run the block at one OpenBLAS thread, then restore the count in force
     before it, also when the block raises. Changes nothing when no OpenBLAS
-    thread functions are found. The count is process-wide, so blocks in
-    concurrent Python threads would share it.
+    thread functions are found.
+
+    The count is process-wide: it holds for every Python thread while the
+    block runs, and blocks in concurrent threads would share it. So the
+    pipeline's evaluation worker (``debias``) runs one thread too: it is
+    started and joined inside the pipeline's block.
     """
     inherited = threads()
     if inherited in (None, 1):

@@ -28,6 +28,7 @@ KINDS = ("two-factor", "colored-glyphs")
 
 GLYPH_SIDE = 16
 PALETTE_SIZE = 10
+GLYPH_CHUNK_ROWS = 256  # rows of glyph-pixel noise drawn at a time
 
 
 @dataclass
@@ -150,17 +151,31 @@ def glyph_masks() -> np.ndarray:
 
 
 def generate_colored_glyphs(cfg: GenConfig) -> LabeledDataset:
-    """16x16 RGB images: class glyph in white on a bias-colored background."""
+    """16x16 RGB images: class glyph in white on a bias-colored background.
+
+    The draws are those of the one-shot formula: background
+    ``palette[b] + rng.normal(0.0, sigma_b)`` on every pixel, then glyph
+    pixels ``rng.normal(1.0, sigma_u)`` over every pixel, kept where the
+    glyph is. Both fields go in place: the first straight into the image,
+    the second through a buffer of ``GLYPH_CHUNK_ROWS`` rows, so no second
+    image-sized array exists. ``sigma * z + palette`` is ``palette + (0.0 +
+    sigma * z)`` and ``sigma * z + 1.0`` is ``1.0 + sigma * z`` to the bit."""
     rng = np.random.default_rng(cfg.seed)
     y, b = _draw_labels_and_bias(cfg, rng)
     n = cfg.n
-    palette = color_palette()
     masks = glyph_masks()
     img = np.empty((n, GLYPH_SIDE, GLYPH_SIDE, 3))
-    img[:] = palette[b][:, None, None, :]
-    img += rng.normal(0.0, cfg.sigma_b, size=img.shape)
-    # glyph pixels 1.0 + N(0, sigma_u^2): loc + scale * z is 1.0 + (0.0 + scale * z) to the bit
-    np.copyto(img, rng.normal(1.0, cfg.sigma_u, size=img.shape), where=masks[y][..., None])
+    rng.standard_normal(out=img)
+    img *= cfg.sigma_b
+    img += color_palette()[b][:, None, None, :]
+    chunk = np.empty((min(n, GLYPH_CHUNK_ROWS), *img.shape[1:]))
+    for start in range(0, n, GLYPH_CHUNK_ROWS):
+        rows = slice(start, min(start + GLYPH_CHUNK_ROWS, n))
+        z = chunk[:rows.stop - start]
+        rng.standard_normal(out=z)
+        z *= cfg.sigma_u
+        z += 1.0
+        np.copyto(img[rows], z, where=masks[y[rows]][..., None])
     np.clip(img, 0.0, 1.0, out=img)
     return LabeledDataset(img.reshape(n, -1), y, num_classes=cfg.num_classes,
                           bias=b, cfg=cfg)

@@ -9,10 +9,22 @@ Two families of training-time corrections:
 * target adjustment (TBA): the classifier's logits are shifted by the log
   of the per-class bias conditional before the cross-entropy. Exactly the
   schemes with such rows p(y | bias evidence) (``conditional_rows``) drive it.
+
+A pipeline evaluates each epoch on a worker thread while the next epoch
+trains, on a core that one-thread training leaves idle: the test-split
+accuracies, beta, and for LfF the loss ratios over the whole training set.
+Each evaluation reads a copy of the parameters taken at its epoch's end,
+and every pass through a model runs by ``row_blocks`` at one OpenBLAS
+thread (the pipeline's ``blas.limit``), which computes a block the same way
+on any thread. So a run writes the bytes it would write evaluating inline.
+The amplifier's collapse check stays on the training thread, since it must
+stop training at once.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
 from typing import Iterator
@@ -290,13 +302,67 @@ class PipelineResult:
     weights: SampleWeights
 
 
-def _make_eval(test_ds, beta_fn):
+class _EvalWorker:
+    """Runs each epoch's evaluation on a worker thread while the next epoch
+    trains, at most one in flight.
+
+    ``submit(job)`` waits for the previous job, then starts ``job()`` on a
+    new thread under a copy of the caller's context, where numpy keeps its
+    errstate. ``rows()`` waits for the last job and returns every job's
+    result in submission order. A job's exception is raised again, as it
+    was, by the next ``submit`` or ``rows``. Leaving the ``with`` block
+    joins the thread, also when the block raises.
+    """
+
+    def __init__(self):
+        self._thread = None
+        self._rows = []
+        self._error = None
+
+    def _run(self, job):
+        try:
+            self._rows.append(job())
+        except BaseException as exc:
+            self._error = exc
+
+    def _join(self):
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def rows(self) -> list:
+        self._join()
+        if self._error is not None:
+            raise self._error
+        return self._rows
+
+    def submit(self, job) -> None:
+        self.rows()
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._run, job), name="debiaskit-eval")
+        self._thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._join()
+
+
+def _make_eval(test_ds, beta_fn, worker: _EvalWorker, *also: MlpParams):
+    """``train``'s per-epoch ``eval_fn``: copies the epoch-end parameters and
+    each model of ``also``, then hands the test-split accuracies and
+    ``beta_fn(step_end, theta, *also)`` of those copies to ``worker``."""
     def eval_fn(epoch, params, stats):
-        acc, ba, bc = evaluate_accuracy(params, test_ds)
-        return MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
-                          test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
-                          beta=beta_fn(params, stats["step"]),
-                          seconds=stats["seconds"])
+        theta, *rest = [MlpParams(m.layer_sizes, flat=m.flat.copy()) for m in (params, *also)]
+
+        def job():
+            acc, ba, bc = evaluate_accuracy(theta, test_ds)
+            return MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
+                              test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
+                              beta=beta_fn(stats["step"], theta, *rest),
+                              seconds=stats["seconds"])
+        worker.submit(job)
     return eval_fn
 
 
@@ -315,7 +381,9 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     Two-stage schemes freeze their weights before the main run; the
     loss-ratio scheme recomputes weights from both classifiers every step.
     The per-epoch beta records the weight mass on conflicting samples for
-    whatever weights were in force at the epoch's final step.
+    whatever weights were in force at the epoch's final step. Each epoch is
+    evaluated on a worker thread while the next one trains; the history is
+    complete, in epoch order, and the thread joined when the call returns.
     """
     check_pair(scheme, method)
     if train_ds.aligned is None:
@@ -382,21 +450,23 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
             sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
 
-        def beta_fn(params, step_end):
+        def beta_fn(step_end, _theta):
             eff = anneal_weight(w_arr, step_end - 1, anneal) if method == "ALW" else w_arr
             return debias_bc_ratio(eff, train_ds.aligned)
 
-        params, history = train(train_ds, train_cfg, loss="xent",
-                                weight_fn=weight_fn, sampler=sampler,
-                                logit_offset=logit_offset,
-                                eval_fn=_make_eval(test_ds, beta_fn))
-        return PipelineResult(params=params, history=history, weights=weights)
+        with _EvalWorker() as worker:
+            params, _ = train(train_ds, train_cfg, loss="xent",
+                              weight_fn=weight_fn, sampler=sampler,
+                              logit_offset=logit_offset,
+                              eval_fn=_make_eval(test_ds, beta_fn, worker))
+            return PipelineResult(params=params, history=worker.rows(), weights=weights)
 
 
 def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
     """Parallel loop: ``train`` steps the debiased classifier theta on the
     per-batch loss ratios of the amplified classifier psi and theta, which
-    ``weight_fn`` forms before either update, then takes psi's GCE step."""
+    ``weight_fn`` forms before either update, then takes psi's GCE step.
+    Each epoch is evaluated on copies of theta and psi."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
     psi = init_mlp(sizes, int(seeds[0]))
@@ -414,16 +484,18 @@ def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
 
     full_w = None
 
-    def beta_fn(theta, step_end):  # the last epoch's weights are the run's
+    def beta_fn(step_end, theta, psi_end):  # the last epoch's weights are the run's
         nonlocal full_w
-        lb = softmax_xent(mlp_forward(psi, train_ds.features), train_ds.labels)
+        lb = softmax_xent(mlp_forward(psi_end, train_ds.features), train_ds.labels)
         ld = softmax_xent(mlp_forward(theta, train_ds.features), train_ds.labels)
         full_w = np.maximum(lff_weight(lb, ld), 1e-300)
         return debias_bc_ratio(full_w, train_ds.aligned)
 
-    params, history = train(
-        train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
-        sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
-        eval_fn=_make_eval(test_ds, beta_fn))
+    with blas.limit(), _EvalWorker() as worker:
+        params, _ = train(
+            train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
+            sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
+            eval_fn=_make_eval(test_ds, beta_fn, worker, psi))
+        history = worker.rows()
     return PipelineResult(params=params, history=history,
                           weights=SampleWeights(full_w, provenance="lff"))

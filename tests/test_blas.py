@@ -60,7 +60,7 @@ def test_limit_without_openblas_changes_nothing(monkeypatch):
 
 
 @needs_openblas
-def test_small_step_runs_one_thread_and_wide_step_the_inherited(monkeypatch, inherit):
+def test_small_and_wide_steps_run_one_thread(monkeypatch, inherit):
     inherit(2)
     seen = _record_threads(monkeypatch, classifier, "mlp_loss_forward")
     ds = _two_factor(n=64)

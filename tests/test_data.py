@@ -6,6 +6,7 @@ import math
 import pkgutil
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import debiaskit
-from debiaskit.data import (DATASET_COLUMNS, GLYPH_SIDE, ConfigError, GenConfig,
-                            LabeledDataset, _draw_labels_and_bias, color_palette,
+from debiaskit.data import (DATASET_COLUMNS, GLYPH_CHUNK_ROWS, GLYPH_SIDE, ConfigError,
+                            GenConfig, LabeledDataset, _draw_labels_and_bias, color_palette,
                             estimate_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
                             save_dataset, unbiased_config, write_csv)
@@ -204,19 +205,48 @@ def test_glyphs_golden_hash():
     assert _digest(ds) == GLYPH_SHA
 
 
+def _one_shot_glyphs(cfg):
+    """The formula the in-place generator replaced, np.where(mask, 1.0 +
+    noise, img), from the same seeded draws, each noise field drawn as one
+    image-sized array."""
+    rng = np.random.default_rng(cfg.seed)
+    y, b = _draw_labels_and_bias(cfg, rng)
+    img = np.empty((cfg.n, GLYPH_SIDE, GLYPH_SIDE, 3))
+    img[:] = color_palette()[b][:, None, None, :]
+    img += rng.normal(0.0, cfg.sigma_b, size=img.shape)
+    noise = rng.normal(0.0, cfg.sigma_u, size=img.shape)
+    img = np.clip(np.where(glyph_masks()[y][..., None], 1.0 + noise, img), 0.0, 1.0)
+    return img.reshape(cfg.n, -1)
+
+
 def test_glyphs_equal_the_np_where_formula():
-    """The in-place generator gives the bytes of the formula it replaced,
-    np.where(mask, 1.0 + noise, img), from the same seeded draws."""
-    for seed in range(3):
-        cfg = GenConfig(num_classes=10, n=3000, bc_ratio=0.05, seed=seed, kind="colored-glyphs")
-        rng = np.random.default_rng(seed)
-        y, b = _draw_labels_and_bias(cfg, rng)
-        img = np.empty((cfg.n, GLYPH_SIDE, GLYPH_SIDE, 3))
-        img[:] = color_palette()[b][:, None, None, :]
-        img += rng.normal(0.0, cfg.sigma_b, size=img.shape)
-        noise = rng.normal(0.0, cfg.sigma_u, size=img.shape)
-        img = np.clip(np.where(glyph_masks()[y][..., None], 1.0 + noise, img), 0.0, 1.0)
-        assert generate_colored_glyphs(cfg).features.tobytes() == img.tobytes(), seed
+    """The in-place generator, which draws the glyph noise GLYPH_CHUNK_ROWS
+    rows at a time, gives the bytes of the one-shot formula: at n below, at
+    and off a multiple of the chunk size."""
+    for n in (GLYPH_CHUNK_ROWS // 2 + 1, GLYPH_CHUNK_ROWS, 2 * GLYPH_CHUNK_ROWS + 37, 3000):
+        for seed in (0, 1, 77):
+            cfg = GenConfig(num_classes=10, n=n, bc_ratio=0.05, seed=seed,
+                            kind="colored-glyphs")
+            assert (generate_colored_glyphs(cfg).features.tobytes()
+                    == _one_shot_glyphs(cfg).tobytes()), (n, seed)
+
+
+def test_glyphs_allocate_one_image_sized_array():
+    cfg = GenConfig(num_classes=10, n=8 * GLYPH_CHUNK_ROWS, bc_ratio=0.05, seed=1,
+                    kind="colored-glyphs")
+    image_bytes = cfg.n * GLYPH_SIDE * GLYPH_SIDE * 3 * 8
+    peaks = []
+    for gen in (_one_shot_glyphs, generate_colored_glyphs):
+        tracemalloc.start()
+        try:
+            gen(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the oracle holds at least two; the generator one, its chunk and the
+    # dataset's isfinite mask (an eighth of the image each)
+    assert peaks[0] > 2 * image_bytes
+    assert peaks[1] < 1.5 * image_bytes
 
 
 def test_glyph_masks_distinct():

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit import debias
+from debiaskit import classifier, debias
 from debiaskit.classifier import (TrainConfig, TrainingDiverged, init_mlp, mlp_forward,
                                   shuffle_batches, softmax_xent, train)
 from debiaskit.data import (GenConfig, LabeledDataset, estimate_p_y_given_b,
@@ -22,6 +24,7 @@ from debiaskit.debias import (AnnealConfig, SampleWeights,
 from debiaskit.classifier import softmax_numpy
 from debiaskit.metrics import debias_bc_ratio
 from debiaskit.runner import ConfigError, RunConfig, run_sweep
+from debiaskit.vcae import VcaeConfig
 
 from conftest import assert_views_of_flat, ref_optimizer, tape_loss_and_grads
 
@@ -753,3 +756,133 @@ def test_every_trainer_runs_the_shared_epoch_loop_once(monkeypatch):
     assert calls == [1, 1]
     vcae.train_vcae(train_ds, vcae.VcaeConfig(num_classes=4, hidden=(4,)), cfg)
     assert calls == [1, 1, 1]
+
+
+# --- per-epoch evaluation on the worker thread ------------------------------
+
+PAIRS = [(s, m) for s in debias.SCHEMES for m in debias.METHODS
+         if m in debias._COMPATIBLE[s]]
+
+
+def _run_pipeline(scheme, method, epochs=3):
+    train_ds, test_ds, cfg = _tiny_setup()
+    return run_debias_pipeline(
+        train_ds, test_ds, scheme, method, train_cfg=replace(cfg, epochs=epochs),
+        gamma=30.0, t_bias=1, anneal=AnnealConfig(t_anneal=5),
+        vcae_cfg=VcaeConfig(num_classes=4, hidden=(4,)))
+
+
+def _slow(monkeypatch, name, seen=None):
+    """Replace ``debias.name`` by a wrapper that waits 20 ms, long enough for
+    the next epoch to train, then notes its first argument's parameters."""
+    fn = getattr(debias, name)
+
+    def slow(params, *args):
+        time.sleep(0.02)
+        if seen is not None:
+            seen.append(params.flat.copy())
+        return fn(params, *args)
+
+    monkeypatch.setattr(debias, name, slow)
+
+
+@pytest.mark.parametrize("scheme,method", PAIRS)
+def test_overlapped_evaluation_writes_the_inline_bytes(scheme, method, monkeypatch):
+    over = _run_pipeline(scheme, method)
+    # each epoch evaluated on the training thread, before the next trains
+    monkeypatch.setattr(debias._EvalWorker, "submit", debias._EvalWorker._run)
+    inline = _run_pipeline(scheme, method)
+
+    def table(res):
+        return np.array([row.csv_values() for row in res.history], dtype=float).tobytes()
+
+    assert len(over.history) == 3
+    assert table(over) == table(inline)
+    assert over.weights.weights.tobytes() == inline.weights.weights.tobytes()
+    assert over.params.flat.tobytes() == inline.params.flat.tobytes()
+
+
+@pytest.mark.parametrize("scheme,method", [("vanilla", "LW"), ("lff", "LW")])
+def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch):
+    """theta (and LfF's psi) as each epoch ended, not as training left them
+    while the evaluation waited."""
+    ends, seen, make_eval = [], [], debias._make_eval
+
+    def recording(test_ds, beta_fn, worker, *also):
+        eval_fn = make_eval(test_ds, beta_fn, worker, *also)
+
+        def end(epoch, params, stats):
+            ends.append([m.flat.copy() for m in (params, *also)])
+            return eval_fn(epoch, params, stats)
+        return end
+
+    monkeypatch.setattr(debias, "_make_eval", recording)
+    _slow(monkeypatch, "evaluate_accuracy", seen)
+    seen_fwd = []
+    if scheme == "lff":  # its beta passes psi, then theta, over the training set
+        _slow(monkeypatch, "mlp_forward", seen_fwd)
+    _run_pipeline(scheme, method)
+    assert len(ends) == 3
+    assert [a.tobytes() for a in seen] == [theta.tobytes() for theta, *_ in ends]
+    if scheme == "lff":  # ends hold (theta, psi)
+        assert [a.tobytes() for a in seen_fwd] == [m.tobytes() for e in ends for m in e[::-1]]
+    assert not np.array_equal(ends[0][0], ends[1][0])
+
+
+class _EvalFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_epoch", [0, 2])
+def test_no_thread_outlives_the_pipeline(failing_epoch, monkeypatch):
+    """Not after a normal run, a divergence in epoch 2's training while
+    epoch 1 is evaluated, or an evaluation that raises, which the pipeline
+    raises as it was: in epoch 0 at the next epoch's end, in the last epoch
+    after training."""
+    before = threading.active_count()
+    _run_pipeline("vanilla", "LW")
+    assert threading.active_count() == before
+
+    with monkeypatch.context() as m:
+        _slow(m, "evaluate_accuracy")
+        backward, steps = classifier.mlp_backward, []
+
+        def diverge_in_epoch_2(fwd, *args, **kwargs):
+            steps.append(None)
+            if len(steps) > 2 * 7:  # 7 steps an epoch
+                raise TrainingDiverged("loss blew up")
+            return backward(fwd, *args, **kwargs)
+
+        m.setattr(classifier, "mlp_backward", diverge_in_epoch_2)
+        with pytest.raises(TrainingDiverged, match=r"^loss blew up at epoch 2 step 14$"):
+            _run_pipeline("vanilla", "LW")
+    assert threading.active_count() == before
+
+    evaluate, epochs = debias.evaluate_accuracy, []
+
+    def failing(params, ds):
+        epochs.append(None)
+        if len(epochs) == failing_epoch + 1:
+            raise _EvalFailed("no accuracy")
+        return evaluate(params, ds)
+
+    monkeypatch.setattr(debias, "evaluate_accuracy", failing)
+    with pytest.raises(_EvalFailed) as info:
+        _run_pipeline("vanilla", "LW")
+    assert info.type is _EvalFailed and str(info.value) == "no accuracy"
+    assert len(epochs) == failing_epoch + 1
+    assert threading.active_count() == before
+
+
+def test_caller_errstate_reaches_the_evaluation_thread(monkeypatch):
+    seen, evaluate = [], debias.evaluate_accuracy
+
+    def recording(params, ds):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     np.geterr()["over"]))
+        return evaluate(params, ds)
+
+    monkeypatch.setattr(debias, "evaluate_accuracy", recording)
+    with np.errstate(over="raise"):
+        _run_pipeline("vanilla", "LW", epochs=2)
+    assert seen == [(False, "raise")] * 2
