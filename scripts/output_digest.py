@@ -29,8 +29,14 @@ on a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
 colored-glyphs dataset. With two epochs, the evaluation of epoch 0 (the
 4,500-row test pass, LfF's 5,000-row loss ratios, the glyph test pass) runs
-on the evaluation thread while epoch 1 trains. Then, on two more C=4
-datasets, the training options that no other job sets: lff/LW and
+on the evaluation thread while epoch 1 trains. Then vcae/LW,
+biased-confidence/WS and lff/LW on 720 colored glyphs (D=768) for one seed
+and two epochs, at batch 128 through hidden (64,) for the classifiers and
+(32,) for the VCAE: the steps run their wide products and Adam updates by
+halves on the lane (``debiaskit.blas``), and the last batch of each epoch,
+80 rows, splits the classifier's first-layer products (40 x 768 x 64
+multiply-adds a half) but not the VCAE's (40 x 768 x 32). Then, on two
+more C=4 datasets, the training options that no other job sets: lff/LW and
 biased-confidence/ALW with SGD, momentum, weight decay and no shuffling,
 and lff/LW with Adam and weight decay. Then
 biased-confidence/LW on a C=4 dataset of 300 rows for one seed and one
@@ -72,6 +78,10 @@ DATASETS = {
     "g6": ("colored-glyphs", 6, 0.05, 300, 6,
            {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": [16]}},
            [("vcae", "LW")]),
+    "gw": ("colored-glyphs", 10, 0.05, 720, 12,
+           {"seeds": [0], "train": {"epochs": 2, "batch_size": 128, "hidden": [64]},
+            "vcae": {"num_classes": 10, "hidden": [32]}},
+           [("vcae", "LW"), ("biased-confidence", "WS"), ("lff", "LW")]),
     "s4": ("two-factor", 4, 0.049, 800, 7,
            {"train": {"epochs": 2, "batch_size": 64, "hidden": [16], "optimizer": "sgd",
                       "lr": 0.05, "momentum": 0.9, "weight_decay": 1e-4, "shuffle": False}},

@@ -1,4 +1,5 @@
-"""The OpenBLAS thread policy of training: every training block runs one thread.
+"""The thread policy of training: one OpenBLAS thread per Python thread, and
+one helper thread, the lane, per outermost training block.
 
 Mini-batch training runs thousands of small matmuls. A second OpenBLAS
 thread costs more in hand-off than it saves on them, and between calls it
@@ -14,17 +15,22 @@ and scipy-openblas 0.3.31. Medians, with the range:
     inherited   0.751 (0.598-0.904)   1.489 (1.183-1.792)   67.95
     one         0.776 (0.741-0.818)   0.776 (0.741-0.818)   62.07
 
-At two threads the glyph workload is bimodal per process: 5 of the 10
-runs read 0.60-0.66 s and 5 read 0.84-0.90 s. In the slow processes even
-the Adam step, which calls no BLAS, takes half as long again (186 against
-125 us per step), so the second thread spinning on the main thread's core
-is the likely cause. At one thread every run sits in one mode, at half the
-CPU time, with equal accuracies on every seed.
+At two threads the runs are bimodal (5 at 0.60-0.66 s, 5 at 0.84-0.90 s);
+in the slow ones even the BLAS-free Adam step takes half as long again, as
+a spinning second thread would cause. One thread gives one mode, at half
+the CPU time and with equal accuracies on every seed.
 
 Through some wide operands OpenBLAS's sums depend on its thread count (a
 hidden layer of 3000 at batch 32 does, one of 2048 does not). Since every
 training block runs one thread, a run writes the same bytes whatever count
 it inherits.
+
+The lane puts the second core to work inside a step: ``halves`` runs the
+second row half of a wide product, or of an optimizer's update, on it while
+the calling thread runs the first. Each half runs one OpenBLAS thread on
+its own Python thread, and the lane sleeps on a queue between halves, so
+nothing spins. Narrow models (D=20) never split: their steps hold the GIL,
+so a second thread would not help.
 
 The lookup of the library is lazy and cached: importing this module loads
 nothing. Where numpy's bundled OpenBLAS or its thread functions are not
@@ -33,9 +39,12 @@ found, every function here changes nothing.
 
 from __future__ import annotations
 
+import contextvars
+import queue
+import threading
 from contextlib import contextmanager
 from functools import cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -78,23 +87,90 @@ def set_threads(n: int) -> None:
         api[1](n)
 
 
+class Helper:
+    """A thread that runs one job at a time under a copy of the context of the
+    thread that hands it over (numpy keeps its errstate there), started at
+    the first job and asleep on a queue between jobs. ``start(fn, *args)``
+    hands ``fn(*args)`` over; ``wait()`` waits for it and raises its
+    exception again, as it was. ``close()`` lets the job finish and joins the
+    thread; the next ``start`` starts another.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self._thread, self._busy = None, False
+        self._jobs, self._ends = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def _serve(self):
+        while (job := self._jobs.get()) is not None:
+            try:
+                job[0].run(*job[1:])
+                self._ends.put(None)
+            except BaseException as exc:
+                self._ends.put(exc)
+
+    def start(self, fn: Callable, *args) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, name=self.name, daemon=True)
+            self._thread.start()
+        self._busy = True
+        self._jobs.put((contextvars.copy_context(), fn, *args))
+
+    def wait(self) -> None:
+        if self._busy:
+            self._busy = False
+            if (error := self._ends.get()) is not None:
+                raise error
+
+    def close(self) -> None:
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+            self._thread = None
+
+
+_local = threading.local()  # ``lane``: of this thread's outermost open ``limit`` block
+
+
+def halves(fn: Callable, first: tuple, second: tuple) -> None:
+    """``fn(*first)`` here while ``fn(*second)`` runs on the lane, returning
+    (or raising the lane's exception) when both are done. Outside a ``limit``
+    block, or on a thread other than the one that opened it, runs both here."""
+    lane = getattr(_local, "lane", None)
+    if lane is None:
+        fn(*first)
+        fn(*second)
+        return
+    lane.start(fn, *second)
+    try:
+        fn(*first)
+    finally:
+        lane.wait()
+
+
 @contextmanager
 def limit() -> Iterator[None]:
-    """Run the block at one OpenBLAS thread, then restore the count in force
-    before it, also when the block raises. Changes nothing when no OpenBLAS
-    thread functions are found.
+    """Run the block at one OpenBLAS thread per Python thread, then restore
+    the count in force before it, also when the block raises. Changes no
+    count when no OpenBLAS thread functions are found.
 
     The count is process-wide: it holds for every Python thread while the
     block runs, and blocks in concurrent threads would share it. So the
     pipeline's evaluation worker (``debias``) runs one thread too: it is
-    started and joined inside the pipeline's block.
+    started and joined inside the pipeline's block. A thread's outermost
+    block also makes the lane of ``halves`` for that thread and the blocks
+    nested in it; the lane starts at the first split, never spins and is
+    joined on every way out.
     """
+    lane = None
+    if getattr(_local, "lane", None) is None:
+        _local.lane = lane = Helper("debiaskit-lane")
     inherited = threads()
-    if inherited in (None, 1):
-        yield
-        return
     set_threads(1)
     try:
         yield
     finally:
         set_threads(inherited)
+        if lane is not None:
+            _local.lane = None
+            lane.close()

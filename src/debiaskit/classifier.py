@@ -117,18 +117,24 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpParams:
     return params
 
 
+# Fewest multiply-adds of a dgemm row block that, at one OpenBLAS thread, has
+# the bits of the whole product: every block of ``row_blocks`` and each half
+# of a product that a step splits (``_matmul``) keeps at least this many.
+BLOCK_MACS = 2**20
+
+
 def row_blocks(params: MlpParams, n: int) -> list[slice]:
     """Row blocks of an ``n``-row pass through ``params``: ``rows`` rows each,
     the last also taking the remainder; one block below ``2 * rows``.
 
-    ``rows = max(2048, ceil(2**20 / min(fan_in * fan_out)))`` keeps every layer
-    of every block above 10**6 multiply-adds. At or below that, dgemm may take
-    another kernel: against the first M rows of a 20,000-row product (OpenBLAS
-    0.3.31, 1 or 2 threads), an M-row product's rows differed up to M = 1,562
-    for 64 -> 10 (999,680 multiply-adds), 20 for 768 -> 64 (983,040), 40 for
-    768 -> 32, 1 for 20 -> 64 and 64 -> 64, and at every M to 4,199 for 16 -> 4
-    and 32 -> 4. So a block's rows are the bytes of the whole-array pass's."""
-    rows = max(2048, math.ceil(2**20 / min(w.size for w in params.arrays[::2])))
+    ``rows = max(2048, ceil(BLOCK_MACS / min(fan_in * fan_out)))`` keeps every
+    layer of every block at or above BLOCK_MACS. At or below 10**6, dgemm may
+    take another kernel: against the first M rows of a 20,000-row product
+    (OpenBLAS 0.3.31, 1 or 2 threads), an M-row product's rows differed up to
+    M = 1,562 for 64 -> 10 (999,680 multiply-adds), 20 for 768 -> 64 (983,040),
+    40 for 768 -> 32, 1 for 20 -> 64 and 64 -> 64, and at every M to 4,199 for
+    16 -> 4 and 32 -> 4. So a block's rows are the bytes of the whole pass's."""
+    rows = max(2048, math.ceil(BLOCK_MACS / min(w.size for w in params.arrays[::2])))
     bounds = [*range(0, rows * max(n // rows, 1), rows), n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -216,9 +222,9 @@ def shuffle_batches(n: int, batch_size: int, seed: int,
 
 
 def _buf(scratch: dict | None, key, shape: tuple[int, ...], dtype=np.float64):
-    """``scratch[key, shape]``, allocated on first use; None (numpy allocates) without one."""
+    """``scratch[key, shape]``, allocated on first use; a new array without one."""
     if scratch is None:
-        return None
+        return np.empty(shape, dtype=dtype)
     if (a := scratch.get((key, shape))) is None:
         a = scratch[key, shape] = np.empty(shape, dtype=dtype)
     return a
@@ -249,17 +255,27 @@ class MlpPass:
         return np.minimum(self.nll, XENT_MAX)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` into ``out``, its second row half on the lane of
+    ``blas.halves``; each half must keep ``BLOCK_MACS`` multiply-adds."""
+    mid = len(a) // 2
+    blas.halves(np.matmul, (a[:mid], b, out[:mid]), (a[mid:], b, out[mid:]))
+    return out
+
+
 def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = None):
     """Forward of a 2-D batch ``h`` through the ReLU layers ``arrays`` (W, b
     alternating): the output, the input of every linear layer (``h`` first)
     and the pre-activation of every hidden layer, as ``mlp_layers_backward``
-    needs them."""
+    needs them; wide products run by row halves (``_matmul``)."""
     # in place, into buffers of ``scratch`` that live until that model's next
     # step: at 128x768 a second temporary made this layer ~3x slower
     acts, pre = [h], []
     n_layers = len(arrays) // 2
     for i, (w, b) in enumerate(zip(arrays[::2], arrays[1::2])):
-        h = np.matmul(h, w, out=_buf(scratch, ("pre", i), (len(h), len(b))))
+        # the size test inline: a call per product would slow narrow models
+        mm = np.matmul if len(h) // 2 * w.size < BLOCK_MACS else _matmul
+        h = mm(h, w, _buf(scratch, ("pre", i), (len(h), len(b))))
         h += b
         if i < n_layers - 1:
             pre.append(h)
@@ -275,12 +291,15 @@ def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray],
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
     tape's operation order, with adjoints and ReLU masks in ``scratch``. Writes
     the gradient of each W, b into ``grads``; returns the adjoint of the input
-    batch when ``input_grad``, else None."""
+    batch when ``input_grad``, else None. Splits as ``mlp_layers`` does."""
     for i in range(len(arrays) // 2 - 1, -1, -1):
-        np.matmul(acts[i].T, g, out=grads[2 * i])
+        w = arrays[2 * i]
+        mm = np.matmul if len(w) // 2 * g.size < BLOCK_MACS else _matmul
+        mm(acts[i].T, g, grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), pre[i - 1].shape))
+            mm = np.matmul if len(g) // 2 * w.size < BLOCK_MACS else _matmul
+            g = mm(g, w.T, _buf(scratch, ("g", i), pre[i - 1].shape))
             g *= np.greater(pre[i - 1], 0.0, out=_buf(scratch, ("mask", i), g.shape, bool))
     return g @ arrays[0].T if input_grad else None
 

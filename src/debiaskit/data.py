@@ -81,7 +81,9 @@ class LabeledDataset:
             if not np.all((a >= 0) & (a < c) & (np.floor(a) == a)):  # NaN fails too
                 raise ValueError(f"{name} must be integers in [0, {c})")
             setattr(self, name, np.asarray(a, dtype=np.int64))
-        if not np.all(np.isfinite(self.features)):
+        # by blocks of ~2**16 values: a whole mask would be an eighth of the array
+        rows = max(1, 2**16 * n // max(self.features.size, 1))
+        if not all(np.isfinite(self.features[i:i + rows]).all() for i in range(0, n, rows)):
             raise ValueError("non-finite feature values")
         if self.bias is not None:
             expected = self.bias == self.labels

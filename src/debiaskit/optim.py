@@ -7,6 +7,8 @@ optimizer allocates its state and scratch buffers on its first step and
 updates through ``out=`` and in-place operations afterwards. The operations
 run in the order of the textbook expressions in the docstrings, so the
 result is bit-identical to evaluating those expressions array by array.
+Adam updates ``LANE_MIN_SIZE`` or more values by halves, the second on the
+lane of ``blas.halves``; SGD's update, a third of the work, gained nothing so.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import blas
+
 OPTIMIZERS = ("sgd", "adam")
+
+# Adam's update by halves against whole, 2 cores (AMD EPYC): 44 against 38 us
+# at 16,384 values, 59 against 78 us at 32,768
+LANE_MIN_SIZE = 2**15
 
 
 def _check(p: np.ndarray, g: np.ndarray) -> None:
@@ -73,11 +81,18 @@ class Adam:
         if self._state is None:  # m, v and two scratch vectors
             self._state = (np.zeros_like(p), np.zeros_like(p),
                            np.empty_like(p), np.empty_like(p))
-        m, v, a, b = self._state
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc = (1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t)
+        if p.size < LANE_MIN_SIZE:
+            self._update(p, g, *self._state, *bc)
+        else:
+            vectors, mid = (p, g, *self._state), p.size // 2
+            blas.halves(self._update, (*(x[:mid] for x in vectors), *bc),
+                        (*(x[mid:] for x in vectors), *bc))
+
+    def _update(self, p, g, m, v, a, b, bc1: float, bc2: float) -> None:
+        """``step``'s update of (slices of) p, g, m, v and two scratch vectors."""
         if self.weight_decay:
             np.multiply(p, self.weight_decay, out=a)
             a += g

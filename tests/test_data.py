@@ -243,10 +243,29 @@ def test_glyphs_allocate_one_image_sized_array():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the oracle holds at least two; the generator one, its chunk and the
-    # dataset's isfinite mask (an eighth of the image each)
+    # the oracle holds at least two; the generator one and its chunk (an
+    # eighth of the image)
     assert peaks[0] > 2 * image_bytes
     assert peaks[1] < 1.5 * image_bytes
+
+
+def test_dataset_checks_finiteness_without_a_whole_array_mask():
+    """By row blocks: the peak stays far below the N x D boolean mask of one
+    ``isfinite`` pass, and a non-finite value in any block still fails."""
+    x = np.random.default_rng(0).random((2000, 768))
+    y = np.zeros(2000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        LabeledDataset(x, y, num_classes=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size / 8
+    for row, value in ((0, np.inf), (1000, -np.inf), (1999, np.nan)):
+        bad = x.copy()
+        bad[row, 767] = value
+        with pytest.raises(ValueError, match="^non-finite feature values$"):
+            LabeledDataset(bad, y, num_classes=2)
 
 
 def test_glyph_masks_distinct():
