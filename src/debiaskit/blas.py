@@ -1,10 +1,13 @@
-"""The thread policy of training: one OpenBLAS thread per Python thread, and
-one helper thread, the lane, per outermost training block.
+"""The thread policy of the package's BLAS work: one OpenBLAS thread per
+Python thread, and one helper thread, the lane, per epoch loop.
 
 Mini-batch training runs thousands of small matmuls. A second OpenBLAS
 thread costs more in hand-off than it saves on them, and between calls it
 spins on a core that the main thread needs. ``limit`` runs a block at one
-thread and restores the count in force before it.
+thread. The package enters it in two places only: ``classifier.run_epochs``,
+the epoch loop of every training step, and ``classifier._forward_blocks``,
+the full-data pass behind evaluation, the amplifier's probabilities, PGD
+and the VCAE's weights and latents.
 
 On the widest workload, the glyph VCAE (perfbench ``glyphs-vcae``: batch
 128, D=768), one thread against the count inherited from the environment
@@ -22,8 +25,8 @@ the CPU time and with equal accuracies on every seed.
 
 Through some wide operands OpenBLAS's sums depend on its thread count (a
 hidden layer of 3000 at batch 32 does, one of 2048 does not). Since every
-training block runs one thread, a run writes the same bytes whatever count
-it inherits.
+product of the package runs inside a block, a run writes the same bytes
+whatever count it inherits.
 
 The lane puts the second core to work inside a step: ``halves`` runs the
 second row half of a wide product, or of an optimizer's update, on it while
@@ -93,7 +96,7 @@ class Helper:
     the first job and asleep on a queue between jobs. ``start(fn, *args)``
     hands ``fn(*args)`` over; ``wait()`` waits for it and raises its
     exception again, as it was. ``close()`` lets the job finish and joins the
-    thread; the next ``start`` starts another.
+    thread.
     """
 
     def __init__(self, name: str):
@@ -126,10 +129,12 @@ class Helper:
         if self._thread is not None:
             self._jobs.put(None)
             self._thread.join()
-            self._thread = None
 
 
 _local = threading.local()  # ``lane``: of this thread's outermost open ``limit`` block
+_lock = threading.Lock()  # guards the two below
+_open = 0  # ``limit`` blocks open, on every thread
+_inherited = None  # the count in force when the first of them opened
 
 
 def halves(fn: Callable, first: tuple, second: tuple) -> None:
@@ -150,27 +155,33 @@ def halves(fn: Callable, first: tuple, second: tuple) -> None:
 
 @contextmanager
 def limit() -> Iterator[None]:
-    """Run the block at one OpenBLAS thread per Python thread, then restore
-    the count in force before it, also when the block raises. Changes no
+    """Run the block at one OpenBLAS thread per Python thread. Changes no
     count when no OpenBLAS thread functions are found.
 
-    The count is process-wide: it holds for every Python thread while the
-    block runs, and blocks in concurrent threads would share it. So the
-    pipeline's evaluation worker (``debias``) runs one thread too: it is
-    started and joined inside the pipeline's block. A thread's outermost
-    block also makes the lane of ``halves`` for that thread and the blocks
-    nested in it; the lane starts at the first split, never spins and is
-    joined on every way out.
+    The count is process-wide, so the open blocks of every thread share it:
+    the first block to open saves the count in force and sets one thread,
+    and the last to close restores it, also when a block raises. So an
+    evaluation on another thread may outlast the epoch loop that handed it
+    over. A thread's outermost block also makes the lane of ``halves`` for
+    that thread and the blocks nested in it; the lane of a ``run_epochs``
+    starts at its first split, never spins and is joined on every way out.
     """
+    global _open, _inherited
     lane = None
     if getattr(_local, "lane", None) is None:
         _local.lane = lane = Helper("debiaskit-lane")
-    inherited = threads()
-    set_threads(1)
+    with _lock:
+        if _open == 0:
+            _inherited = threads()
+            set_threads(1)
+        _open += 1
     try:
         yield
     finally:
-        set_threads(inherited)
+        with _lock:
+            _open -= 1
+            if _open == 0:
+                set_threads(_inherited)
         if lane is not None:
             _local.lane = None
             lane.close()

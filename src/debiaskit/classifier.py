@@ -141,14 +141,16 @@ def row_blocks(params: MlpParams, n: int) -> list[slice]:
 
 def _forward_blocks(params: MlpParams, x: np.ndarray, final: bool) -> np.ndarray:
     """The hidden layers, in place, then the final linear layer if ``final``,
-    on each of ``row_blocks`` of the 2-D ``x``; the blocks' results stacked."""
+    on each of ``row_blocks`` of the 2-D ``x``, at one BLAS thread (``blas``);
+    the blocks' results stacked."""
     arrays, out = params.arrays, []
-    for rows in row_blocks(params, len(x)):
-        h = x[rows]
-        for w, b in zip(arrays[:-2:2], arrays[1:-2:2]):
-            h = h @ w
-            np.maximum(np.add(h, b, out=h), 0.0, out=h)
-        out.append(h @ arrays[-2] + arrays[-1] if final else h)
+    with blas.limit():
+        for rows in row_blocks(params, len(x)):
+            h = x[rows]
+            for w, b in zip(arrays[:-2:2], arrays[1:-2:2]):
+                h = h @ w
+                np.maximum(np.add(h, b, out=h), 0.0, out=h)
+            out.append(h @ arrays[-2] + arrays[-1] if final else h)
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -392,8 +394,9 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
 def run_epochs(n: int, cfg: TrainConfig, sampler: Iterator[np.ndarray],
                step_fn: Callable[[np.ndarray, int], float],
                end_epoch: Callable[[int, dict], object]) -> list:
-    """``cfg.epochs`` epochs of ``ceil(n / cfg.batch_size)`` steps; returns
-    the list of ``end_epoch(epoch, stats)`` records.
+    """``cfg.epochs`` epochs of ``ceil(n / cfg.batch_size)`` steps at one
+    BLAS thread (``blas``); returns the list of ``end_epoch(epoch, stats)``
+    records.
 
     A step calls ``step_fn(next(sampler), step)``, which updates the model
     and returns the batch's mean loss; a ``TrainingDiverged`` it raises is
@@ -404,22 +407,23 @@ def run_epochs(n: int, cfg: TrainConfig, sampler: Iterator[np.ndarray],
     n_steps = math.ceil(n / cfg.batch_size)
     history = []
     step = 0
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        loss_total = 0.0
-        seen = 0
-        for _ in range(n_steps):
-            idx = next(sampler)
-            try:
-                lval = step_fn(idx, step)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
-            loss_total += lval * len(idx)
-            seen += len(idx)
-            step += 1
-        history.append(end_epoch(epoch, {
-            "epoch": epoch, "train_loss": loss_total / seen,
-            "seconds": time.perf_counter() - t0, "step": step, "seen": seen}))
+    with blas.limit():
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            loss_total = 0.0
+            seen = 0
+            for _ in range(n_steps):
+                idx = next(sampler)
+                try:
+                    lval = step_fn(idx, step)
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
+                loss_total += lval * len(idx)
+                seen += len(idx)
+                step += 1
+            history.append(end_epoch(epoch, {
+                "epoch": epoch, "train_loss": loss_total / seen,
+                "seconds": time.perf_counter() - t0, "step": step, "seen": seen}))
     return history
 
 
@@ -470,8 +474,7 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
         stats["train_xent"], xent_total = xent_total / stats["seen"], 0.0
         return stats if eval_fn is None else eval_fn(epoch, params, stats)
 
-    with blas.limit():
-        return params, run_epochs(len(ds), cfg, sampler, step_fn, end_epoch)
+    return params, run_epochs(len(ds), cfg, sampler, step_fn, end_epoch)
 
 
 # --- checkpoints: model.json + params.f64le ---------------------------------

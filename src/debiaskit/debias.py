@@ -11,11 +11,12 @@ Two families of training-time corrections:
   schemes with such rows p(y | bias evidence) (``conditional_rows``) drive it.
 
 Two helper threads (``blas.Helper``) use the core that one-thread training
-leaves idle. The evaluation worker runs each epoch's test-split accuracies,
-beta and LfF's loss ratios over the training set, on a copy of the epoch-end
-parameters, while the next epoch trains. The lane of the pipeline's
-``blas.limit`` runs half of each wide product and Adam update of a step.
-A pass runs at one OpenBLAS thread, whole or in row blocks of at least
+leaves idle. A pipeline keeps one evaluation thread from its main training
+run to its end. It runs each epoch's test-split accuracies, beta and LfF's
+loss ratios over the training set, on a copy of the epoch-end parameters,
+while the next epoch trains. The lane of each ``run_epochs`` runs half of
+each wide product and Adam update of a step. A pass runs at one OpenBLAS
+thread on whichever thread runs it, whole or in row blocks of at least
 ``BLOCK_MACS`` multiply-adds, each with the bits of the whole product on
 any thread, so a run writes the bytes of a one-thread run. The amplifier's
 collapse check stays on the training thread, since it must stop training.
@@ -158,10 +159,8 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
                     f"{COLLAPSE_XENT}: amplification training collapsed "
                     f"(loss spiking on rare conflicting samples); lower t_bias or tau")
 
-        with blas.limit():
-            params, _ = train(train_ds, bias_cfg, loss="gce", tau=tau,
-                              eval_fn=check_collapse)
-            probs = softmax_numpy(mlp_forward(params, train_ds.features))
+        params, _ = train(train_ds, bias_cfg, loss="gce", tau=tau, eval_fn=check_collapse)
+        probs = softmax_numpy(mlp_forward(params, train_ds.features))
         conf = probs[np.arange(len(train_ds)), train_ds.labels]
         conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
         for a in (params.flat, conf, probs):
@@ -301,46 +300,23 @@ class PipelineResult:
     weights: SampleWeights
 
 
-class _EvalWorker(blas.Helper):
-    """Runs each epoch's evaluation on a worker thread while the next epoch
-    trains, at most one in flight. ``submit(job)`` waits for the previous job
-    (raising its exception again, as ``wait`` does), then runs ``job()`` on a
-    new thread (one kept across epochs raised the benchmark's peak RSS 0.4 MB).
-    ``rows()`` waits for the last job and returns every job's result in
-    submission order. ``close()`` joins the thread.
-    """
-
-    def __init__(self):
-        super().__init__("debiaskit-eval")
-        self._rows = []
-
-    def _run(self, job):
-        self._rows.append(job())
-
-    def rows(self) -> list:
-        self.wait()
-        return self._rows
-
-    def submit(self, job) -> None:
-        self.rows()
-        self.close()
-        self.start(self._run, job)
-
-
-def _make_eval(test_ds, beta_fn, worker: _EvalWorker, *also: MlpParams):
+def _make_eval(test_ds, beta_fn, worker: blas.Helper, rows: list, *also: MlpParams):
     """``train``'s per-epoch ``eval_fn``: copies the epoch-end parameters and
-    each model of ``also``, then hands the test-split accuracies and
-    ``beta_fn(step_end, theta, *also)`` of those copies to ``worker``."""
+    each model of ``also``, waits for the previous epoch's job on ``worker``,
+    then hands it the job that appends the test-split accuracies and
+    ``beta_fn(step_end, theta, *also)`` of those copies, as a ``MetricsRow``,
+    to ``rows``. The caller waits for the last job once ``train`` returns."""
     def eval_fn(epoch, params, stats):
         theta, *rest = [MlpParams(m.layer_sizes, flat=m.flat.copy()) for m in (params, *also)]
 
         def job():
             acc, ba, bc = evaluate_accuracy(theta, test_ds)
-            return MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
-                              test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
-                              beta=beta_fn(stats["step"], theta, *rest),
-                              seconds=stats["seconds"])
-        worker.submit(job)
+            rows.append(MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
+                                   test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
+                                   beta=beta_fn(stats["step"], theta, *rest),
+                                   seconds=stats["seconds"]))
+        worker.wait()
+        worker.start(job)
     return eval_fn
 
 
@@ -368,76 +344,77 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
         raise ValueError("training data needs bias labels for metrics")
     anneal = anneal or AnnealConfig()
 
-    with blas.limit():
-        if scheme == "lff":
-            return _run_lff(train_ds, test_ds, tau, train_cfg)
+    if scheme == "lff":
+        return _run_lff(train_ds, test_ds, tau, train_cfg)
 
-        artifact = (train_biased_classifier(train_ds, tau, t_bias, train_cfg)
-                    if scheme in ("biased-confidence", "pgd") else None)
+    artifact = (train_biased_classifier(train_ds, tau, t_bias, train_cfg)
+                if scheme in ("biased-confidence", "pgd") else None)
 
-        # resolve per-sample weights (or the TBA adjustment table)
-        logit_offset = None
-        if method == "TBA":
-            if gamma is None:
-                raise ValueError("TBA needs gamma")
-            v = tba_floor(conditional_rows(scheme, train_ds, artifact), gamma)
-            logit_offset = np.log(v)
-            # implied correction magnitude per sample, for the beta metric
-            implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels], gamma)
-            weights = SampleWeights(implied, provenance=scheme, gamma=gamma)
-        elif scheme == "vanilla":
-            weights = SampleWeights(np.ones(len(train_ds)), provenance="vanilla")
-        elif scheme == "oracle-ub":
-            weights = oracle_ub_weights(train_ds)
-        elif scheme == "oracle-yb":
-            rows = conditional_rows(scheme, train_ds, artifact)
-            p = rows[np.arange(len(train_ds)), train_ds.labels]
-            weights = SampleWeights(1.0 / p, provenance="oracle-yb")
-        elif scheme == "biased-confidence":
-            if gamma is None:
-                raise ValueError("biased-confidence needs gamma")
-            weights = compute_weights_clamped(artifact.confidences, gamma)
-            if method in ("LW", "ALW"):
-                weights = rescale_weights(weights)
-        elif scheme == "pgd":
-            # by row blocks: the whole hidden layer and its square never exist
-            raw = np.concatenate([
-                pgd_weight(artifact.class_probs[rows], train_ds.labels[rows],
-                           mlp_final_hidden(artifact.params, train_ds.features[rows]))
-                for rows in row_blocks(artifact.params, len(train_ds))])
-            total = raw.sum()
-            if total <= 0:
-                raise ValueError("all gradient-norm weights are zero")
-            weights = SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
-        elif scheme == "vcae":
-            if vcae_cfg is None:
-                raise ValueError("vcae scheme needs a VcaeConfig")
-            vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
-            weights = SampleWeights(vcae_weights(vparams, train_ds, cap=vcae_weight_cap),
-                                    provenance="vcae")
-        else:  # pragma: no cover
-            raise AssertionError(scheme)
+    # resolve per-sample weights (or the TBA adjustment table)
+    logit_offset = None
+    if method == "TBA":
+        if gamma is None:
+            raise ValueError("TBA needs gamma")
+        v = tba_floor(conditional_rows(scheme, train_ds, artifact), gamma)
+        logit_offset = np.log(v)
+        # implied correction magnitude per sample, for the beta metric
+        implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels], gamma)
+        weights = SampleWeights(implied, provenance=scheme, gamma=gamma)
+    elif scheme == "vanilla":
+        weights = SampleWeights(np.ones(len(train_ds)), provenance="vanilla")
+    elif scheme == "oracle-ub":
+        weights = oracle_ub_weights(train_ds)
+    elif scheme == "oracle-yb":
+        rows = conditional_rows(scheme, train_ds, artifact)
+        p = rows[np.arange(len(train_ds)), train_ds.labels]
+        weights = SampleWeights(1.0 / p, provenance="oracle-yb")
+    elif scheme == "biased-confidence":
+        if gamma is None:
+            raise ValueError("biased-confidence needs gamma")
+        weights = compute_weights_clamped(artifact.confidences, gamma)
+        if method in ("LW", "ALW"):
+            weights = rescale_weights(weights)
+    elif scheme == "pgd":
+        # by row blocks: the whole hidden layer and its square never exist
+        raw = np.concatenate([
+            pgd_weight(artifact.class_probs[rows], train_ds.labels[rows],
+                       mlp_final_hidden(artifact.params, train_ds.features[rows]))
+            for rows in row_blocks(artifact.params, len(train_ds))])
+        total = raw.sum()
+        if total <= 0:
+            raise ValueError("all gradient-norm weights are zero")
+        weights = SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
+    elif scheme == "vcae":
+        if vcae_cfg is None:
+            raise ValueError("vcae scheme needs a VcaeConfig")
+        vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
+        weights = SampleWeights(vcae_weights(vparams, train_ds, cap=vcae_weight_cap),
+                                provenance="vcae")
+    else:  # pragma: no cover
+        raise AssertionError(scheme)
 
-        w_arr = weights.weights
-        weight_fn = sampler = None
-        if method == "LW":
-            weight_fn = lambda idx, t, fwd: w_arr[idx]
-        elif method == "ALW":
-            weight_fn = lambda idx, t, fwd: anneal_weight(w_arr[idx], t, anneal)
-        elif method == "WS":
-            _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
-            sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
+    w_arr = weights.weights
+    weight_fn = sampler = None
+    if method == "LW":
+        weight_fn = lambda idx, t, fwd: w_arr[idx]
+    elif method == "ALW":
+        weight_fn = lambda idx, t, fwd: anneal_weight(w_arr[idx], t, anneal)
+    elif method == "WS":
+        _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
+        sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
 
-        def beta_fn(step_end, _theta):
-            eff = anneal_weight(w_arr, step_end - 1, anneal) if method == "ALW" else w_arr
-            return debias_bc_ratio(eff, train_ds.aligned)
+    def beta_fn(step_end, _theta):
+        eff = anneal_weight(w_arr, step_end - 1, anneal) if method == "ALW" else w_arr
+        return debias_bc_ratio(eff, train_ds.aligned)
 
-        with closing(_EvalWorker()) as worker:
-            params, _ = train(train_ds, train_cfg, loss="xent",
-                              weight_fn=weight_fn, sampler=sampler,
-                              logit_offset=logit_offset,
-                              eval_fn=_make_eval(test_ds, beta_fn, worker))
-            return PipelineResult(params=params, history=worker.rows(), weights=weights)
+    history = []
+    with closing(blas.Helper("debiaskit-eval")) as worker:
+        params, _ = train(train_ds, train_cfg, loss="xent",
+                          weight_fn=weight_fn, sampler=sampler,
+                          logit_offset=logit_offset,
+                          eval_fn=_make_eval(test_ds, beta_fn, worker, history))
+        worker.wait()
+    return PipelineResult(params=params, history=history, weights=weights)
 
 
 def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
@@ -469,11 +446,12 @@ def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
         full_w = np.maximum(lff_weight(lb, ld), 1e-300)
         return debias_bc_ratio(full_w, train_ds.aligned)
 
-    with blas.limit(), closing(_EvalWorker()) as worker:
+    history = []
+    with closing(blas.Helper("debiaskit-eval")) as worker:
         params, _ = train(
             train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
             sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
-            eval_fn=_make_eval(test_ds, beta_fn, worker, psi))
-        history = worker.rows()
+            eval_fn=_make_eval(test_ds, beta_fn, worker, history, psi))
+        worker.wait()
     return PipelineResult(params=params, history=history,
                           weights=SampleWeights(full_w, provenance="lff"))

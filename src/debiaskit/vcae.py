@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blas
 from .classifier import (MlpParams, TrainConfig, TrainingDiverged,
                          check_finite_gradient, flat_views, init_mlp,
                          log_softmax_numpy, mlp_forward, mlp_layers,
@@ -286,9 +285,8 @@ def train_vcae(ds: LabeledDataset, cfg: VcaeConfig, t_cfg: TrainConfig):
         return lval
 
     sampler = shuffle_batches(len(ds), t_cfg.batch_size, int(shuffle_seed), t_cfg.shuffle)
-    with blas.limit():
-        history = run_epochs(len(ds), t_cfg, sampler, step_fn, lambda epoch, stats: {
-            "epoch": epoch, "loss": stats["train_loss"], "seconds": stats["seconds"]})
+    history = run_epochs(len(ds), t_cfg, sampler, step_fn, lambda epoch, stats: {
+        "epoch": epoch, "loss": stats["train_loss"], "seconds": stats["seconds"]})
     return params, history
 
 

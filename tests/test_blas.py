@@ -1,13 +1,15 @@
 """The BLAS thread policy: one thread inside training, the restored count
 and identical outputs whatever count a run inherits."""
 
+import sys
+import threading
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from debiaskit import blas, classifier, debias, vcae
+from debiaskit import blas, classifier, cli, debias, vcae
 from debiaskit.classifier import TrainConfig, TrainingDiverged, train
 from debiaskit.data import GenConfig, LabeledDataset, generate
 from debiaskit.debias import run_debias_pipeline
@@ -84,16 +86,83 @@ def test_vcae_step_runs_one_thread(monkeypatch, inherit):
 @needs_openblas
 def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit):
     """The per-epoch evaluation and the amplified classifier's full-data
-    pass run inside the pipeline's limit, not only the training steps."""
+    pass run at one thread, not only the training steps: the amplifier's
+    pass and two evaluations, seen inside the pass."""
     inherit(2)
-    seen = _record_threads(monkeypatch, debias, "evaluate_accuracy")
-    seen_fwd = _record_threads(monkeypatch, debias, "mlp_forward")
+    seen = _record_threads(monkeypatch, classifier, "row_blocks")
     train_ds, test_ds = _two_factor(), _two_factor(n=100, seed=4)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16,), seed=11)
     run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
                         train_cfg=cfg, gamma=20.0, t_bias=1)
-    assert seen == [1, 1] and seen_fwd == [1]
+    assert seen == [1, 1, 1]
     assert blas.threads() == 2
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@needs_openblas
+@pytest.mark.parametrize("b_raises", [False, True])
+def test_blocks_on_two_threads_share_one_count(inherit, b_raises):
+    """Thread B opens a block inside the main thread's and closes it after
+    the main thread's has closed: one thread until B's closes, also when it
+    raises, then the count in force before the first opened."""
+    inherit(2)
+    b_open, a_closed, seen = threading.Event(), threading.Event(), []
+
+    def thread_b():
+        try:
+            with blas.limit():
+                b_open.set()
+                assert a_closed.wait(30)
+                seen.append(blas.threads())
+                if b_raises:
+                    raise _BlockFailed
+        except _BlockFailed:
+            seen.append("raised")
+        seen.append(blas.threads())
+
+    b = threading.Thread(target=thread_b)
+    with blas.limit():
+        b.start()
+        assert b_open.wait(30)
+        seen.append(blas.threads())
+    seen.append(blas.threads())
+    a_closed.set()
+    b.join(30)
+    assert not b.is_alive()
+    assert seen == [1, 1, 1, *(["raised"] if b_raises else []), 2]
+
+
+@needs_openblas
+def test_many_threads_opening_blocks_lose_no_count(inherit):
+    """Four threads (more than the cores) open and close blocks with
+    frequent switches: one thread inside every block, and the inherited
+    count once all have closed, which a lost update of the open count
+    would break."""
+    inherit(2)
+    outside, start = [], threading.Barrier(4)
+
+    def opener():
+        start.wait(30)
+        for _ in range(500):
+            with blas.limit():
+                if blas.threads() != 1:
+                    outside.append(blas.threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=opener) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outside == [] and blas._open == 0 and blas.threads() == 2
 
 
 @needs_openblas
@@ -147,4 +216,23 @@ def test_outputs_identical_from_one_or_two_inherited_threads(tmp_path, inherit,
     inherit(2)
     two = _run_bytes(tmp_path, "two", 32, [3000], monkeypatch)
     assert one == two
+    assert blas.threads() == 2
+
+
+@needs_openblas
+def test_vcae_command_writes_the_same_bytes_from_one_or_two_inherited_threads(tmp_path,
+                                                                               inherit):
+    """The latent pass after training runs the hidden layer of 3000 too."""
+    data = str(tmp_path / "data")
+    assert cli.main(["generate", "--kind", "colored-glyphs", "--classes", "4", "--n", "300",
+                     "--rho", "0.1", "--seed", "3", "--out", data]) == 0
+    out = []
+    for n in (1, 2):
+        inherit(n)
+        assert cli.main(["vcae", "--data", data, "--out", str(tmp_path / str(n)),
+                         "--seed", "0", "--hidden", "3000", "--batch-size", "32",
+                         "--epochs", "1"]) == 0
+        out.append([(tmp_path / str(n) / f).read_bytes()
+                    for f in ("latents.csv", "weights.csv")])
+    assert out[0] == out[1]
     assert blas.threads() == 2

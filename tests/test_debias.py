@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit import classifier, debias
+from debiaskit import blas, classifier, debias
 from debiaskit.classifier import (TrainConfig, TrainingDiverged, init_mlp, mlp_forward,
                                   shuffle_batches, softmax_xent, train)
 from debiaskit.data import (GenConfig, LabeledDataset, estimate_p_y_given_b,
@@ -790,7 +790,14 @@ def _slow(monkeypatch, name, seen=None):
 def test_overlapped_evaluation_writes_the_inline_bytes(scheme, method, monkeypatch):
     over = _run_pipeline(scheme, method)
     # each epoch evaluated on the training thread, before the next trains
-    monkeypatch.setattr(debias._EvalWorker, "submit", debias._EvalWorker._run)
+    start = blas.Helper.start
+
+    def run_here(worker, fn, *args):
+        if worker.name != "debiaskit-eval":
+            return start(worker, fn, *args)
+        fn(*args)
+
+    monkeypatch.setattr(blas.Helper, "start", run_here)
     inline = _run_pipeline(scheme, method)
 
     def table(res):
@@ -808,8 +815,8 @@ def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch)
     while the evaluation waited."""
     ends, seen, make_eval = [], [], debias._make_eval
 
-    def recording(test_ds, beta_fn, worker, *also):
-        eval_fn = make_eval(test_ds, beta_fn, worker, *also)
+    def recording(test_ds, beta_fn, worker, rows, *also):
+        eval_fn = make_eval(test_ds, beta_fn, worker, rows, *also)
 
         def end(epoch, params, stats):
             ends.append([m.flat.copy() for m in (params, *also)])
