@@ -26,10 +26,11 @@ scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 ``report`` on oracle-ub/LW of C=4.
 Then, for one seed and two epochs: biased-confidence/LW, pgd/WS and lff/LW
 on a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
-whose full-data passes run in two 2048-row blocks; and vcae/LW on a small
-colored-glyphs dataset. With two epochs, the evaluation of epoch 0 (the
-4,500-row test pass, LfF's 5,000-row loss ratios, the glyph test pass) runs
-on the evaluation thread while epoch 1 trains. Then vcae/LW,
+whose full-data passes run in two 2048-row blocks; and vcae/LW, oracle-ub/LW
+and oracle-ub/TBA on a small colored-glyphs dataset, the only jobs that read
+the exact p(y|b) table of glyph data. With two epochs, the evaluation of
+epoch 0 (the 4,500-row test pass, LfF's 5,000-row loss ratios, the glyph
+test pass) runs on the evaluation thread while epoch 1 trains. Then vcae/LW,
 biased-confidence/WS and lff/LW on 720 colored glyphs (D=768) for one seed
 and two epochs, at batch 128 through hidden (64,) for the classifiers and
 (32,) for the VCAE: the steps run their wide products and Adam updates by
@@ -77,7 +78,7 @@ DATASETS = {
             [("biased-confidence", "LW"), ("pgd", "WS"), ("lff", "LW")]),
     "g6": ("colored-glyphs", 6, 0.05, 300, 6,
            {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": [16]}},
-           [("vcae", "LW")]),
+           [("vcae", "LW"), ("oracle-ub", "LW"), ("oracle-ub", "TBA")]),
     "gw": ("colored-glyphs", 10, 0.05, 720, 12,
            {"seeds": [0], "train": {"epochs": 2, "batch_size": 128, "hidden": [64]},
             "vcae": {"num_classes": 10, "hidden": [32]}},

@@ -3,10 +3,10 @@
 Every sample carries a class label ``y`` and (optionally) a bias label
 ``b``. During generation, ``b`` equals ``y`` with probability ``1 - rho``
 (bias-aligned) and is uniform over the remaining classes otherwise
-(bias-conflicting), so the exact conditional is
+(bias-conflicting), so the exact conditional (``exact_p_y_given_b``) is
 P(y=c | b=c) = 1 - rho and P(y=c' | b=c) = rho / (C - 1).
 An unbiased split (b independent of y) is the special case
-rho = (C - 1) / C.
+rho = (C - 1) / C. ``KINDS`` is the one list of data kinds: name to generator.
 
 Below the generators: the config schema (``check_fields``; ``take_fields``, the
 one reader of a config object) and the reader and writer of each file format.
@@ -23,8 +23,6 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-
-KINDS = ("two-factor", "colored-glyphs")
 
 GLYPH_SIDE = 16
 PALETTE_SIZE = 10
@@ -54,7 +52,7 @@ class GenConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}")
+            raise ConfigError(f"kind must be one of {tuple(KINDS)}")
         if self.kind == "colored-glyphs" and self.num_classes > PALETTE_SIZE:
             raise ConfigError(f"colored-glyphs supports at most {PALETTE_SIZE} classes")
 
@@ -183,10 +181,11 @@ def generate_colored_glyphs(cfg: GenConfig) -> LabeledDataset:
                           bias=b, cfg=cfg)
 
 
+KINDS = {"two-factor": generate_two_factor, "colored-glyphs": generate_colored_glyphs}
+
+
 def generate(cfg: GenConfig) -> LabeledDataset:
-    if cfg.kind == "two-factor":
-        return generate_two_factor(cfg)
-    return generate_colored_glyphs(cfg)
+    return KINDS[cfg.kind](cfg)
 
 
 def unbiased_config(cfg: GenConfig, n: int, seed: int) -> GenConfig:
@@ -208,6 +207,18 @@ def estimate_p_y_given_b(ds: LabeledDataset) -> np.ndarray:
         missing = np.flatnonzero(col == 0).tolist()
         raise ValueError(f"cannot condition: bias value(s) {missing} never occur")
     return counts / col
+
+
+def exact_p_y_given_b(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's p(y|b) as the (C, C) table[y, b], and its reciprocal, each
+    in closed form: 1/(rho/(C-1)) can miss (C-1)/rho by the last bit."""
+    if ds.cfg is None:
+        raise ValueError("dataset lacks its generation config; exact conditional unknown")
+    c, rho = ds.num_classes, ds.cfg.bc_ratio
+    table, inverse = np.full((c, c), rho / (c - 1)), np.full((c, c), (c - 1) / rho)
+    np.fill_diagonal(table, 1.0 - rho)
+    np.fill_diagonal(inverse, 1.0 / (1.0 - rho))
+    return table, inverse
 
 
 # --- config schema and the on-disk formats: JSON, CSV, little-endian doubles ---
@@ -397,8 +408,7 @@ def load_dataset(in_dir: str | Path) -> LabeledDataset:
             raise ValueError(f"{path}: num_classes {c} != gen.num_classes {cfg.num_classes}")
         if cfg.n != n:
             raise ValueError(f"{path}: n {n} != gen.n {cfg.n}")
-        width = 2 * c if cfg.kind == "two-factor" else 3 * GLYPH_SIDE ** 2
-        if width != d:
+        if (width := KINDS[cfg.kind](replace(cfg, n=1)).dim) != d:
             raise ValueError(f"{path}: feature_dim {d} != {width}, the width of "
                              f"gen.kind {cfg.kind} at {c} classes")
     raw = read_f64le(src / "data.f64le", n * d + (len(columns) - 1) * n)

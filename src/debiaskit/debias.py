@@ -36,7 +36,8 @@ from .classifier import (MlpParams, TrainConfig, TrainingDiverged,
                          init_mlp, mlp_backward, mlp_final_hidden, mlp_forward,
                          mlp_loss_forward, row_blocks, shuffle_batches,
                          softmax_numpy, softmax_xent, train)
-from .data import ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b
+from .data import (ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b,
+                   exact_p_y_given_b)
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
 from .vcae import VCAE_WEIGHT_CAP, train_vcae, vcae_weights
@@ -262,20 +263,13 @@ def tba_adjusted_probs(logits: np.ndarray, p_psi: np.ndarray,
     return softmax_numpy(shifted)
 
 
-def _generator_rho(ds: LabeledDataset) -> float:
-    if ds.cfg is None:
-        raise ValueError("dataset lacks its generation config; exact conditional unknown")
-    return ds.cfg.bc_ratio
-
-
 def oracle_ub_weights(ds: LabeledDataset) -> SampleWeights:
     """Exact 1/p(u|b) from the generator: 1/(1-rho) aligned, (C-1)/rho conflicting.
     Not 1/conditional_rows: 1/(rho/(C-1)) can miss (C-1)/rho by the last bit."""
-    rho, c = _generator_rho(ds), ds.num_classes
-    if ds.aligned is None:
+    _, inverse = exact_p_y_given_b(ds)
+    if ds.bias is None:
         raise ValueError("dataset lacks bias labels")
-    w = np.where(ds.aligned, 1.0 / (1.0 - rho), (c - 1) / rho)
-    return SampleWeights(w, provenance="oracle-ub")
+    return SampleWeights(inverse[ds.labels, ds.bias], provenance="oracle-ub")
 
 
 def conditional_rows(scheme: str, ds: LabeledDataset, artifact) -> np.ndarray:
@@ -283,13 +277,9 @@ def conditional_rows(scheme: str, ds: LabeledDataset, artifact) -> np.ndarray:
     probabilities, or the empirical or exact table[y, b] at each row's b."""
     if scheme == "biased-confidence":
         return artifact.class_probs
-    if scheme == "oracle-yb":
-        return estimate_p_y_given_b(ds)[:, ds.bias].T
-    if scheme != "oracle-ub":
+    if scheme not in ("oracle-yb", "oracle-ub"):
         raise ValueError(f"scheme {scheme!r} has no conditional rows")
-    rho, c = _generator_rho(ds), ds.num_classes
-    table = np.full((c, c), rho / (c - 1))
-    np.fill_diagonal(table, 1.0 - rho)
+    table = estimate_p_y_given_b(ds) if scheme == "oracle-yb" else exact_p_y_given_b(ds)[0]
     return table[:, ds.bias].T
 
 

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import debiaskit
+from debiaskit import cli, data
 from debiaskit.data import (DATASET_COLUMNS, GLYPH_CHUNK_ROWS, GLYPH_SIDE, ConfigError,
                             GenConfig, LabeledDataset, _draw_labels_and_bias, color_palette,
-                            estimate_p_y_given_b, generate_colored_glyphs,
+                            estimate_p_y_given_b, exact_p_y_given_b, generate_colored_glyphs,
                             generate_two_factor, glyph_masks, load_dataset,
                             save_dataset, unbiased_config, write_csv)
 
@@ -136,13 +137,23 @@ def test_two_factor_near_zero_rho_all_aligned():
     assert ds.aligned.all()
 
 
+EXACT_CASES = [(10, 0.005), (10, 0.01), (4, 0.049), (10, 0.007), (3, 0.3), (2, 0.5)]
+
+
 def test_two_factor_exact_conditional_structure():
-    # by construction P(y=c|b=c) = 1-rho and P(y=c'|b=c) = rho/(C-1);
-    # P(b=c) = 1/C so the bias marginal stays uniform
-    c, rho = 10, 0.005
-    table_diag = 1.0 - rho
-    table_off = rho / (c - 1)
-    assert abs(table_diag + (c - 1) * table_off - 1.0) < 1e-15
+    """P(y=c|b=c) = 1-rho and P(y=c'|b=c) = rho/(C-1), so each column sums to
+    1; the reciprocal holds 1/(1-rho) and (C-1)/rho to the bit, also at (4,
+    0.049) and (10, 0.007), where 1/(rho/(C-1)) misses (C-1)/rho."""
+    assert all(1.0 / (rho / (c - 1)) != (c - 1) / rho for c, rho in [(4, 0.049), (10, 0.007)])
+    for c, rho in EXACT_CASES:
+        table, inverse = exact_p_y_given_b(
+            generate_two_factor(GenConfig(num_classes=c, n=1, bc_ratio=rho)))
+        np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        on = np.eye(c, dtype=bool)
+        assert table[on].tobytes() == np.full(c, 1.0 - rho).tobytes()
+        assert table[~on].tobytes() == np.full(c * c - c, rho / (c - 1)).tobytes()
+        assert inverse[on].tobytes() == np.full(c, 1.0 / (1.0 - rho)).tobytes()
+        assert inverse[~on].tobytes() == np.full(c * c - c, (c - 1) / rho).tobytes()
 
 
 def test_two_factor_bc_count_binomial():
@@ -291,11 +302,14 @@ def test_estimator_identity_when_b_equals_y():
 
 
 def test_estimator_converges_to_construction():
-    c, n, rho = 10, 100000, 0.01
-    ds = generate_two_factor(GenConfig(num_classes=c, n=n, bc_ratio=rho, seed=6))
-    est = estimate_p_y_given_b(ds)
-    np.testing.assert_allclose(np.diag(est), 1 - rho, atol=0.005)
-    np.testing.assert_allclose(est.sum(axis=0), 1.0, atol=1e-12)
+    """Over 10^5 rows each cell of the estimate is within 3 standard errors,
+    sqrt(p (1 - p) / n_b), of the exact table."""
+    for c, rho in EXACT_CASES[1:]:
+        ds = generate_two_factor(GenConfig(num_classes=c, n=100000, bc_ratio=rho, seed=6))
+        est, (exact, _) = estimate_p_y_given_b(ds), exact_p_y_given_b(ds)
+        se = np.sqrt(exact * (1 - exact) / np.bincount(ds.bias, minlength=c))
+        assert np.all(np.abs(est - exact) <= 3 * se), (c, rho)
+        np.testing.assert_allclose(est.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_estimator_errors():
@@ -503,6 +517,36 @@ def test_load_dataset_checks_the_gen_block_naming_the_file(tmp_path, gen, messag
     (tmp_path / "data.f64le").unlink()
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'meta.json'}: {message}")):
         load_dataset(tmp_path)
+
+
+def _toy(cfg):
+    """A kind of three columns: y, b and unit noise."""
+    rng = np.random.default_rng(cfg.seed)
+    y, b = _draw_labels_and_bias(cfg, rng)
+    x = np.column_stack([y, b, rng.normal(size=cfg.n)])
+    return LabeledDataset(x, y, num_classes=cfg.num_classes, bias=b, cfg=cfg)
+
+
+def test_a_kind_is_one_entry_of_kinds(tmp_path, monkeypatch):
+    """A toy kind registered as one ``KINDS`` entry is generated, stored,
+    loaded and debiased through the CLI with no other code touched; its
+    stored width is its generator's, and a gen block naming another kind on
+    its files is rejected."""
+    monkeypatch.setitem(data.KINDS, "toy", _toy)
+    d = tmp_path / "toy"
+    assert cli.main(["generate", "--kind", "toy", "--classes", "3", "--n", "60",
+                     "--rho", "0.1", "--seed", "1", "--out", str(d)]) == 0
+    ds = load_dataset(d)
+    assert json.loads((d / "meta.json").read_text())["feature_dim"] == ds.dim == 3
+    assert ds.cfg.kind == "toy"
+    assert cli.main(["debias", "--data", str(d), "--scheme", "oracle-ub", "--method", "TBA",
+                     "--out", str(tmp_path / "run")]) == 0
+    meta = json.loads((d / "meta.json").read_text())
+    meta["gen"]["kind"] = "two-factor"
+    (d / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(
+            "feature_dim 3 != 6, the width of gen.kind two-factor at 3 classes")):
+        load_dataset(d)
 
 
 # --- the CSV writer writes csv.writer's bytes ------------------------------------
