@@ -30,7 +30,11 @@ whose full-data passes run in two 2048-row blocks; and vcae/LW, oracle-ub/LW
 and oracle-ub/TBA on a small colored-glyphs dataset, the only jobs that read
 the exact p(y|b) table of glyph data. With two epochs, the evaluation of
 epoch 0 (the 4,500-row test pass, LfF's 5,000-row loss ratios, the glyph
-test pass) runs on the evaluation thread while epoch 1 trains. Then vcae/LW,
+test pass) runs on the evaluation thread while epoch 1 trains. Then lff/LW
+on a C=10 two-factor dataset of 2,000 rows (one block) with test_n 4,500
+(two blocks), for one seed and two epochs through hidden (64, 64): its test
+split is larger than its training split, so an evaluation workspace sized
+for only one of them shows as an error or a byte difference. Then vcae/LW,
 biased-confidence/WS and lff/LW on 720 colored glyphs (D=768) for one seed
 and two epochs, at batch 128 through hidden (64,) for the classifiers and
 (32,) for the VCAE: the steps run their wide products and Adam updates by
@@ -79,6 +83,10 @@ DATASETS = {
     "g6": ("colored-glyphs", 6, 0.05, 300, 6,
            {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": [16]}},
            [("vcae", "LW"), ("oracle-ub", "LW"), ("oracle-ub", "TBA")]),
+    "l10": ("two-factor", 10, 0.01, 2000, 13,
+            {"seeds": [0], "test_n": 4500,
+             "train": {"epochs": 2, "batch_size": 64, "hidden": [64, 64]}},
+            [("lff", "LW")]),
     "gw": ("colored-glyphs", 10, 0.05, 720, 12,
            {"seeds": [0], "train": {"epochs": 2, "batch_size": 128, "hidden": [64]},
             "vcae": {"num_classes": 10, "hidden": [32]}},

@@ -123,6 +123,10 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpParams:
 BLOCK_MACS = 2**20
 
 
+def _block_rows(params: MlpParams) -> int:
+    return max(2048, math.ceil(BLOCK_MACS / min(w.size for w in params.arrays[::2])))
+
+
 def row_blocks(params: MlpParams, n: int) -> list[slice]:
     """Row blocks of an ``n``-row pass through ``params``: ``rows`` rows each,
     the last also taking the remainder; one block below ``2 * rows``.
@@ -134,24 +138,53 @@ def row_blocks(params: MlpParams, n: int) -> list[slice]:
     M = 1,562 for 64 -> 10 (999,680 multiply-adds), 20 for 768 -> 64 (983,040),
     40 for 768 -> 32, 1 for 20 -> 64 and 64 -> 64, and at every M to 4,199 for
     16 -> 4 and 32 -> 4. So a block's rows are the bytes of the whole pass's."""
-    rows = max(2048, math.ceil(BLOCK_MACS / min(w.size for w in params.arrays[::2])))
+    rows = _block_rows(params)
     bounds = [*range(0, rows * max(n // rows, 1), rows), n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _forward_blocks(params: MlpParams, x: np.ndarray, final: bool) -> np.ndarray:
-    """The hidden layers, in place, then the final linear layer if ``final``,
-    on each of ``row_blocks`` of the 2-D ``x``, at one BLAS thread (``blas``);
-    the blocks' results stacked."""
-    arrays, out = params.arrays, []
+def largest_block(params: MlpParams, n: int) -> int:
+    """Rows of the largest of ``row_blocks(params, n)``, the last one."""
+    rows = _block_rows(params)
+    return n - rows * (max(n // rows, 1) - 1)
+
+
+def forward_block(params: MlpParams, x: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+    """The row block ``x`` through the first ``len(outs)`` linear layers of
+    ``params``, layer i into the first ``len(x)`` rows of ``outs[i]``, each
+    hidden layer's ReLU in place; returns the last output (``x`` for none).
+    The layer loop of every full-data pass."""
+    h, arrays = x, params.arrays
+    for i, out in enumerate(outs):
+        h = np.matmul(h, arrays[2 * i], out=out[:len(x)])
+        h += arrays[2 * i + 1]
+        if 2 * i + 2 < len(arrays):
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _blocks(params: MlpParams, x: np.ndarray,
+            outs: Callable[[slice], list[np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, forward_block(params, x[rows], outs(rows)))`` for each of
+    ``row_blocks`` of the 2-D ``x``, at one BLAS thread (``blas``)."""
     with blas.limit():
         for rows in row_blocks(params, len(x)):
-            h = x[rows]
-            for w, b in zip(arrays[:-2:2], arrays[1:-2:2]):
-                h = h @ w
-                np.maximum(np.add(h, b, out=h), 0.0, out=h)
-            out.append(h @ arrays[-2] + arrays[-1] if final else h)
-    return out[0] if len(out) == 1 else np.concatenate(out)
+            yield rows, forward_block(params, x[rows], outs(rows))
+
+
+def _forward_blocks(params: MlpParams, x: np.ndarray, final: bool) -> np.ndarray:
+    """The layers through the final linear one if ``final``, else through the
+    last hidden one, by ``_blocks`` of the 2-D ``x``: the hidden layers into
+    buffers of the largest block, the last layer into one new array."""
+    sizes = params.layer_sizes
+    n_layers = len(sizes) - 1 - (not final)
+    if n_layers == 0:
+        return x
+    hidden = [np.empty((largest_block(params, len(x)), w)) for w in sizes[1:n_layers]]
+    out = np.empty((len(x), sizes[n_layers]))
+    for _ in _blocks(params, x, lambda rows: [*hidden, out[rows]]):
+        pass
+    return out
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -166,6 +199,42 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Activation feeding the final linear layer (input x for 0 hidden layers), by row blocks."""
     return _forward_blocks(params, np.atleast_2d(np.asarray(x, dtype=np.float64)), final=False)
+
+
+class BlockWorkspace:
+    """The buffers of ``logit_blocks`` passes through MLPs laid out like
+    ``params`` over splits of ``ns`` rows: each hidden layer's output, the
+    logits and their log-softmax, for the largest block of any split; and
+    the per-row vectors ``preds`` (predicted classes) and ``losses`` (one row
+    per loss vector), as long as the longest split. Made once and written by
+    every pass, so that a pass allocates nothing that grows with rows x width."""
+
+    def __init__(self, params: MlpParams, *ns: int, losses: int = 0):
+        rows, sizes = max(largest_block(params, n) for n in ns), params.layer_sizes
+        self.hidden = [np.empty((rows, w)) for w in sizes[1:-1]]
+        self.logits = np.empty((rows, sizes[-1]))
+        self.log_probs = np.empty_like(self.logits)
+        self.preds = np.empty(max(ns), dtype=np.intp)
+        self.losses = np.empty((losses, max(ns)))
+
+
+def logit_blocks(params: MlpParams, x: np.ndarray,
+                 ws: BlockWorkspace) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, logits of x[rows])`` for each of ``row_blocks`` of the 2-D
+    ``x``, through the buffers of ``ws``; the logits are the first rows of
+    ``ws.logits``, so they hold until the next block."""
+    return _blocks(params, x, lambda rows: [*ws.hidden, ws.logits])
+
+
+def mlp_xent(params: MlpParams, x: np.ndarray, y: np.ndarray, ws: BlockWorkspace,
+             out: np.ndarray) -> np.ndarray:
+    """``softmax_xent(mlp_forward(params, x), y)`` into ``out``, by
+    ``logit_blocks`` through ``ws``: the operations are per row, so the bits
+    are the same."""
+    for rows, logits in logit_blocks(params, x, ws):
+        lp = log_softmax_numpy(logits, out=ws.log_probs[:len(logits)])
+        np.minimum(-lp[np.arange(len(lp)), y[rows]], XENT_MAX, out=out[rows])
+    return out
 
 
 def log_softmax_numpy(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import MlpParams, mlp_forward
+from .classifier import BlockWorkspace, MlpParams, logit_blocks
 from .data import LabeledDataset
 
 
@@ -43,9 +43,14 @@ def debias_bc_ratio(weights: np.ndarray, aligned: np.ndarray) -> float:
     return float(mean_bc / (mean_bc + mean_ba))
 
 
-def evaluate_accuracy(params: MlpParams, ds: LabeledDataset):
-    """(overall, aligned-subset, conflicting-subset) test accuracies."""
-    preds = mlp_forward(params, ds.features).argmax(axis=1)
+def evaluate_accuracy(params: MlpParams, ds: LabeledDataset, ws: BlockWorkspace | None = None):
+    """(overall, aligned-subset, conflicting-subset) test accuracies. The
+    pass runs by ``logit_blocks`` through ``ws`` (made here when None) and
+    writes each block's argmax into ``ws.preds``."""
+    ws = BlockWorkspace(params, len(ds)) if ws is None else ws
+    preds = ws.preds[:len(ds)]
+    for rows, logits in logit_blocks(params, ds.features, ws):
+        logits.argmax(axis=1, out=preds[rows])
     correct = preds == ds.labels
     overall = float(correct.mean())
     if ds.aligned is None:

@@ -144,6 +144,26 @@ def test_bad_scheme_or_method_fails_before_any_output(tmp_path, capsys, over):
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("scheme,method", [("oracle-ub", "LW"), ("biased-confidence", "LW"),
+                                           ("pgd", "WS"), ("vcae", "LW")])
+def test_a_split_without_conflicting_rows_fails_before_training(tmp_path, capsys,
+                                                               monkeypatch, scheme, method):
+    """No amplifier, VCAE or classifier trains for beta to fail after."""
+    from debiaskit import classifier, vcae
+    data, out = tmp_path / "data", tmp_path / "o"
+    assert main(["generate", "--n", "50", "--rho", "0.001", "--seed", "1",
+                 "--out", str(data)]) == 0
+    trained = []
+    for module in (classifier, vcae):
+        monkeypatch.setattr(module, "run_epochs", lambda *args: trained.append(args))
+    assert main(["debias", "--data", str(data), "--scheme", scheme, "--method", method,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the training split has 50 bias-aligned and 0 bias-conflicting rows; "
+        "beta needs at least one of each\n")
+    assert not out.exists() and trained == []
+
+
 # each of these once crashed with a traceback, wrote output first or ran silently
 _BAD_CONFIGS = [
     {"train": {"epochs": "2"}}, {"train": {"hidden": 16}}, {"train": {"lr": "0.01"}},

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -10,19 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit import blas, classifier, debias
-from debiaskit.classifier import (TrainConfig, TrainingDiverged, init_mlp, mlp_forward,
-                                  shuffle_batches, softmax_xent, train)
+from debiaskit.classifier import (BlockWorkspace, TrainConfig, TrainingDiverged, init_mlp,
+                                  mlp_forward, row_blocks, shuffle_batches, softmax_xent,
+                                  train)
 from debiaskit.data import (GenConfig, LabeledDataset, estimate_p_y_given_b,
                             generate_two_factor, load_dataset, save_dataset,
                             unbiased_config)
 from debiaskit.debias import (AnnealConfig, SampleWeights,
                               _run_lff, anneal_weight, compute_weights_clamped,
-                              lff_weight, oracle_ub_weights, pgd_weight,
+                              lff_full_weights, lff_weight, oracle_ub_weights, pgd_weight,
                               rescale_weights, run_debias_pipeline,
                               tba_adjusted_probs, train_biased_classifier,
                               weighted_sampler)
 from debiaskit.classifier import softmax_numpy
-from debiaskit.metrics import debias_bc_ratio
+from debiaskit.metrics import debias_bc_ratio, evaluate_accuracy
 from debiaskit.runner import ConfigError, RunConfig, run_sweep
 from debiaskit.vcae import VcaeConfig
 
@@ -670,6 +672,35 @@ def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain():
     assert res.weights.weights.tobytes() == np.maximum(raw / raw.sum(), 1e-300).tobytes()
 
 
+def _plain_logits(params, x):
+    """The whole-array plain layer chain, one fresh array per operation."""
+    h = x
+    for w, b in zip(params.arrays[:-2:2], params.arrays[1:-2:2]):
+        h = np.maximum(h @ w + b, 0.0)
+    return h @ params.arrays[-2] + params.arrays[-1]
+
+
+@pytest.mark.parametrize("n,n_blocks", [(1000, 1), (5000, 2), (10000, 4)])
+def test_blockwise_passes_equal_the_whole_pass(n, n_blocks):
+    """Accuracies and LfF's weights through a workspace, and the amplifier's
+    probabilities by blocks, are the bytes of the whole-array plain chain."""
+    ds = generate_two_factor(GenConfig(num_classes=10, n=n, bc_ratio=0.05, seed=n))
+    cfg = TrainConfig(epochs=1, batch_size=128, hidden=(64, 64), seed=5)
+    theta, _ = train(ds, cfg)
+    psi, _ = train(ds, replace(cfg, seed=6), loss="gce")
+    assert len(row_blocks(theta, n)) == n_blocks
+    ws = BlockWorkspace(theta, n, losses=2)
+    whole = [_plain_logits(m, ds.features) for m in (psi, theta)]
+    correct = whole[1].argmax(axis=1) == ds.labels
+    accs = (correct.mean(), correct[ds.aligned].mean(), correct[~ds.aligned].mean())
+    assert evaluate_accuracy(theta, ds, ws) == evaluate_accuracy(theta, ds) == accs
+    w = lff_weight(*(softmax_xent(f, ds.labels) for f in whole))
+    assert lff_full_weights(psi, theta, ds, ws).tobytes() == np.maximum(w, 1e-300).tobytes()
+    art = train_biased_classifier(ds, 0.7, 1, cfg)
+    probs = softmax_numpy(_plain_logits(art.params, ds.features))
+    assert art.class_probs.tobytes() == probs.tobytes()
+
+
 def test_biased_confidence_lw_weights_rescaled():
     train_ds, test_ds, cfg = _tiny_setup()
     res = run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
@@ -815,8 +846,8 @@ def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch)
     while the evaluation waited."""
     ends, seen, make_eval = [], [], debias._make_eval
 
-    def recording(test_ds, beta_fn, worker, rows, *also):
-        eval_fn = make_eval(test_ds, beta_fn, worker, rows, *also)
+    def recording(test_ds, beta_fn, worker, rows, *also, **kwargs):
+        eval_fn = make_eval(test_ds, beta_fn, worker, rows, *also, **kwargs)
 
         def end(epoch, params, stats):
             ends.append([m.flat.copy() for m in (params, *also)])
@@ -827,13 +858,48 @@ def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch)
     _slow(monkeypatch, "evaluate_accuracy", seen)
     seen_fwd = []
     if scheme == "lff":  # its beta passes psi, then theta, over the training set
-        _slow(monkeypatch, "mlp_forward", seen_fwd)
+        _slow(monkeypatch, "mlp_xent", seen_fwd)
     _run_pipeline(scheme, method)
     assert len(ends) == 3
     assert [a.tobytes() for a in seen] == [theta.tobytes() for theta, *_ in ends]
     if scheme == "lff":  # ends hold (theta, psi)
         assert [a.tobytes() for a in seen_fwd] == [m.tobytes() for e in ends for m in e[::-1]]
     assert not np.array_equal(ends[0][0], ends[1][0])
+
+
+class _Inline:
+    """A worker that runs each job as it is handed over."""
+
+    def start(self, fn, *args):
+        fn(*args)
+
+    def wait(self):
+        pass
+
+
+def test_an_evaluation_job_allocates_below_1_mb_with_its_workspace():
+    """The test accuracies over 5,000 rows and LfF's weights over 10,000
+    (D=20, hidden (64, 64)) write their blocks into the workspace that the
+    first epoch end made; without it they peaked at 3.2 and 4.5 MB."""
+    gen = GenConfig(num_classes=10, n=10000, bc_ratio=0.05, seed=1)
+    train_ds = generate_two_factor(gen)
+    test_ds = generate_two_factor(unbiased_config(gen, n=5000, seed=2))
+    theta, psi = (init_mlp([20, 64, 64, 10], seed=s) for s in (1, 2))
+
+    def beta_fn(step_end, theta, psi, ws):
+        return debias_bc_ratio(lff_full_weights(psi, theta, train_ds, ws), train_ds.aligned)
+
+    rows, stats = [], {"train_loss": 0.0, "step": 1, "seconds": 0.0}
+    eval_fn = debias._make_eval(test_ds, beta_fn, _Inline(), rows, psi, beta_ds=train_ds)
+    eval_fn(0, theta, stats)  # makes the workspace
+    tracemalloc.start()
+    try:
+        eval_fn(1, theta, stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[0].csv_values()[1:] == rows[1].csv_values()[1:]
+    assert peak < 2**20, peak
 
 
 class _EvalFailed(Exception):
@@ -867,11 +933,11 @@ def test_no_thread_outlives_the_pipeline(failing_epoch, monkeypatch):
 
     evaluate, epochs = debias.evaluate_accuracy, []
 
-    def failing(params, ds):
+    def failing(params, ds, ws):
         epochs.append(None)
         if len(epochs) == failing_epoch + 1:
             raise _EvalFailed("no accuracy")
-        return evaluate(params, ds)
+        return evaluate(params, ds, ws)
 
     monkeypatch.setattr(debias, "evaluate_accuracy", failing)
     with pytest.raises(_EvalFailed) as info:
@@ -884,10 +950,10 @@ def test_no_thread_outlives_the_pipeline(failing_epoch, monkeypatch):
 def test_caller_errstate_reaches_the_evaluation_thread(monkeypatch):
     seen, evaluate = [], debias.evaluate_accuracy
 
-    def recording(params, ds):
+    def recording(params, ds, ws):
         seen.append((threading.current_thread() is threading.main_thread(),
                      np.geterr()["over"]))
-        return evaluate(params, ds)
+        return evaluate(params, ds, ws)
 
     monkeypatch.setattr(debias, "evaluate_accuracy", recording)
     with np.errstate(over="raise"):
