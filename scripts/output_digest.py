@@ -37,10 +37,9 @@ split is larger than its training split, so an evaluation workspace sized
 for only one of them shows as an error or a byte difference. Then vcae/LW,
 biased-confidence/WS and lff/LW on 720 colored glyphs (D=768) for one seed
 and two epochs, at batch 128 through hidden (64,) for the classifiers and
-(32,) for the VCAE: the steps run their wide products and Adam updates by
-halves on the lane (``debiaskit.blas``), and the last batch of each epoch,
-80 rows, splits the classifier's first-layer products (40 x 768 x 64
-multiply-adds a half) but not the VCAE's (40 x 768 x 32). Then, on two
+(32,) for the VCAE: the jobs with the largest step products, 128 x 768 x 64
+multiply-adds in the classifier's first layer (the small glyph jobs run 64
+x 768 x 16), and a last batch of 80 rows each epoch. Then, on two
 more C=4 datasets, the training options that no other job sets: lff/LW and
 biased-confidence/ALW with SGD, momentum, weight decay and no shuffling,
 and lff/LW with Adam and weight decay. Then

@@ -1,5 +1,6 @@
 """The thread policy of the package's BLAS work: one OpenBLAS thread per
-Python thread, and one helper thread, the lane, per epoch loop.
+Python thread, and ``Helper``, the class of each pipeline's evaluation
+thread (``debias``).
 
 Mini-batch training runs thousands of small matmuls. A second OpenBLAS
 thread costs more in hand-off than it saves on them, and between calls it
@@ -28,12 +29,10 @@ hidden layer of 3000 at batch 32 does, one of 2048 does not). Since every
 product of the package runs inside a block, a run writes the same bytes
 whatever count it inherits.
 
-The lane puts the second core to work inside a step: ``halves`` runs the
-second row half of a wide product, or of an optimizer's update, on it while
-the calling thread runs the first. Each half runs one OpenBLAS thread on
-its own Python thread, and the lane sleeps on a queue between halves, so
-nothing spins. Narrow models (D=20) never split: their steps hold the GIL,
-so a second thread would not help.
+Every product and optimizer update runs whole on the thread that calls it.
+Running the second row half of the wide ones on a helper thread saved no
+measurable ``glyphs-vcae`` wall time on 2 vCPUs and cost a fifth of its CPU
+time (ROADMAP, "Measured and not worth doing").
 
 The lookup of the library is lazy and cached: importing this module loads
 nothing. Where numpy's bundled OpenBLAS or its thread functions are not
@@ -131,26 +130,9 @@ class Helper:
             self._thread.join()
 
 
-_local = threading.local()  # ``lane``: of this thread's outermost open ``limit`` block
 _lock = threading.Lock()  # guards the two below
 _open = 0  # ``limit`` blocks open, on every thread
 _inherited = None  # the count in force when the first of them opened
-
-
-def halves(fn: Callable, first: tuple, second: tuple) -> None:
-    """``fn(*first)`` here while ``fn(*second)`` runs on the lane, returning
-    (or raising the lane's exception) when both are done. Outside a ``limit``
-    block, or on a thread other than the one that opened it, runs both here."""
-    lane = getattr(_local, "lane", None)
-    if lane is None:
-        fn(*first)
-        fn(*second)
-        return
-    lane.start(fn, *second)
-    try:
-        fn(*first)
-    finally:
-        lane.wait()
 
 
 @contextmanager
@@ -162,14 +144,9 @@ def limit() -> Iterator[None]:
     the first block to open saves the count in force and sets one thread,
     and the last to close restores it, also when a block raises. So an
     evaluation on another thread may outlast the epoch loop that handed it
-    over. A thread's outermost block also makes the lane of ``halves`` for
-    that thread and the blocks nested in it; the lane of a ``run_epochs``
-    starts at its first split, never spins and is joined on every way out.
+    over.
     """
     global _open, _inherited
-    lane = None
-    if getattr(_local, "lane", None) is None:
-        _local.lane = lane = Helper("debiaskit-lane")
     with _lock:
         if _open == 0:
             _inherited = threads()
@@ -182,6 +159,3 @@ def limit() -> Iterator[None]:
             _open -= 1
             if _open == 0:
                 set_threads(_inherited)
-        if lane is not None:
-            _local.lane = None
-            lane.close()

@@ -118,13 +118,9 @@ def init_mlp(layer_sizes: list[int], seed: int) -> MlpParams:
 
 
 # Fewest multiply-adds of a dgemm row block that, at one OpenBLAS thread, has
-# the bits of the whole product: every block of ``row_blocks`` and each half
-# of a product that a step splits (``_matmul``) keeps at least this many.
+# the bits of the whole product: every block of ``row_blocks`` keeps at least
+# this many.
 BLOCK_MACS = 2**20
-
-
-def _block_rows(params: MlpParams) -> int:
-    return max(2048, math.ceil(BLOCK_MACS / min(w.size for w in params.arrays[::2])))
 
 
 def row_blocks(params: MlpParams, n: int) -> list[slice]:
@@ -138,15 +134,15 @@ def row_blocks(params: MlpParams, n: int) -> list[slice]:
     M = 1,562 for 64 -> 10 (999,680 multiply-adds), 20 for 768 -> 64 (983,040),
     40 for 768 -> 32, 1 for 20 -> 64 and 64 -> 64, and at every M to 4,199 for
     16 -> 4 and 32 -> 4. So a block's rows are the bytes of the whole pass's."""
-    rows = _block_rows(params)
+    rows = max(2048, math.ceil(BLOCK_MACS / min(w.size for w in params.arrays[::2])))
     bounds = [*range(0, rows * max(n // rows, 1), rows), n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def largest_block(params: MlpParams, n: int) -> int:
     """Rows of the largest of ``row_blocks(params, n)``, the last one."""
-    rows = _block_rows(params)
-    return n - rows * (max(n // rows, 1) - 1)
+    last = row_blocks(params, n)[-1]
+    return last.stop - last.start
 
 
 def forward_block(params: MlpParams, x: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
@@ -326,27 +322,17 @@ class MlpPass:
         return np.minimum(self.nll, XENT_MAX)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ b`` into ``out``, its second row half on the lane of
-    ``blas.halves``; each half must keep ``BLOCK_MACS`` multiply-adds."""
-    mid = len(a) // 2
-    blas.halves(np.matmul, (a[:mid], b, out[:mid]), (a[mid:], b, out[mid:]))
-    return out
-
-
 def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = None):
     """Forward of a 2-D batch ``h`` through the ReLU layers ``arrays`` (W, b
     alternating): the output, the input of every linear layer (``h`` first)
     and the pre-activation of every hidden layer, as ``mlp_layers_backward``
-    needs them; wide products run by row halves (``_matmul``)."""
+    needs them."""
     # in place, into buffers of ``scratch`` that live until that model's next
     # step: at 128x768 a second temporary made this layer ~3x slower
     acts, pre = [h], []
     n_layers = len(arrays) // 2
     for i, (w, b) in enumerate(zip(arrays[::2], arrays[1::2])):
-        # the size test inline: a call per product would slow narrow models
-        mm = np.matmul if len(h) // 2 * w.size < BLOCK_MACS else _matmul
-        h = mm(h, w, _buf(scratch, ("pre", i), (len(h), len(b))))
+        h = np.matmul(h, w, out=_buf(scratch, ("pre", i), (len(h), len(b))))
         h += b
         if i < n_layers - 1:
             pre.append(h)
@@ -362,15 +348,12 @@ def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray],
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
     tape's operation order, with adjoints and ReLU masks in ``scratch``. Writes
     the gradient of each W, b into ``grads``; returns the adjoint of the input
-    batch when ``input_grad``, else None. Splits as ``mlp_layers`` does."""
+    batch when ``input_grad``, else None."""
     for i in range(len(arrays) // 2 - 1, -1, -1):
-        w = arrays[2 * i]
-        mm = np.matmul if len(w) // 2 * g.size < BLOCK_MACS else _matmul
-        mm(acts[i].T, g, grads[2 * i])
+        np.matmul(acts[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            mm = np.matmul if len(g) // 2 * w.size < BLOCK_MACS else _matmul
-            g = mm(g, w.T, _buf(scratch, ("g", i), pre[i - 1].shape))
+            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), pre[i - 1].shape))
             g *= np.greater(pre[i - 1], 0.0, out=_buf(scratch, ("mask", i), g.shape, bool))
     return g @ arrays[0].T if input_grad else None
 

@@ -10,16 +10,15 @@ Two families of training-time corrections:
   of the per-class bias conditional before the cross-entropy. Exactly the
   schemes with such rows p(y | bias evidence) (``conditional_rows``) drive it.
 
-Two helper threads (``blas.Helper``) use the core that one-thread training
+One helper thread (``blas.Helper``) uses the core that one-thread training
 leaves idle. A pipeline keeps one evaluation thread from its main training
 run to its end. It runs each epoch's test-split accuracies, beta and LfF's
 loss ratios over the training set, on a copy of the epoch-end parameters,
-while the next epoch trains. The lane of each ``run_epochs`` runs half of
-each wide product and Adam update of a step. A pass runs at one OpenBLAS
-thread on whichever thread runs it, whole or in row blocks of at least
-``BLOCK_MACS`` multiply-adds, each with the bits of the whole product on
-any thread, so a run writes the bytes of a one-thread run. The amplifier's
-collapse check stays on the training thread, since it must stop training.
+while the next epoch trains. A pass runs at one OpenBLAS thread on whichever
+thread runs it, in row blocks of at least ``BLOCK_MACS`` multiply-adds, each
+with the bits of the whole product on any thread, so a run writes the bytes
+of a one-thread run. The amplifier's collapse check stays on the training
+thread, since it must stop training.
 
 The evaluation thread writes its passes' row blocks, logits and per-row
 results into one ``BlockWorkspace`` that the training thread makes at the
@@ -353,8 +352,11 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     whatever weights were in force at the epoch's final step. Each epoch is
     evaluated on a worker thread while the next one trains; the history is
     complete, in epoch order, and the thread joined when the call returns.
+    ``gamma``, above 1, is TBA's floor 1/gamma and biased-confidence's clamp.
     """
     check_pair(scheme, method)
+    if (method == "TBA" or scheme == "biased-confidence") and not (gamma or 0) > 1:
+        raise ConfigError(f"gamma must be above 1, got {gamma}")
     if train_ds.aligned is None:
         raise ValueError("training data needs bias labels for metrics")
     n_ba = int(train_ds.aligned.sum())
@@ -373,8 +375,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     # resolve per-sample weights (or the TBA adjustment table)
     logit_offset = None
     if method == "TBA":
-        if gamma is None:
-            raise ValueError("TBA needs gamma")
         v = tba_floor(conditional_rows(scheme, train_ds, artifact), gamma)
         logit_offset = np.log(v)
         # implied correction magnitude per sample, for the beta metric
@@ -389,8 +389,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
         p = rows[np.arange(len(train_ds)), train_ds.labels]
         weights = SampleWeights(1.0 / p, provenance="oracle-yb")
     elif scheme == "biased-confidence":
-        if gamma is None:
-            raise ValueError("biased-confidence needs gamma")
         weights = compute_weights_clamped(artifact.confidences, gamma)
         if method in ("LW", "ALW"):
             weights = rescale_weights(weights)

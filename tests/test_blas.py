@@ -1,23 +1,37 @@
-"""The BLAS thread policy: one thread inside training, the restored count
-and identical outputs whatever count a run inherits."""
+"""The BLAS thread policy: one thread inside training, the restored count,
+identical outputs whatever count a run inherits, and no thread but a
+pipeline's evaluation thread."""
 
+import subprocess
 import sys
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from debiaskit import blas, classifier, cli, debias, vcae
-from debiaskit.classifier import TrainConfig, TrainingDiverged, train
-from debiaskit.data import GenConfig, LabeledDataset, generate
+from debiaskit.classifier import GradientError, TrainConfig, TrainingDiverged, train
+from debiaskit.data import GenConfig, LabeledDataset, generate, unbiased_config
 from debiaskit.debias import run_debias_pipeline
 from debiaskit.runner import RunConfig, run_experiment
 from debiaskit.vcae import VcaeConfig, train_vcae
 
 needs_openblas = pytest.mark.skipif(blas.threads() is None,
                                     reason="no OpenBLAS thread functions in numpy.libs")
+
+# the glyph workload's models: batch 128 over 208 rows, so every epoch also
+# takes an 80-row step
+GLYPH_CFG = TrainConfig(epochs=2, batch_size=128, hidden=(64, 64), seed=5)
+VCAE_CFG = VcaeConfig(num_classes=10, hidden=(32,))
+
+
+@pytest.fixture(scope="module")
+def glyphs():
+    gen = GenConfig(num_classes=10, n=208, bc_ratio=0.05, seed=21, kind="colored-glyphs")
+    return generate(gen), generate(unbiased_config(gen, n=60, seed=22))
 
 
 @pytest.fixture
@@ -87,9 +101,18 @@ def test_vcae_step_runs_one_thread(monkeypatch, inherit):
 def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit):
     """The per-epoch evaluation and the amplified classifier's full-data
     pass run at one thread, not only the training steps: the amplifier's
-    pass and two evaluations, seen inside the pass."""
+    pass and two evaluations, seen at the first block of each ``_blocks``
+    pass."""
     inherit(2)
-    seen = _record_threads(monkeypatch, classifier, "row_blocks")
+    seen, blocks = [], classifier._blocks
+
+    def passes(*args):
+        for k, block in enumerate(blocks(*args)):
+            if k == 0:
+                seen.append(blas.threads())
+            yield block
+
+    monkeypatch.setattr(classifier, "_blocks", passes)
     train_ds, test_ds = _two_factor(), _two_factor(n=100, seed=4)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16,), seed=11)
     run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
@@ -236,3 +259,78 @@ def test_vcae_command_writes_the_same_bytes_from_one_or_two_inherited_threads(tm
                     for f in ("latents.csv", "weights.csv")])
     assert out[0] == out[1]
     assert blas.threads() == 2
+
+
+def test_wide_steps_start_no_thread(glyphs, monkeypatch):
+    """Every step of a 768-wide classifier and VCAE runs with the threads
+    that were alive before the call: products and updates run whole."""
+    before, seen = threading.active_count(), []
+    for module in (classifier, vcae):
+        def counting(*args, check=module.check_finite_gradient):
+            seen.append(threading.active_count())
+            return check(*args)
+
+        monkeypatch.setattr(module, "check_finite_gradient", counting)
+    train(glyphs[0], GLYPH_CFG)
+    train_vcae(glyphs[0], VCAE_CFG, GLYPH_CFG)
+    assert len(seen) == 2 * 2 * 2 and set(seen) == {before}
+
+
+def test_no_thread_outlives_a_wide_run(glyphs):
+    before = threading.active_count()
+    train(glyphs[0], GLYPH_CFG)
+    train_vcae(glyphs[0], VCAE_CFG, replace(GLYPH_CFG, epochs=1))
+    run_debias_pipeline(*glyphs, "vanilla", "LW", train_cfg=GLYPH_CFG)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error", [TrainingDiverged, GradientError])
+def test_no_thread_outlives_an_error_mid_epoch(error, glyphs, monkeypatch):
+    """Raised in the second step of the classifier and of the VCAE."""
+    before = threading.active_count()
+    for module in (classifier, vcae):
+        calls, check = [], module.check_finite_gradient
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("stop")
+            return check(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "check_finite_gradient", failing)
+            with pytest.raises(error, match="^stop"):
+                if module is classifier:
+                    train(glyphs[0], GLYPH_CFG)
+                else:
+                    train_vcae(glyphs[0], VCAE_CFG, GLYPH_CFG)
+        assert threading.active_count() == before
+
+
+def test_serial_sweep_on_glyphs_leaves_the_pool_unimported(tmp_path):
+    """A ``--jobs 1`` sweep of wide steps starts only the evaluation thread
+    and imports no ``concurrent.futures``."""
+    import debiaskit
+    script = """
+import json, sys
+from debiaskit import blas
+from debiaskit.cli import main
+names, start = set(), blas.Helper.start
+def noting(self, *args):
+    names.add(self.name)
+    start(self, *args)
+blas.Helper.start = noting
+assert main(["generate", "--kind", "colored-glyphs", "--classes", "3", "--n", "150",
+             "--rho", "0.2", "--out", "d"]) == 0
+with open("c.json", "w") as fh:
+    json.dump({"schema_version": 1, "dataset_path": "d", "test_n": 60,
+               "train": {"epochs": 1, "batch_size": 128, "hidden": [64]}}, fh)
+assert main(["sweep", "--config", "c.json", "--scheme", "biased-confidence",
+             "--gamma", "20", "--t-bias", "1", "--jobs", "1", "--out", "sw"]) == 0
+print(sorted(names), "concurrent.futures" in sys.modules)
+"""
+    src = str(Path(debiaskit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={"PYTHONPATH": src}, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "['debiaskit-eval'] False"

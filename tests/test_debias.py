@@ -486,6 +486,29 @@ def test_pipeline_and_run_config_reject_a_bad_pair_alike(scheme, method):
     assert str(from_pipeline.value) == str(from_config.value)
 
 
+@pytest.mark.parametrize("scheme,method", [
+    ("oracle-ub", "TBA"), ("oracle-yb", "TBA"), ("biased-confidence", "TBA"),
+    ("biased-confidence", "LW")])
+@pytest.mark.parametrize("gamma", [None, 0.5, 1.0])
+def test_pipeline_rejects_gamma_at_or_below_one_before_training(scheme, method, gamma,
+                                                                monkeypatch):
+    """TBA's floor 1/gamma and the confidence clamp need gamma above 1: at or
+    below it the logit offset is one constant, or every weight the clamp,
+    and the run would train vanilla. RunConfig's message, and no training."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained")
+
+    monkeypatch.setattr(classifier, "run_epochs", no_training)
+    train_ds, test_ds, cfg = _tiny_setup()
+    with pytest.raises(ConfigError) as from_pipeline:
+        run_debias_pipeline(train_ds, test_ds, scheme, method, train_cfg=cfg, gamma=gamma)
+    assert str(from_pipeline.value) == f"gamma must be above 1, got {gamma}"
+    if gamma is not None:
+        with pytest.raises(ConfigError) as from_config:
+            RunConfig(scheme=scheme, method=method, dataset=GenConfig(), gamma=gamma)
+        assert str(from_config.value) == str(from_pipeline.value)
+
+
 # every scheme/method pair: the accepted ones, and the message of each rejection
 ACCEPTED_PAIRS = {
     ("vanilla", "LW"), ("vanilla", "ALW"), ("vanilla", "WS"),
