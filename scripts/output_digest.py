@@ -28,9 +28,9 @@ Then, for one seed and two epochs: biased-confidence/LW, pgd/WS and lff/LW
 on a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
 whose full-data passes run in two 2048-row blocks; and vcae/LW, oracle-ub/LW
 and oracle-ub/TBA on a small colored-glyphs dataset, the only jobs that read
-the exact p(y|b) table of glyph data. With two epochs, the evaluation of
-epoch 0 (the 4,500-row test pass, LfF's 5,000-row loss ratios, the glyph
-test pass) runs on the evaluation thread while epoch 1 trains. Then lff/LW
+the exact p(y|b) table of glyph data. With two epochs, each evaluation
+(the 4,500-row test pass, LfF's 5,000-row loss ratios, the glyph test
+pass) runs twice through the workspace that epoch 0's end made. Then lff/LW
 on a C=10 two-factor dataset of 2,000 rows (one block) with test_n 4,500
 (two blocks), for one seed and two epochs through hidden (64, 64): its test
 split is larger than its training split, so an evaluation workspace sized

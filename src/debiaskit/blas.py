@@ -1,6 +1,5 @@
 """The thread policy of the package's BLAS work: one OpenBLAS thread per
-Python thread, and ``Helper``, the class of each pipeline's evaluation
-thread (``debias``).
+Python thread.
 
 Mini-batch training runs thousands of small matmuls. A second OpenBLAS
 thread costs more in hand-off than it saves on them, and between calls it
@@ -29,10 +28,10 @@ hidden layer of 3000 at batch 32 does, one of 2048 does not). Since every
 product of the package runs inside a block, a run writes the same bytes
 whatever count it inherits.
 
-Every product and optimizer update runs whole on the thread that calls it.
-Running the second row half of the wide ones on a helper thread saved no
-measurable ``glyphs-vcae`` wall time on 2 vCPUs and cost a fifth of its CPU
-time (ROADMAP, "Measured and not worth doing").
+Every product, optimizer update and evaluation runs whole on the thread
+that calls it. Running the second row half of the wide products, or each
+epoch's evaluation, on a helper thread saved no measurable wall time on 2
+vCPUs and cost CPU time (ROADMAP, "Measured and not worth doing").
 
 The lookup of the library is lazy and cached: importing this module loads
 nothing. Where numpy's bundled OpenBLAS or its thread functions are not
@@ -41,12 +40,10 @@ found, every function here changes nothing.
 
 from __future__ import annotations
 
-import contextvars
-import queue
 import threading
 from contextlib import contextmanager
 from functools import cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -89,47 +86,6 @@ def set_threads(n: int) -> None:
         api[1](n)
 
 
-class Helper:
-    """A thread that runs one job at a time under a copy of the context of the
-    thread that hands it over (numpy keeps its errstate there), started at
-    the first job and asleep on a queue between jobs. ``start(fn, *args)``
-    hands ``fn(*args)`` over; ``wait()`` waits for it and raises its
-    exception again, as it was. ``close()`` lets the job finish and joins the
-    thread.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self._thread, self._busy = None, False
-        self._jobs, self._ends = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def _serve(self):
-        while (job := self._jobs.get()) is not None:
-            try:
-                job[0].run(*job[1:])
-                self._ends.put(None)
-            except BaseException as exc:
-                self._ends.put(exc)
-
-    def start(self, fn: Callable, *args) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, name=self.name, daemon=True)
-            self._thread.start()
-        self._busy = True
-        self._jobs.put((contextvars.copy_context(), fn, *args))
-
-    def wait(self) -> None:
-        if self._busy:
-            self._busy = False
-            if (error := self._ends.get()) is not None:
-                raise error
-
-    def close(self) -> None:
-        if self._thread is not None:
-            self._jobs.put(None)
-            self._thread.join()
-
-
 _lock = threading.Lock()  # guards the two below
 _open = 0  # ``limit`` blocks open, on every thread
 _inherited = None  # the count in force when the first of them opened
@@ -142,9 +98,8 @@ def limit() -> Iterator[None]:
 
     The count is process-wide, so the open blocks of every thread share it:
     the first block to open saves the count in force and sets one thread,
-    and the last to close restores it, also when a block raises. So an
-    evaluation on another thread may outlast the epoch loop that handed it
-    over.
+    and the last to close restores it, also when a block raises. So callers
+    may run pipelines on threads of their own.
     """
     global _open, _inherited
     with _lock:

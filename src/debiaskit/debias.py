@@ -10,35 +10,20 @@ Two families of training-time corrections:
   of the per-class bias conditional before the cross-entropy. Exactly the
   schemes with such rows p(y | bias evidence) (``conditional_rows``) drive it.
 
-One helper thread (``blas.Helper``) uses the core that one-thread training
-leaves idle. A pipeline keeps one evaluation thread from its main training
-run to its end. It runs each epoch's test-split accuracies, beta and LfF's
-loss ratios over the training set, on a copy of the epoch-end parameters,
-while the next epoch trains. A pass runs at one OpenBLAS thread on whichever
-thread runs it, in row blocks of at least ``BLOCK_MACS`` multiply-adds, each
-with the bits of the whole product on any thread, so a run writes the bytes
-of a one-thread run. The amplifier's collapse check stays on the training
-thread, since it must stop training.
-
-The evaluation thread writes its passes' row blocks, logits and per-row
-results into one ``BlockWorkspace`` that the training thread makes at the
-first epoch end and the pipeline keeps to its end. glibc gives each thread
-its own malloc arena, and an arena keeps its high-water mark resident: made
-on the evaluation thread, the hidden-layer blocks of the test pass and of
-LfF's ratios (a traced peak of 3.2 and 4.5 MB at 5,000 and 10,000 rows, D=20,
-hidden (64, 64)) stayed resident next to the training thread's arena.
+Each epoch is evaluated at its end, on the thread that trains, before the
+next epoch starts. Its passes write their row blocks, logits and per-row
+results into one ``BlockWorkspace`` that the pipeline makes at the first
+epoch end, so no evaluation allocates anything that grows with rows x width.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from . import blas
 from .classifier import (BlockWorkspace, MlpParams, TrainConfig, TrainingDiverged,
                          init_mlp, log_softmax_numpy, logit_blocks, mlp_backward,
                          mlp_final_hidden, mlp_loss_forward, mlp_xent, row_blocks,
@@ -70,6 +55,13 @@ def check_pair(scheme: str, method: str) -> None:
     if method not in _COMPATIBLE[scheme]:
         raise ConfigError(f"scheme {scheme!r} cannot drive method {method!r}; "
                           f"it drives {sorted(_COMPATIBLE[scheme])}")
+
+
+def check_gamma(gamma: float | None) -> None:
+    """Raise ``ConfigError`` unless ``gamma``, a clamp ceiling or TBA's
+    floor 1/gamma, is above 1."""
+    if gamma is None or not gamma > 1:
+        raise ConfigError(f"gamma must be above 1, got {gamma}")
 
 
 @dataclass
@@ -192,8 +184,7 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
 
 def compute_weights_clamped(confidences: np.ndarray, gamma: float) -> SampleWeights:
     """w_n = min(1 / p(y_n|x_n), gamma), so w_n lies in [1, gamma]."""
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1")
+    check_gamma(gamma)
     conf = np.asarray(confidences, dtype=np.float64)
     if np.any(conf <= 0) or np.any(conf > 1):
         raise ValueError("confidences must lie in (0, 1]")
@@ -267,8 +258,7 @@ def tba_floor(p_psi, gamma: float) -> np.ndarray:
 def tba_adjusted_probs(logits: np.ndarray, p_psi: np.ndarray,
                        gamma: float) -> np.ndarray:
     """softmax(f + log v) with v = max(p_psi, 1/gamma), rows summing to 1."""
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1")
+    check_gamma(gamma)
     v = tba_floor(p_psi, gamma)
     shifted = np.asarray(logits, dtype=np.float64) + np.log(v)
     return softmax_numpy(shifted)
@@ -301,36 +291,27 @@ class PipelineResult:
     weights: SampleWeights
 
 
-def _make_eval(test_ds, beta_fn, worker: blas.Helper, rows: list, *also: MlpParams,
-               beta_ds: LabeledDataset | None = None):
-    """``train``'s per-epoch ``eval_fn``: copies the epoch-end parameters and
-    each model of ``also``, waits for the previous epoch's job on ``worker``,
-    then hands it the job that appends the test-split accuracies and
-    ``beta_fn(step_end, theta, *also, ws)`` of those copies, as a
-    ``MetricsRow``, to ``rows``. The caller waits for the last job once
-    ``train`` returns.
+def _make_eval(test_ds, beta_fn, *also: MlpParams, beta_ds: LabeledDataset | None = None):
+    """``train``'s per-epoch ``eval_fn``: the ``MetricsRow`` of the test-split
+    accuracies and ``beta_fn(step_end, theta, *also, ws)`` of the live model
+    theta and the models of ``also``, as the epoch left them.
 
-    Every job passes its models through ``ws``, one ``BlockWorkspace`` made
-    here at the first epoch end: for the test split and ``beta_ds``, the
+    Every evaluation passes its models through ``ws``, one ``BlockWorkspace``
+    made here at the first epoch end: for the test split and ``beta_ds``, the
     split that ``beta_fn`` passes the models over (if any), with a loss
     vector per model for it."""
     ws = None
 
     def eval_fn(epoch, params, stats):
         nonlocal ws
-        theta, *rest = [MlpParams(m.layer_sizes, flat=m.flat.copy()) for m in (params, *also)]
         if ws is None:
             ws = (BlockWorkspace(params, len(test_ds)) if beta_ds is None else
-                  BlockWorkspace(params, len(test_ds), len(beta_ds), losses=1 + len(rest)))
-
-        def job():
-            acc, ba, bc = evaluate_accuracy(theta, test_ds, ws)
-            rows.append(MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
-                                   test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
-                                   beta=beta_fn(stats["step"], theta, *rest, ws),
-                                   seconds=stats["seconds"]))
-        worker.wait()
-        worker.start(job)
+                  BlockWorkspace(params, len(test_ds), len(beta_ds), losses=1 + len(also)))
+        acc, ba, bc = evaluate_accuracy(params, test_ds, ws)
+        return MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
+                          test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
+                          beta=beta_fn(stats["step"], params, *also, ws),
+                          seconds=stats["seconds"])
     return eval_fn
 
 
@@ -350,13 +331,12 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     loss-ratio scheme recomputes weights from both classifiers every step.
     The per-epoch beta records the weight mass on conflicting samples for
     whatever weights were in force at the epoch's final step. Each epoch is
-    evaluated on a worker thread while the next one trains; the history is
-    complete, in epoch order, and the thread joined when the call returns.
+    evaluated at its end, before the next one trains.
     ``gamma``, above 1, is TBA's floor 1/gamma and biased-confidence's clamp.
     """
     check_pair(scheme, method)
-    if (method == "TBA" or scheme == "biased-confidence") and not (gamma or 0) > 1:
-        raise ConfigError(f"gamma must be above 1, got {gamma}")
+    if method == "TBA" or scheme == "biased-confidence":
+        check_gamma(gamma)
     if train_ds.aligned is None:
         raise ValueError("training data needs bias labels for metrics")
     n_ba = int(train_ds.aligned.sum())
@@ -425,13 +405,10 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
         eff = anneal_weight(w_arr, step_end - 1, anneal) if method == "ALW" else w_arr
         return debias_bc_ratio(eff, train_ds.aligned)
 
-    history = []
-    with closing(blas.Helper("debiaskit-eval")) as worker:
-        params, _ = train(train_ds, train_cfg, loss="xent",
-                          weight_fn=weight_fn, sampler=sampler,
-                          logit_offset=logit_offset,
-                          eval_fn=_make_eval(test_ds, beta_fn, worker, history))
-        worker.wait()
+    params, history = train(train_ds, train_cfg, loss="xent",
+                            weight_fn=weight_fn, sampler=sampler,
+                            logit_offset=logit_offset,
+                            eval_fn=_make_eval(test_ds, beta_fn))
     return PipelineResult(params=params, history=history, weights=weights)
 
 
@@ -449,7 +426,7 @@ def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
     """Parallel loop: ``train`` steps the debiased classifier theta on the
     per-batch loss ratios of the amplified classifier psi and theta, which
     ``weight_fn`` forms before either update, then takes psi's GCE step.
-    Each epoch is evaluated on copies of theta and psi."""
+    Each epoch is evaluated on theta and psi as it left them."""
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3)
     sizes = [train_ds.dim, *cfg.hidden, train_ds.num_classes]
     psi = init_mlp(sizes, int(seeds[0]))
@@ -472,12 +449,9 @@ def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
         full_w = lff_full_weights(psi_end, theta, train_ds, ws)
         return debias_bc_ratio(full_w, train_ds.aligned)
 
-    history = []
-    with closing(blas.Helper("debiaskit-eval")) as worker:
-        params, _ = train(
-            train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
-            sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
-            eval_fn=_make_eval(test_ds, beta_fn, worker, history, psi, beta_ds=train_ds))
-        worker.wait()
+    params, history = train(
+        train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
+        sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
+        eval_fn=_make_eval(test_ds, beta_fn, psi, beta_ds=train_ds))
     return PipelineResult(params=params, history=history,
                           weights=SampleWeights(full_w, provenance="lff"))

@@ -26,7 +26,8 @@ from .classifier import TrainConfig, save_model
 from .data import (SCHEMA_VERSION, ConfigError, GenConfig, check_fields, generate,
                    load_dataset, read_meta, take_fields, unbiased_config, write_csv,
                    write_json)
-from .debias import AnnealConfig, SampleWeights, check_pair, run_debias_pipeline
+from .debias import (AnnealConfig, SampleWeights, check_gamma, check_pair,
+                     run_debias_pipeline)
 from .metrics import MetricsRow
 from .vcae import VcaeConfig
 
@@ -68,8 +69,7 @@ class RunConfig:
             raise ConfigError(f"test_n must be >= 1, got {self.test_n}")
         if self.t_bias < 1:
             raise ConfigError(f"t_bias must be >= 1, got {self.t_bias}")
-        if not self.gamma > 1.0:
-            raise ConfigError(f"gamma must be above 1, got {self.gamma}")
+        check_gamma(self.gamma)
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
         if self.train.seed != 0:  # run_single sets it to each run seed

@@ -1,6 +1,5 @@
 """The BLAS thread policy: one thread inside training, the restored count,
-identical outputs whatever count a run inherits, and no thread but a
-pipeline's evaluation thread."""
+identical outputs whatever count a run inherits, and no thread started."""
 
 import subprocess
 import sys
@@ -262,8 +261,9 @@ def test_vcae_command_writes_the_same_bytes_from_one_or_two_inherited_threads(tm
 
 
 def test_wide_steps_start_no_thread(glyphs, monkeypatch):
-    """Every step of a 768-wide classifier and VCAE runs with the threads
-    that were alive before the call: products and updates run whole."""
+    """Every step of a 768-wide classifier and VCAE, and of two pipelines
+    that evaluate each epoch, runs with the threads that were alive before
+    the call: products, updates and evaluations run whole."""
     before, seen = threading.active_count(), []
     for module in (classifier, vcae):
         def counting(*args, check=module.check_finite_gradient):
@@ -273,7 +273,10 @@ def test_wide_steps_start_no_thread(glyphs, monkeypatch):
         monkeypatch.setattr(module, "check_finite_gradient", counting)
     train(glyphs[0], GLYPH_CFG)
     train_vcae(glyphs[0], VCAE_CFG, GLYPH_CFG)
-    assert len(seen) == 2 * 2 * 2 and set(seen) == {before}
+    run_debias_pipeline(*glyphs, "vanilla", "LW", train_cfg=GLYPH_CFG)
+    run_debias_pipeline(*glyphs, "lff", "LW", train_cfg=GLYPH_CFG)
+    # 2 epochs of 2 steps: the classifier, the VCAE, vanilla's theta, LfF's theta and psi
+    assert len(seen) == 5 * 2 * 2 and set(seen) == {before}
 
 
 def test_no_thread_outlives_a_wide_run(glyphs):
@@ -308,18 +311,17 @@ def test_no_thread_outlives_an_error_mid_epoch(error, glyphs, monkeypatch):
 
 
 def test_serial_sweep_on_glyphs_leaves_the_pool_unimported(tmp_path):
-    """A ``--jobs 1`` sweep of wide steps starts only the evaluation thread
-    and imports no ``concurrent.futures``."""
+    """A ``--jobs 1`` sweep of wide steps starts no thread and imports no
+    ``concurrent.futures``."""
     import debiaskit
     script = """
-import json, sys
-from debiaskit import blas
+import json, sys, threading
 from debiaskit.cli import main
-names, start = set(), blas.Helper.start
-def noting(self, *args):
-    names.add(self.name)
-    start(self, *args)
-blas.Helper.start = noting
+names, start = [], threading.Thread.start
+def noting(self):
+    names.append(self.name)
+    start(self)
+threading.Thread.start = noting
 assert main(["generate", "--kind", "colored-glyphs", "--classes", "3", "--n", "150",
              "--rho", "0.2", "--out", "d"]) == 0
 with open("c.json", "w") as fh:
@@ -327,10 +329,10 @@ with open("c.json", "w") as fh:
                "train": {"epochs": 1, "batch_size": 128, "hidden": [64]}}, fh)
 assert main(["sweep", "--config", "c.json", "--scheme", "biased-confidence",
              "--gamma", "20", "--t-bias", "1", "--jobs", "1", "--out", "sw"]) == 0
-print(sorted(names), "concurrent.futures" in sys.modules)
+print(names, "concurrent.futures" in sys.modules)
 """
     src = str(Path(debiaskit.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env={"PYTHONPATH": src}, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "['debiaskit-eval'] False"
+    assert done.stdout.splitlines()[-1] == "[] False"

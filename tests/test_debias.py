@@ -1,6 +1,5 @@
 import math
 import threading
-import time
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit import blas, classifier, debias
+from debiaskit import classifier, debias
 from debiaskit.classifier import (BlockWorkspace, TrainConfig, TrainingDiverged, init_mlp,
                                   mlp_forward, row_blocks, shuffle_batches, softmax_xent,
                                   train)
@@ -494,7 +493,8 @@ def test_pipeline_rejects_gamma_at_or_below_one_before_training(scheme, method, 
                                                                 monkeypatch):
     """TBA's floor 1/gamma and the confidence clamp need gamma above 1: at or
     below it the logit offset is one constant, or every weight the clamp,
-    and the run would train vanilla. RunConfig's message, and no training."""
+    and the run would train vanilla. RunConfig's message, and no training;
+    the clamp's and TBA's helpers raise it too."""
     def no_training(*args, **kwargs):
         raise AssertionError("trained")
 
@@ -503,6 +503,11 @@ def test_pipeline_rejects_gamma_at_or_below_one_before_training(scheme, method, 
     with pytest.raises(ConfigError) as from_pipeline:
         run_debias_pipeline(train_ds, test_ds, scheme, method, train_cfg=cfg, gamma=gamma)
     assert str(from_pipeline.value) == f"gamma must be above 1, got {gamma}"
+    with pytest.raises(ConfigError) as from_clamp:
+        compute_weights_clamped(np.array([0.5]), gamma)
+    with pytest.raises(ConfigError) as from_tba:
+        tba_adjusted_probs(np.zeros((1, 2)), np.array([[0.9, 0.1]]), gamma)
+    assert str(from_clamp.value) == str(from_tba.value) == str(from_pipeline.value)
     if gamma is not None:
         with pytest.raises(ConfigError) as from_config:
             RunConfig(scheme=scheme, method=method, dataset=GenConfig(), gamma=gamma)
@@ -812,11 +817,7 @@ def test_every_trainer_runs_the_shared_epoch_loop_once(monkeypatch):
     assert calls == [1, 1, 1]
 
 
-# --- per-epoch evaluation on the worker thread ------------------------------
-
-PAIRS = [(s, m) for s in debias.SCHEMES for m in debias.METHODS
-         if m in debias._COMPATIBLE[s]]
-
+# --- per-epoch evaluation at each epoch's end ------------------------------
 
 def _run_pipeline(scheme, method, epochs=3):
     train_ds, test_ds, cfg = _tiny_setup()
@@ -826,51 +827,25 @@ def _run_pipeline(scheme, method, epochs=3):
         vcae_cfg=VcaeConfig(num_classes=4, hidden=(4,)))
 
 
-def _slow(monkeypatch, name, seen=None):
-    """Replace ``debias.name`` by a wrapper that waits 20 ms, long enough for
-    the next epoch to train, then notes its first argument's parameters."""
+def _noting(monkeypatch, name, seen):
+    """Replace ``debias.name`` by a wrapper that notes its first argument's
+    parameters."""
     fn = getattr(debias, name)
 
-    def slow(params, *args):
-        time.sleep(0.02)
-        if seen is not None:
-            seen.append(params.flat.copy())
+    def noting(params, *args):
+        seen.append(params.flat.copy())
         return fn(params, *args)
 
-    monkeypatch.setattr(debias, name, slow)
-
-
-@pytest.mark.parametrize("scheme,method", PAIRS)
-def test_overlapped_evaluation_writes_the_inline_bytes(scheme, method, monkeypatch):
-    over = _run_pipeline(scheme, method)
-    # each epoch evaluated on the training thread, before the next trains
-    start = blas.Helper.start
-
-    def run_here(worker, fn, *args):
-        if worker.name != "debiaskit-eval":
-            return start(worker, fn, *args)
-        fn(*args)
-
-    monkeypatch.setattr(blas.Helper, "start", run_here)
-    inline = _run_pipeline(scheme, method)
-
-    def table(res):
-        return np.array([row.csv_values() for row in res.history], dtype=float).tobytes()
-
-    assert len(over.history) == 3
-    assert table(over) == table(inline)
-    assert over.weights.weights.tobytes() == inline.weights.weights.tobytes()
-    assert over.params.flat.tobytes() == inline.params.flat.tobytes()
+    monkeypatch.setattr(debias, name, noting)
 
 
 @pytest.mark.parametrize("scheme,method", [("vanilla", "LW"), ("lff", "LW")])
 def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch):
-    """theta (and LfF's psi) as each epoch ended, not as training left them
-    while the evaluation waited."""
+    """theta (and LfF's psi) as each epoch ended."""
     ends, seen, make_eval = [], [], debias._make_eval
 
-    def recording(test_ds, beta_fn, worker, rows, *also, **kwargs):
-        eval_fn = make_eval(test_ds, beta_fn, worker, rows, *also, **kwargs)
+    def recording(test_ds, beta_fn, *also, **kwargs):
+        eval_fn = make_eval(test_ds, beta_fn, *also, **kwargs)
 
         def end(epoch, params, stats):
             ends.append([m.flat.copy() for m in (params, *also)])
@@ -878,26 +853,16 @@ def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch)
         return end
 
     monkeypatch.setattr(debias, "_make_eval", recording)
-    _slow(monkeypatch, "evaluate_accuracy", seen)
+    _noting(monkeypatch, "evaluate_accuracy", seen)
     seen_fwd = []
     if scheme == "lff":  # its beta passes psi, then theta, over the training set
-        _slow(monkeypatch, "mlp_xent", seen_fwd)
+        _noting(monkeypatch, "mlp_xent", seen_fwd)
     _run_pipeline(scheme, method)
     assert len(ends) == 3
     assert [a.tobytes() for a in seen] == [theta.tobytes() for theta, *_ in ends]
     if scheme == "lff":  # ends hold (theta, psi)
         assert [a.tobytes() for a in seen_fwd] == [m.tobytes() for e in ends for m in e[::-1]]
     assert not np.array_equal(ends[0][0], ends[1][0])
-
-
-class _Inline:
-    """A worker that runs each job as it is handed over."""
-
-    def start(self, fn, *args):
-        fn(*args)
-
-    def wait(self):
-        pass
 
 
 def test_an_evaluation_job_allocates_below_1_mb_with_its_workspace():
@@ -912,16 +877,16 @@ def test_an_evaluation_job_allocates_below_1_mb_with_its_workspace():
     def beta_fn(step_end, theta, psi, ws):
         return debias_bc_ratio(lff_full_weights(psi, theta, train_ds, ws), train_ds.aligned)
 
-    rows, stats = [], {"train_loss": 0.0, "step": 1, "seconds": 0.0}
-    eval_fn = debias._make_eval(test_ds, beta_fn, _Inline(), rows, psi, beta_ds=train_ds)
-    eval_fn(0, theta, stats)  # makes the workspace
+    stats = {"train_loss": 0.0, "step": 1, "seconds": 0.0}
+    eval_fn = debias._make_eval(test_ds, beta_fn, psi, beta_ds=train_ds)
+    first = eval_fn(0, theta, stats)  # makes the workspace
     tracemalloc.start()
     try:
-        eval_fn(1, theta, stats)
+        second = eval_fn(1, theta, stats)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows[0].csv_values()[1:] == rows[1].csv_values()[1:]
+    assert first.csv_values()[1:] == second.csv_values()[1:]
     assert peak < 2**20, peak
 
 
@@ -931,24 +896,22 @@ class _EvalFailed(Exception):
 
 @pytest.mark.parametrize("failing_epoch", [0, 2])
 def test_no_thread_outlives_the_pipeline(failing_epoch, monkeypatch):
-    """Not after a normal run, a divergence in epoch 2's training while
-    epoch 1 is evaluated, or an evaluation that raises, which the pipeline
-    raises as it was: in epoch 0 at the next epoch's end, in the last epoch
-    after training."""
+    """Not after a normal run, a divergence in epoch 2's training, or an
+    evaluation that raises, which the pipeline raises as it was at the end
+    of the epoch it evaluates, before the next epoch trains."""
     before = threading.active_count()
     _run_pipeline("vanilla", "LW")
     assert threading.active_count() == before
 
+    backward, steps = classifier.mlp_backward, []
+
+    def diverge_in_epoch_2(fwd, *args, **kwargs):
+        steps.append(None)
+        if len(steps) > 2 * 7:  # 7 steps an epoch
+            raise TrainingDiverged("loss blew up")
+        return backward(fwd, *args, **kwargs)
+
     with monkeypatch.context() as m:
-        _slow(m, "evaluate_accuracy")
-        backward, steps = classifier.mlp_backward, []
-
-        def diverge_in_epoch_2(fwd, *args, **kwargs):
-            steps.append(None)
-            if len(steps) > 2 * 7:  # 7 steps an epoch
-                raise TrainingDiverged("loss blew up")
-            return backward(fwd, *args, **kwargs)
-
         m.setattr(classifier, "mlp_backward", diverge_in_epoch_2)
         with pytest.raises(TrainingDiverged, match=r"^loss blew up at epoch 2 step 14$"):
             _run_pipeline("vanilla", "LW")
@@ -962,15 +925,23 @@ def test_no_thread_outlives_the_pipeline(failing_epoch, monkeypatch):
             raise _EvalFailed("no accuracy")
         return evaluate(params, ds, ws)
 
+    def counting(fwd, *args, **kwargs):
+        steps.append(None)
+        return backward(fwd, *args, **kwargs)
+
+    steps.clear()
+    monkeypatch.setattr(classifier, "mlp_backward", counting)
     monkeypatch.setattr(debias, "evaluate_accuracy", failing)
     with pytest.raises(_EvalFailed) as info:
         _run_pipeline("vanilla", "LW")
     assert info.type is _EvalFailed and str(info.value) == "no accuracy"
     assert len(epochs) == failing_epoch + 1
+    assert len(steps) == 7 * (failing_epoch + 1)  # no step of the next epoch
     assert threading.active_count() == before
 
 
 def test_caller_errstate_reaches_the_evaluation_thread(monkeypatch):
+    """Each evaluation runs on the calling thread, under its errstate."""
     seen, evaluate = [], debias.evaluate_accuracy
 
     def recording(params, ds, ws):
@@ -981,4 +952,4 @@ def test_caller_errstate_reaches_the_evaluation_thread(monkeypatch):
     monkeypatch.setattr(debias, "evaluate_accuracy", recording)
     with np.errstate(over="raise"):
         _run_pipeline("vanilla", "LW", epochs=2)
-    assert seen == [(False, "raise")] * 2
+    assert seen == [(True, "raise")] * 2
