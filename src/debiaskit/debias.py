@@ -7,8 +7,8 @@ Two families of training-time corrections:
   loss weighting (LW), annealed loss weighting (ALW), or weighted sampling
   with replacement (WS);
 * target adjustment (TBA): the classifier's logits are shifted by the log
-  of the per-class bias conditional before the cross-entropy. Exactly the
-  schemes with such rows p(y | bias evidence) (``conditional_rows``) drive it.
+  of the per-class bias conditional before the cross-entropy; a scheme's
+  ``SCHEMES`` entry gives those rows p(y | bias evidence), if it has them.
 
 Each epoch is evaluated at its end, on the thread that trains, before the
 next epoch starts. Its passes write their row blocks, logits and per-row
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,27 +34,19 @@ from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
 from .optim import make_optimizer
 from .vcae import VCAE_WEIGHT_CAP, train_vcae, vcae_weights
 
-SCHEMES = ("vanilla", "oracle-ub", "oracle-yb", "biased-confidence",
-           "lff", "pgd", "vcae")
 METHODS = ("LW", "ALW", "WS", "TBA")
-
-# scheme -> methods it drives: LW, ALW, WS, plus TBA for ROW_SCHEMES; lff, pgd excepted
-ROW_SCHEMES = ("oracle-ub", "oracle-yb", "biased-confidence")
-_COMPATIBLE = {s: {"LW", "ALW", "WS"} | ({"TBA"} if s in ROW_SCHEMES else set())
-               for s in SCHEMES} | {"lff": {"LW"}, "pgd": {"WS"}}
-
 COLLAPSE_XENT = 50.0
 
 
 def check_pair(scheme: str, method: str) -> None:
     """Raise ``ConfigError`` unless ``scheme`` is known and drives ``method``."""
     if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise ConfigError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-    if method not in _COMPATIBLE[scheme]:
+    if method not in SCHEMES[scheme].methods:
         raise ConfigError(f"scheme {scheme!r} cannot drive method {method!r}; "
-                          f"it drives {sorted(_COMPATIBLE[scheme])}")
+                          f"it drives {sorted(SCHEMES[scheme].methods)}")
 
 
 def check_gamma(gamma: float | None) -> None:
@@ -75,7 +67,7 @@ class SampleWeights:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise ValueError("weights must be finite and positive")
-        if self.provenance == "biased-confidence" and self.gamma is not None:
+        if self.gamma is not None:
             lo, hi = ((10.0 / self.gamma, 10.0) if self.rescaled
                       else (1.0, self.gamma))
             if self.weights.min() < lo - 1e-12 or self.weights.max() > hi + 1e-12:
@@ -266,22 +258,65 @@ def tba_adjusted_probs(logits: np.ndarray, p_psi: np.ndarray,
 
 def oracle_ub_weights(ds: LabeledDataset) -> SampleWeights:
     """Exact 1/p(u|b) from the generator: 1/(1-rho) aligned, (C-1)/rho conflicting.
-    Not 1/conditional_rows: 1/(rho/(C-1)) can miss (C-1)/rho by the last bit."""
+    Not 1 over its table's rows: 1/(rho/(C-1)) can miss (C-1)/rho by the last bit."""
     _, inverse = exact_p_y_given_b(ds)
     if ds.bias is None:
         raise ValueError("dataset lacks bias labels")
     return SampleWeights(inverse[ds.labels, ds.bias], provenance="oracle-ub")
 
 
-def conditional_rows(scheme: str, ds: LabeledDataset, artifact) -> np.ndarray:
-    """(N, C) rows p(y=c | bias evidence of row n): the amplified classifier's
-    probabilities, or the empirical or exact table[y, b] at each row's b."""
-    if scheme == "biased-confidence":
-        return artifact.class_probs
-    if scheme not in ("oracle-yb", "oracle-ub"):
-        raise ValueError(f"scheme {scheme!r} has no conditional rows")
-    table = estimate_p_y_given_b(ds) if scheme == "oracle-yb" else exact_p_y_given_b(ds)[0]
-    return table[:, ds.bias].T
+def _confidence_weights(ds, amplify, method, gamma, **_):
+    check_gamma(gamma)  # before amplify() trains anything
+    w = compute_weights_clamped(amplify().confidences, gamma)
+    return rescale_weights(w) if method in ("LW", "ALW") else w
+
+
+def _pgd_weights(ds, amplify, method, gamma, **_):
+    """Last-layer gradient norms summing to 1, by row blocks: no (N, H) hidden layer."""
+    art = amplify()
+    raw = np.concatenate([
+        pgd_weight(art.class_probs[rows], ds.labels[rows],
+                   mlp_final_hidden(art.params, ds.features[rows]))
+        for rows in row_blocks(art.params, len(ds))])
+    if (total := raw.sum()) <= 0:
+        raise ValueError("all gradient-norm weights are zero")
+    return SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
+
+
+def _vcae_weights(ds, amplify, method, gamma, *, vcae_cfg, vcae_train_cfg, vcae_weight_cap):
+    if vcae_cfg is None:
+        raise ValueError("vcae scheme needs a VcaeConfig")
+    vparams, _ = train_vcae(ds, vcae_cfg, vcae_train_cfg)
+    return SampleWeights(vcae_weights(vparams, ds, cap=vcae_weight_cap), provenance="vcae")
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A weighting scheme: the methods it drives; ``rows(ds, amplify)``, the (N, C)
+    rows p(y=c | bias evidence of row n) whose floored log is TBA's offset (None:
+    no TBA); ``weights(ds, amplify, method, gamma, **options)``, the training
+    split's ``SampleWeights``. ``amplify()`` trains or recalls the amplifier."""
+
+    methods: tuple[str, ...]
+    rows: Callable | None = None
+    weights: Callable | None = None
+
+
+SCHEMES = {
+    "vanilla": Scheme(("LW", "ALW", "WS"), weights=lambda ds, *_, **__: SampleWeights(
+        np.ones(len(ds)), provenance="vanilla")),
+    "oracle-ub": Scheme(METHODS, rows=lambda ds, _: exact_p_y_given_b(ds)[0][:, ds.bias].T,
+                        weights=lambda ds, *_, **__: oracle_ub_weights(ds)),
+    "oracle-yb": Scheme(METHODS, rows=lambda ds, _: estimate_p_y_given_b(ds)[:, ds.bias].T,
+                        weights=lambda ds, *_, **__: SampleWeights(
+                            1.0 / estimate_p_y_given_b(ds)[ds.labels, ds.bias],
+                            provenance="oracle-yb")),
+    "biased-confidence": Scheme(METHODS, rows=lambda ds, amplify: amplify().class_probs,
+                                weights=_confidence_weights),
+    "lff": Scheme(("LW",)),  # no weights of its own: run_debias_pipeline runs _run_lff
+    "pgd": Scheme(("WS",), weights=_pgd_weights),
+    "vcae": Scheme(("LW", "ALW", "WS"), weights=_vcae_weights),
+}
 
 
 @dataclass
@@ -327,15 +362,15 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                         vcae_weight_cap: float = VCAE_WEIGHT_CAP) -> PipelineResult:
     """Train a debiased classifier under the requested scheme/method pair.
 
-    Two-stage schemes freeze their weights before the main run; the
-    loss-ratio scheme recomputes weights from both classifiers every step.
-    The per-epoch beta records the weight mass on conflicting samples for
-    whatever weights were in force at the epoch's final step. Each epoch is
-    evaluated at its end, before the next one trains.
+    The scheme's ``SCHEMES`` entry gives its weights, frozen before the main
+    run, or TBA's rows, training the amplifier only if it asks; LfF's weights
+    change every step. The per-epoch beta records the weight mass on conflicting
+    samples for whatever weights were in force at the epoch's final step. Each
+    epoch is evaluated at its end, before the next one trains.
     ``gamma``, above 1, is TBA's floor 1/gamma and biased-confidence's clamp.
     """
     check_pair(scheme, method)
-    if method == "TBA" or scheme == "biased-confidence":
+    if method == "TBA":
         check_gamma(gamma)
     if train_ds.aligned is None:
         raise ValueError("training data needs bias labels for metrics")
@@ -346,50 +381,22 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
                          f"beta needs at least one of each")
     anneal = anneal or AnnealConfig()
 
-    if scheme == "lff":
+    if scheme == "lff":  # its weights change every step, so it runs its own loop
         return _run_lff(train_ds, test_ds, tau, train_cfg)
 
-    artifact = (train_biased_classifier(train_ds, tau, t_bias, train_cfg)
-                if scheme in ("biased-confidence", "pgd") else None)
-
-    # resolve per-sample weights (or the TBA adjustment table)
+    # looked up when called, so a wrapper put on the module function sees it
+    amplify = lambda: train_biased_classifier(train_ds, tau, t_bias, train_cfg)
     logit_offset = None
     if method == "TBA":
-        v = tba_floor(conditional_rows(scheme, train_ds, artifact), gamma)
+        v = tba_floor(SCHEMES[scheme].rows(train_ds, amplify), gamma)
         logit_offset = np.log(v)
         # implied correction magnitude per sample, for the beta metric
         implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels], gamma)
         weights = SampleWeights(implied, provenance=scheme, gamma=gamma)
-    elif scheme == "vanilla":
-        weights = SampleWeights(np.ones(len(train_ds)), provenance="vanilla")
-    elif scheme == "oracle-ub":
-        weights = oracle_ub_weights(train_ds)
-    elif scheme == "oracle-yb":
-        rows = conditional_rows(scheme, train_ds, artifact)
-        p = rows[np.arange(len(train_ds)), train_ds.labels]
-        weights = SampleWeights(1.0 / p, provenance="oracle-yb")
-    elif scheme == "biased-confidence":
-        weights = compute_weights_clamped(artifact.confidences, gamma)
-        if method in ("LW", "ALW"):
-            weights = rescale_weights(weights)
-    elif scheme == "pgd":
-        # by row blocks: the whole hidden layer and its square never exist
-        raw = np.concatenate([
-            pgd_weight(artifact.class_probs[rows], train_ds.labels[rows],
-                       mlp_final_hidden(artifact.params, train_ds.features[rows]))
-            for rows in row_blocks(artifact.params, len(train_ds))])
-        total = raw.sum()
-        if total <= 0:
-            raise ValueError("all gradient-norm weights are zero")
-        weights = SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
-    elif scheme == "vcae":
-        if vcae_cfg is None:
-            raise ValueError("vcae scheme needs a VcaeConfig")
-        vparams, _ = train_vcae(train_ds, vcae_cfg, vcae_train_cfg or train_cfg)
-        weights = SampleWeights(vcae_weights(vparams, train_ds, cap=vcae_weight_cap),
-                                provenance="vcae")
-    else:  # pragma: no cover
-        raise AssertionError(scheme)
+    else:
+        weights = SCHEMES[scheme].weights(
+            train_ds, amplify, method, gamma, vcae_cfg=vcae_cfg,
+            vcae_train_cfg=vcae_train_cfg or train_cfg, vcae_weight_cap=vcae_weight_cap)
 
     w_arr = weights.weights
     weight_fn = sampler = None

@@ -1,22 +1,25 @@
+import importlib.util
+import json
 import math
 import threading
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debiaskit import classifier, debias
+from debiaskit import classifier, cli, debias
 from debiaskit.classifier import (BlockWorkspace, TrainConfig, TrainingDiverged, init_mlp,
                                   mlp_forward, row_blocks, shuffle_batches, softmax_xent,
                                   train)
-from debiaskit.data import (GenConfig, LabeledDataset, estimate_p_y_given_b,
-                            generate_two_factor, load_dataset, save_dataset,
-                            unbiased_config)
-from debiaskit.debias import (AnnealConfig, SampleWeights,
+from debiaskit.data import (SCHEMA_VERSION, GenConfig, LabeledDataset,
+                            estimate_p_y_given_b, generate_two_factor, load_dataset,
+                            save_dataset, unbiased_config)
+from debiaskit.debias import (AnnealConfig, SampleWeights, Scheme,
                               _run_lff, anneal_weight, compute_weights_clamped,
                               lff_full_weights, lff_weight, oracle_ub_weights, pgd_weight,
                               rescale_weights, run_debias_pipeline,
@@ -430,10 +433,19 @@ def test_beta_identity_ideal_separator():
 
 
 def test_sample_weights_validation():
+    """The range check keys on gamma, whatever the provenance; TBA's implied
+    weights min(1/v, gamma) carry gamma and lie inside [1, gamma]."""
     with pytest.raises(ValueError):
         SampleWeights(np.array([1.0, 0.0]), provenance="oracle-ub")
     with pytest.raises(ValueError):
         SampleWeights(np.array([0.5]), provenance="biased-confidence", gamma=100.0)
+    with pytest.raises(ValueError, match=r"^weights outside \[1\.0, 100\.0\]$"):
+        SampleWeights(np.array([0.5]), provenance="oracle-ub", gamma=100.0)
+    train_ds, test_ds, cfg = _tiny_setup()
+    w = run_debias_pipeline(train_ds, test_ds, "oracle-yb", "TBA",
+                            train_cfg=replace(cfg, epochs=1), gamma=30.0).weights
+    assert (w.provenance, w.gamma, w.rescaled) == ("oracle-yb", 30.0, False)
+    assert 1.0 <= w.weights.min() and w.weights.max() <= 30.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -539,7 +551,7 @@ REJECTED_PAIRS = {
 def test_pairing_grid_is_the_literal_table():
     schemes = ("vanilla", "oracle-ub", "oracle-yb", "biased-confidence", "lff", "pgd", "vcae")
     methods = ("LW", "ALW", "WS", "TBA")
-    assert (debias.SCHEMES, debias.METHODS) == (schemes, methods)
+    assert (tuple(debias.SCHEMES), debias.METHODS) == (schemes, methods)
     assert ACCEPTED_PAIRS | set(REJECTED_PAIRS) == {(s, m) for s in schemes for m in methods}
     for scheme in schemes:
         for method in methods:
@@ -555,19 +567,65 @@ def test_conditional_rows_of_each_scheme_and_exactly_those_drive_tba():
     train_ds, _, cfg = _tiny_setup()
     art = train_biased_classifier(train_ds, 0.7, 1, cfg)
     rho, c, idx = 0.1, 4, np.arange(len(train_ds))
-    assert debias.conditional_rows("biased-confidence", train_ds, art) is art.class_probs
+    rows = {s: debias.SCHEMES[s].rows(train_ds, lambda: art)
+            for s in ("biased-confidence", "oracle-ub", "oracle-yb")}
+    assert rows["biased-confidence"] is art.class_probs
     exact = np.where(np.arange(c) == train_ds.bias[:, None], 1.0 - rho, rho / (c - 1))
-    assert debias.conditional_rows("oracle-ub", train_ds, None).tobytes() == exact.tobytes()
-    emp = debias.conditional_rows("oracle-yb", train_ds, None)
+    assert rows["oracle-ub"].tobytes() == exact.tobytes()
+    emp = rows["oracle-yb"]
     assert emp.shape == (len(train_ds), c)
     assert emp[idx, train_ds.labels].tobytes() == (
         estimate_p_y_given_b(train_ds)[train_ds.labels, train_ds.bias].tobytes())
-    for scheme in debias.SCHEMES:
-        drives_tba = (scheme, "TBA") in ACCEPTED_PAIRS
-        assert (scheme in debias.ROW_SCHEMES) == drives_tba
-        if not drives_tba:
-            with pytest.raises(ValueError, match=f"^scheme '{scheme}' has no conditional rows$"):
-                debias.conditional_rows(scheme, train_ds, art)
+    for scheme, entry in debias.SCHEMES.items():
+        assert (entry.rows is not None) == ((scheme, "TBA") in ACCEPTED_PAIRS)
+
+
+def test_exactly_the_confidence_and_pgd_pairs_train_the_amplifier(amp_calls):
+    """One GCE training for each biased-confidence pair and for pgd/WS, none
+    for any other pair: LfF's psi trains in its own loop, not by amplifying."""
+    train_ds, test_ds, cfg = _tiny_setup()
+    vcae_cfg = VcaeConfig(num_classes=train_ds.num_classes, hidden=(8,))
+    for scheme, method in sorted(ACCEPTED_PAIRS):
+        debias._amplify_memo.clear()
+        amp_calls.clear()
+        run_debias_pipeline(train_ds, test_ds, scheme, method, train_cfg=replace(cfg, epochs=1),
+                            gamma=30.0, t_bias=1, vcae_cfg=vcae_cfg)
+        assert len(amp_calls) == (scheme in ("biased-confidence", "pgd")), (scheme, method)
+
+
+def test_a_scheme_is_one_entry_of_schemes(tmp_path, monkeypatch, capsys):
+    """A toy scheme registered as one ``SCHEMES`` entry drives LW and TBA
+    through the CLI with no other code touched, and rejects WS by name."""
+    rows = lambda ds, _: np.full((len(ds), ds.num_classes), 1.0 / ds.num_classes)
+    weights = lambda ds, *_, **__: SampleWeights(np.where(ds.aligned, 1.0, 3.0),
+                                                 provenance="toy")
+    monkeypatch.setitem(debias.SCHEMES, "toy", Scheme(("LW", "TBA"), rows=rows, weights=weights))
+    save_dataset(generate_two_factor(GenConfig(num_classes=3, n=120, bc_ratio=0.1, seed=2)),
+                 tmp_path / "d")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "schema_version": SCHEMA_VERSION, "dataset_path": str(tmp_path / "d"), "test_n": 60,
+        "train": {"epochs": 1, "batch_size": 32, "hidden": [8]}}))
+    for method in ("LW", "TBA"):
+        out = tmp_path / method
+        assert cli.main(["debias", "--config", str(config), "--scheme", "toy",
+                         "--method", method, "--out", str(out)]) == 0
+        assert (out / "weights_seed0.csv").read_text().splitlines()[1].endswith(",toy")
+    capsys.readouterr()
+    assert cli.main(["debias", "--config", str(config), "--scheme", "toy",
+                     "--method", "WS"]) == 1
+    assert capsys.readouterr().err == (
+        "error: scheme 'toy' cannot drive method 'WS'; it drives ['LW', 'TBA']\n")
+
+
+def test_output_digest_runs_every_pair_of_the_registry():
+    """The byte-identity job list restates the accepted pairs by hand, so
+    that one list runs on both trees; a new scheme entry must join it."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert set(digest.PAIRS) == {(s, m) for s, e in debias.SCHEMES.items() for m in e.methods}
 
 
 def test_oracle_yb_weights_are_one_over_the_true_class_column():
