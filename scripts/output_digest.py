@@ -46,10 +46,13 @@ and lff/LW with Adam and weight decay. Then
 biased-confidence/LW on a C=4 dataset of 300 rows for one seed and one
 epoch, at batch 32 through a hidden layer of 3000, where OpenBLAS's sums
 depend on its thread count: its bytes show that training ran one thread.
-Last, two runs whose config holds the dataset section itself, so that
-``config.json`` carries it: biased-confidence/LW on two-factor data, seeds 0
-and 1, and vcae/LW on colored glyphs at n=120 for one epoch, where the
-classifier and the VCAE have no hidden layer (``"hidden": []``).
+Then pgd/WS on a C=4 dataset of 800 rows for one seed and two epochs with
+no hidden layer (``"hidden": []``), whose gradient norms read the input
+rows in place of a last hidden layer. Last, two runs whose config holds
+the dataset section itself, so that ``config.json`` carries it:
+biased-confidence/LW on two-factor data, seeds 0 and 1, and vcae/LW on
+colored glyphs at n=120 for one epoch, where the classifier and the VCAE
+have no hidden layer (``"hidden": []``).
 """
 
 import argparse
@@ -101,6 +104,9 @@ DATASETS = {
            {"seeds": [0], "test_n": 200,
             "train": {"epochs": 1, "batch_size": 32, "hidden": [3000]}},
            [("biased-confidence", "LW")]),
+    "p4": ("two-factor", 4, 0.049, 800, 14,
+           {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": []}},
+           [("pgd", "WS")]),
 }
 
 # name: (dataset section, run config overrides, scheme/method pair); each run

@@ -5,8 +5,8 @@ Mini-batch training runs thousands of small matmuls. A second OpenBLAS
 thread costs more in hand-off than it saves on them, and between calls it
 spins on a core that the main thread needs. ``limit`` runs a block at one
 thread. The package enters it in two places only: ``classifier.run_epochs``,
-the epoch loop of every training step, and ``classifier._blocks``, the
-row-block loop of every full-data pass: evaluation, LfF's loss ratios, the
+the epoch loop of every training step, and ``classifier.logit_blocks``,
+the row-block loop of every full-data pass: evaluation, LfF's loss ratios, the
 amplifier's probabilities, PGD and the VCAE's weights and latents.
 
 On the widest workload, the glyph VCAE (perfbench ``glyphs-vcae``: batch

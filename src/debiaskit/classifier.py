@@ -139,17 +139,10 @@ def row_blocks(params: MlpParams, n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def largest_block(params: MlpParams, n: int) -> int:
-    """Rows of the largest of ``row_blocks(params, n)``, the last one."""
-    last = row_blocks(params, n)[-1]
-    return last.stop - last.start
-
-
 def forward_block(params: MlpParams, x: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
-    """The row block ``x`` through the first ``len(outs)`` linear layers of
-    ``params``, layer i into the first ``len(x)`` rows of ``outs[i]``, each
-    hidden layer's ReLU in place; returns the last output (``x`` for none).
-    The layer loop of every full-data pass."""
+    """The row block ``x`` through the linear layers of ``params``, layer i
+    into the first ``len(x)`` rows of ``outs[i]``, each hidden layer's ReLU
+    in place; returns the logits. The layer loop of ``logit_blocks``."""
     h, arrays = x, params.arrays
     for i, out in enumerate(outs):
         h = np.matmul(h, arrays[2 * i], out=out[:len(x)])
@@ -159,67 +152,46 @@ def forward_block(params: MlpParams, x: np.ndarray, outs: list[np.ndarray]) -> n
     return h
 
 
-def _blocks(params: MlpParams, x: np.ndarray,
-            outs: Callable[[slice], list[np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, forward_block(params, x[rows], outs(rows)))`` for each of
-    ``row_blocks`` of the 2-D ``x``, at one BLAS thread (``blas``)."""
-    with blas.limit():
-        for rows in row_blocks(params, len(x)):
-            yield rows, forward_block(params, x[rows], outs(rows))
-
-
-def _forward_blocks(params: MlpParams, x: np.ndarray, final: bool) -> np.ndarray:
-    """The layers through the final linear one if ``final``, else through the
-    last hidden one, by ``_blocks`` of the 2-D ``x``: the hidden layers into
-    buffers of the largest block, the last layer into one new array."""
-    sizes = params.layer_sizes
-    n_layers = len(sizes) - 1 - (not final)
-    if n_layers == 0:
-        return x
-    hidden = [np.empty((largest_block(params, len(x)), w)) for w in sizes[1:n_layers]]
-    out = np.empty((len(x), sizes[n_layers]))
-    for _ in _blocks(params, x, lambda rows: [*hidden, out[rows]]):
-        pass
-    return out
-
-
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a row or batch, plain numpy (no gradient tracking), by row blocks."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != params.layer_sizes[0]:
-        raise ValueError(f"input dim {x.shape[-1]} != {params.layer_sizes[0]}")
-    logits = _forward_blocks(params, np.atleast_2d(x), final=True)
-    return logits[0] if x.ndim == 1 else logits
-
-
-def mlp_final_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Activation feeding the final linear layer (input x for 0 hidden layers), by row blocks."""
-    return _forward_blocks(params, np.atleast_2d(np.asarray(x, dtype=np.float64)), final=False)
-
-
 class BlockWorkspace:
     """The buffers of ``logit_blocks`` passes through MLPs laid out like
-    ``params`` over splits of ``ns`` rows: each hidden layer's output, the
-    logits and their log-softmax, for the largest block of any split; and
-    the per-row vectors ``preds`` (predicted classes) and ``losses`` (one row
-    per loss vector), as long as the longest split. Made once and written by
-    every pass, so that a pass allocates nothing that grows with rows x width."""
+    ``params`` over splits of ``ns`` rows: each hidden layer's output and
+    the logits, for the largest block of any split; with ``losses`` loss
+    vectors as long as the longest split, also the logits' log-softmax,
+    which ``mlp_xent`` writes. Made once and written by every pass, so that
+    a pass allocates nothing that grows with rows x width."""
 
     def __init__(self, params: MlpParams, *ns: int, losses: int = 0):
-        rows, sizes = max(largest_block(params, n) for n in ns), params.layer_sizes
+        rows = max(b.stop - b.start for n in ns for b in row_blocks(params, n))
+        sizes = params.layer_sizes
         self.hidden = [np.empty((rows, w)) for w in sizes[1:-1]]
         self.logits = np.empty((rows, sizes[-1]))
-        self.log_probs = np.empty_like(self.logits)
-        self.preds = np.empty(max(ns), dtype=np.intp)
+        self.log_probs = np.empty_like(self.logits) if losses else None
         self.losses = np.empty((losses, max(ns)))
 
 
 def logit_blocks(params: MlpParams, x: np.ndarray,
                  ws: BlockWorkspace) -> Iterator[tuple[slice, np.ndarray]]:
     """``(rows, logits of x[rows])`` for each of ``row_blocks`` of the 2-D
-    ``x``, through the buffers of ``ws``; the logits are the first rows of
-    ``ws.logits``, so they hold until the next block."""
-    return _blocks(params, x, lambda rows: [*ws.hidden, ws.logits])
+    ``x``, at one BLAS thread (``blas``): the one full-data pass. Each block
+    runs ``forward_block`` into ``ws``, so its last hidden layer is the first
+    rows of ``ws.hidden[-1]`` and its logits those of ``ws.logits``; they
+    hold until the next block."""
+    with blas.limit():
+        for rows in row_blocks(params, len(x)):
+            yield rows, forward_block(params, x[rows], [*ws.hidden, ws.logits])
+
+
+def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Logits for a row or batch, plain numpy (no gradient tracking), each
+    block of ``logit_blocks`` copied out of a workspace of its own."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != params.layer_sizes[0]:
+        raise ValueError(f"input dim {x.shape[-1]} != {params.layer_sizes[0]}")
+    batch = np.atleast_2d(x)
+    logits = np.empty((len(batch), params.layer_sizes[-1]))
+    for rows, block in logit_blocks(params, batch, BlockWorkspace(params, len(batch))):
+        logits[rows] = block
+    return logits[0] if x.ndim == 1 else logits
 
 
 def mlp_xent(params: MlpParams, x: np.ndarray, y: np.ndarray, ws: BlockWorkspace,

@@ -11,9 +11,9 @@ Two families of training-time corrections:
   ``SCHEMES`` entry gives those rows p(y | bias evidence), if it has them.
 
 Each epoch is evaluated at its end, on the thread that trains, before the
-next epoch starts. Its passes write their row blocks, logits and per-row
-results into one ``BlockWorkspace`` that the pipeline makes at the first
-epoch end, so no evaluation allocates anything that grows with rows x width.
+next epoch starts. Its passes write their row blocks and loss vectors into
+one ``BlockWorkspace`` that the pipeline makes at the first epoch end, so no
+evaluation allocates anything that grows with rows x width.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from .classifier import (BlockWorkspace, MlpParams, TrainConfig, TrainingDiverged,
                          init_mlp, log_softmax_numpy, logit_blocks, mlp_backward,
-                         mlp_final_hidden, mlp_loss_forward, mlp_xent, row_blocks,
-                         shuffle_batches, softmax_numpy, train)
+                         mlp_loss_forward, mlp_xent, shuffle_batches, softmax_numpy, train)
 from .data import (ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b,
                    exact_p_y_given_b)
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
@@ -156,7 +155,7 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
         ws = BlockWorkspace(params, len(train_ds))
         probs = np.empty((len(train_ds), train_ds.num_classes))
         for rows, logits in logit_blocks(params, train_ds.features, ws):
-            np.exp(log_softmax_numpy(logits, out=ws.log_probs[:len(logits)]), out=probs[rows])
+            np.exp(log_softmax_numpy(logits, out=probs[rows]), out=probs[rows])
         conf = probs[np.arange(len(train_ds)), train_ds.labels]
         conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
         for a in (params.flat, conf, probs):
@@ -272,12 +271,13 @@ def _confidence_weights(ds, amplify, method, gamma, **_):
 
 
 def _pgd_weights(ds, amplify, method, gamma, **_):
-    """Last-layer gradient norms summing to 1, by row blocks: no (N, H) hidden layer."""
+    """Last-layer gradient norms summing to 1, by ``logit_blocks``: of each block's
+    last hidden layer in the workspace, or of its input rows with none."""
     art = amplify()
-    raw = np.concatenate([
-        pgd_weight(art.class_probs[rows], ds.labels[rows],
-                   mlp_final_hidden(art.params, ds.features[rows]))
-        for rows in row_blocks(art.params, len(ds))])
+    ws, raw = BlockWorkspace(art.params, len(ds)), np.empty(len(ds))
+    for rows, _ in logit_blocks(art.params, ds.features, ws):
+        h = ws.hidden[-1][:rows.stop - rows.start] if ws.hidden else ds.features[rows]
+        raw[rows] = pgd_weight(art.class_probs[rows], ds.labels[rows], h)
     if (total := raw.sum()) <= 0:
         raise ValueError("all gradient-norm weights are zero")
     return SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
@@ -334,7 +334,7 @@ def _make_eval(test_ds, beta_fn, *also: MlpParams, beta_ds: LabeledDataset | Non
     Every evaluation passes its models through ``ws``, one ``BlockWorkspace``
     made here at the first epoch end: for the test split and ``beta_ds``, the
     split that ``beta_fn`` passes the models over (if any), with a loss
-    vector per model for it."""
+    vector per model for it and so the log-softmax block of ``mlp_xent``."""
     ws = None
 
     def eval_fn(epoch, params, stats):

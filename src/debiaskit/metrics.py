@@ -46,12 +46,11 @@ def debias_bc_ratio(weights: np.ndarray, aligned: np.ndarray) -> float:
 def evaluate_accuracy(params: MlpParams, ds: LabeledDataset, ws: BlockWorkspace | None = None):
     """(overall, aligned-subset, conflicting-subset) test accuracies. The
     pass runs by ``logit_blocks`` through ``ws`` (made here when None) and
-    writes each block's argmax into ``ws.preds``."""
+    marks each block's correct argmax."""
     ws = BlockWorkspace(params, len(ds)) if ws is None else ws
-    preds = ws.preds[:len(ds)]
+    correct = np.empty(len(ds), dtype=bool)
     for rows, logits in logit_blocks(params, ds.features, ws):
-        logits.argmax(axis=1, out=preds[rows])
-    correct = preds == ds.labels
+        np.equal(logits.argmax(axis=1), ds.labels[rows], out=correct[rows])
     overall = float(correct.mean())
     if ds.aligned is None:
         return overall, float("nan"), float("nan")

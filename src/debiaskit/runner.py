@@ -2,11 +2,13 @@
 
 Every run writes, under its output directory:
 
+* ``config.json``   the run's ``RunConfig``, written once the first seed has run
 * ``metrics.csv``   one row per (seed, epoch); byte-identical across reruns
 * ``summary.json``  mean/std of the final-epoch metrics across seeds
 * ``weights_seed<k>.csv``  per-sample weight dump (index,weight,aligned,provenance)
 * ``checkpoint_seed<k>/``  trained classifier
-* ``timings.json``  wall-clock seconds per seed (kept out of the CSVs on purpose)
+* ``timings.json``  per seed, its epochs' summed ``MetricsRow.seconds``: training steps
+  only, no evaluation, data, amplifier or weights (kept out of the CSVs on purpose)
 
 ``data`` holds the reader and writers of each format and config object
 (``read_meta``, ``take_fields``, ``write_json``, ``write_csv``, ``write_f64le``); this

@@ -100,18 +100,15 @@ def test_vcae_step_runs_one_thread(monkeypatch, inherit):
 def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit):
     """The per-epoch evaluation and the amplified classifier's full-data
     pass run at one thread, not only the training steps: the amplifier's
-    pass and two evaluations, seen at the first block of each ``_blocks``
-    pass."""
+    pass and two evaluations, one block each, seen at each ``forward_block``."""
     inherit(2)
-    seen, blocks = [], classifier._blocks
+    seen, forward_block = [], classifier.forward_block
 
-    def passes(*args):
-        for k, block in enumerate(blocks(*args)):
-            if k == 0:
-                seen.append(blas.threads())
-            yield block
+    def block(*args):
+        seen.append(blas.threads())
+        return forward_block(*args)
 
-    monkeypatch.setattr(classifier, "_blocks", passes)
+    monkeypatch.setattr(classifier, "forward_block", block)
     train_ds, test_ds = _two_factor(), _two_factor(n=100, seed=4)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16,), seed=11)
     run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",

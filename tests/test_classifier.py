@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
 from debiaskit import classifier
-from debiaskit.classifier import (XENT_MAX, MlpParams, TrainConfig,
-                                  init_mlp, load_model, mlp_backward,
-                                  mlp_final_hidden, mlp_forward, mlp_loss_forward,
+from debiaskit.classifier import (XENT_MAX, BlockWorkspace, MlpParams, TrainConfig,
+                                  init_mlp, load_model, logit_blocks, mlp_backward,
+                                  mlp_forward, mlp_loss_forward,
                                   row_blocks, save_model, shuffle_batches, softmax_numpy,
                                   train, TrainingDiverged)
 from debiaskit.data import GenConfig, LabeledDataset, generate_two_factor, unbiased_config
@@ -58,7 +58,10 @@ def test_forward_of_a_large_batch_equals_the_plain_layer_chain(rng):
             h = x
             for w, b in zip(p.arrays[:-2:2], p.arrays[1:-2:2]):
                 h = np.maximum(h @ w + b, 0.0)
-            assert mlp_final_hidden(p, x).tobytes() == h.tobytes(), (sizes, n)
+            ws = BlockWorkspace(p, n)
+            for rows, _ in logit_blocks(p, x, ws):
+                last = ws.hidden[-1][:rows.stop - rows.start]
+                assert last.tobytes() == h[rows].tobytes(), (sizes, n, rows)
             assert mlp_forward(p, x).tobytes() == (h @ p.arrays[-2] + p.arrays[-1]).tobytes(), (sizes, n)
     x = rng.normal(size=(20000, 768))  # two VCAE encoder blocks: 8192 rows, 11,808 rows
     assert len(row_blocks(p, len(x))) == 2
