@@ -48,7 +48,10 @@ epoch, at batch 32 through a hidden layer of 3000, where OpenBLAS's sums
 depend on its thread count: its bytes show that training ran one thread.
 Then pgd/WS on a C=4 dataset of 800 rows for one seed and two epochs with
 no hidden layer (``"hidden": []``), whose gradient norms read the input
-rows in place of a last hidden layer. Last, two runs whose config holds
+rows in place of a last hidden layer. Then vcae/LW on 300 colored glyphs
+(C=6) for one seed and two epochs with a VCAE of two hidden layers
+(``"hidden": [16, 8]``), the only job whose VCAE reverse sweep passes
+through more than one ReLU mask. Last, two runs whose config holds
 the dataset section itself, so that ``config.json`` carries it:
 biased-confidence/LW on two-factor data, seeds 0 and 1, and vcae/LW on
 colored glyphs at n=120 for one epoch, where the classifier and the VCAE
@@ -107,6 +110,10 @@ DATASETS = {
     "p4": ("two-factor", 4, 0.049, 800, 14,
            {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": []}},
            [("pgd", "WS")]),
+    "v6": ("colored-glyphs", 6, 0.05, 300, 15,
+           {"seeds": [0], "train": {"epochs": 2, "batch_size": 64, "hidden": [16]},
+            "vcae": {"num_classes": 6, "hidden": [16, 8]}},
+           [("vcae", "LW")]),
 }
 
 # name: (dataset section, run config overrides, scheme/method pair); each run

@@ -142,7 +142,10 @@ def row_blocks(params: MlpParams, n: int) -> list[slice]:
 def forward_block(params: MlpParams, x: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
     """The row block ``x`` through the linear layers of ``params``, layer i
     into the first ``len(x)`` rows of ``outs[i]``, each hidden layer's ReLU
-    in place; returns the logits. The layer loop of ``logit_blocks``."""
+    in place; returns the logits. The one forward layer loop: of training
+    steps (the MLP, LfF's psi, the amplifier) and the VCAE step through
+    ``mlp_layers``, and of every full-data pass through ``logit_blocks``.
+    In place, because at 128x768 a second temporary made a layer ~3x slower."""
     h, arrays = x, params.arrays
     for i, out in enumerate(outs):
         h = np.matmul(h, arrays[2 * i], out=out[:len(x)])
@@ -273,15 +276,14 @@ def _buf(scratch: dict | None, key, shape: tuple[int, ...], dtype=np.float64):
 class MlpPass:
     """One batch through the MLP, kept for ``mlp_backward``.
 
-    ``acts[i]`` is the input to linear layer i (the batch for i = 0) and
-    ``pre[i]`` the pre-activation of hidden layer i. These (but the batch)
+    ``acts[i]`` is the input to linear layer i: the batch for i = 0, else
+    the output of hidden layer i - 1 after its ReLU. These (but the batch)
     and ``log_probs`` are buffers of ``scratch``: they live until the next
     pass through the same scratch, in ``train`` and LfF that model's next step.
     """
 
     params: MlpParams
     acts: list[np.ndarray]
-    pre: list[np.ndarray]
     log_probs: np.ndarray          # (B, C) log-softmax of the (offset) logits
     labels: np.ndarray
     nll: np.ndarray                # (B,) -log-probability of the true class
@@ -294,39 +296,28 @@ class MlpPass:
         return np.minimum(self.nll, XENT_MAX)
 
 
-def mlp_layers(arrays: list[np.ndarray], h: np.ndarray, scratch: dict | None = None):
-    """Forward of a 2-D batch ``h`` through the ReLU layers ``arrays`` (W, b
-    alternating): the output, the input of every linear layer (``h`` first)
-    and the pre-activation of every hidden layer, as ``mlp_layers_backward``
-    needs them."""
-    # in place, into buffers of ``scratch`` that live until that model's next
-    # step: at 128x768 a second temporary made this layer ~3x slower
-    acts, pre = [h], []
-    n_layers = len(arrays) // 2
-    for i, (w, b) in enumerate(zip(arrays[::2], arrays[1::2])):
-        h = np.matmul(h, w, out=_buf(scratch, ("pre", i), (len(h), len(b))))
-        h += b
-        if i < n_layers - 1:
-            pre.append(h)
-            h = np.maximum(h, 0.0, out=_buf(scratch, ("act", i), h.shape))
-            acts.append(h)
-    return h, acts, pre
+def mlp_layers(params: MlpParams, x: np.ndarray, scratch: dict | None = None):
+    """``forward_block`` of the 2-D batch ``x``, one buffer of ``scratch``
+    per layer (new ones without): the output and the input of every linear
+    layer (``x`` first), as ``mlp_layers_backward`` needs them."""
+    outs = [_buf(scratch, ("out", i), (len(x), w)) for i, w in enumerate(params.layer_sizes[1:])]
+    return forward_block(params, x, outs), [x, *outs[:-1]]
 
 
-def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray],
-                        pre: list[np.ndarray], g: np.ndarray,
+def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray], g: np.ndarray,
                         grads: list[np.ndarray], input_grad: bool = False,
                         scratch: dict | None = None):
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
     tape's operation order, with adjoints and ReLU masks in ``scratch``. Writes
     the gradient of each W, b into ``grads``; returns the adjoint of the input
-    batch when ``input_grad``, else None."""
+    batch when ``input_grad``, else None. A ReLU mask is ``acts[i] > 0``, the
+    tape's ``pre > 0``: ``max(p, 0) > 0`` is ``p > 0`` for every float p."""
     for i in range(len(arrays) // 2 - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), pre[i - 1].shape))
-            g *= np.greater(pre[i - 1], 0.0, out=_buf(scratch, ("mask", i), g.shape, bool))
+            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), acts[i].shape))
+            g *= np.greater(acts[i], 0.0, out=_buf(scratch, ("mask", i), g.shape, bool))
     return g @ arrays[0].T if input_grad else None
 
 
@@ -359,12 +350,12 @@ def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
         raise ValueError("label out of range")
     scratch = {} if scratch is None else scratch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h, acts, pre = mlp_layers(params.arrays, x, scratch)
+    h, acts = mlp_layers(params, x, scratch)
     if logit_offset is not None:
         h += logit_offset
     log_probs = log_softmax_numpy(h, out=_buf(scratch, "log_probs", h.shape))
     nll = -log_probs[np.arange(len(h)), y]
-    return MlpPass(params, acts, pre, log_probs, y, nll, loss, float(tau), scratch)
+    return MlpPass(params, acts, log_probs, y, nll, loss, float(tau), scratch)
 
 
 def mlp_backward(fwd: MlpPass, weights: np.ndarray,
@@ -410,7 +401,7 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
     if out.layer_sizes != fwd.params.layer_sizes:
         raise ValueError("gradient and parameter layouts differ")
     grads = out.arrays
-    mlp_layers_backward(fwd.params.arrays, fwd.acts, fwd.pre, g, grads, scratch=fwd.scratch)
+    mlp_layers_backward(fwd.params.arrays, fwd.acts, g, grads, scratch=fwd.scratch)
     check_finite_gradient(out.flat, grads, lambda k: f"parameter array {k}")
     return lval, grads
 

@@ -173,12 +173,12 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     n, dz, c = x.shape[0], cfg.dim_z, cfg.num_classes
     if np.any(y < 0) or np.any(y >= c):
         raise ValueError("label out of range")
-    enc_out, enc_acts, enc_pre = mlp_layers(params.encoder.arrays, x)
+    enc_out, enc_acts = mlp_layers(params.encoder, x)
     mu_x, log_sigma_x = enc_out[:, :dz], enc_out[:, dz:2 * dz]
     sigma_x = np.exp(log_sigma_x)
     z = mu_x + sigma_x * eps
 
-    x_hat, dec_acts, dec_pre = mlp_layers(params.decoder.arrays, z)
+    x_hat, dec_acts = mlp_layers(params.decoder, z)
     diff = np.subtract(x_hat, x, out=x_hat)
     rec = (diff * diff).sum(axis=1) * 0.5
 
@@ -235,8 +235,7 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     # lambda0 reconstruction, through the decoder into z
     g_diff = (g * cfg.lambda0 * 0.5)[:, None] * diff
     g_diff += g_diff
-    dec = params.decoder.arrays
-    g_z = g_z + mlp_layers_backward(dec, dec_acts, dec_pre, g_diff,
+    g_z = g_z + mlp_layers_backward(params.decoder.arrays, dec_acts, g_diff,
                                     grads[n_enc:n_enc + n_dec], input_grad=True)
 
     # z = mu_x + sigma_x * eps, sigma_x = exp(log_sigma_x), into the encoder
@@ -244,8 +243,7 @@ def vcae_loss_and_grads(params: VcaeParams, x: np.ndarray, y: np.ndarray,
     g_sigma_x = g_sigma_x + g_z * eps
     g_log_sigma_x = -g_kl + g_sigma_x * sigma_x
     g_enc = np.concatenate((g_mu_x, g_log_sigma_x), axis=1)
-    mlp_layers_backward(params.encoder.arrays, enc_acts, enc_pre, g_enc,
-                        grads[:n_enc])
+    mlp_layers_backward(params.encoder.arrays, enc_acts, g_enc, grads[:n_enc])
     check_finite_gradient(out, grads, lambda k: _array_name(k, n_enc, n_dec))
     return loss, grads
 

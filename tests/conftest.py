@@ -188,6 +188,15 @@ def assert_views_of_flat(flat, arrays):
         offset += a.size
 
 
+def kill_unit(params: MlpParams, unit: int, zero: float) -> None:
+    """Give ``unit`` of every hidden layer of ``params`` a weight column and
+    bias of ``zero`` (0.0 or -0.0): its pre-activation is then exactly 0.0
+    or -0.0 on every row of a finite batch, the edge of the ReLU mask."""
+    for w, b in zip(params.arrays[:-2:2], params.arrays[1:-2:2]):
+        w[:, unit] = zero
+        b[unit] = zero
+
+
 # --- helpers that only the tests use -----------------------------------------
 
 def log(a: ad.Node) -> ad.Node:

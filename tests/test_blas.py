@@ -98,9 +98,10 @@ def test_vcae_step_runs_one_thread(monkeypatch, inherit):
 
 @needs_openblas
 def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit):
-    """The per-epoch evaluation and the amplified classifier's full-data
-    pass run at one thread, not only the training steps: the amplifier's
-    pass and two evaluations, one block each, seen at each ``forward_block``."""
+    """Every forward pass of the pipeline runs at one thread, seen at each
+    ``forward_block``: over n=128 rows at batch 64, the amplifier's 2 steps
+    (t_bias 1 epoch), its full-data pass (one block), the classifier's 2 x 2
+    steps (2 epochs) and its 2 evaluations (one block each)."""
     inherit(2)
     seen, forward_block = [], classifier.forward_block
 
@@ -113,7 +114,7 @@ def test_pipeline_evaluates_and_amplifies_under_its_policy(monkeypatch, inherit)
     cfg = TrainConfig(epochs=2, batch_size=64, hidden=(16,), seed=11)
     run_debias_pipeline(train_ds, test_ds, "biased-confidence", "LW",
                         train_cfg=cfg, gamma=20.0, t_bias=1)
-    assert seen == [1, 1, 1]
+    assert seen == [1] * (2 + 1 + 2 * 2 + 2)
     assert blas.threads() == 2
 
 

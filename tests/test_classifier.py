@@ -20,7 +20,7 @@ from debiaskit.debias import weighted_sampler
 from debiaskit.metrics import evaluate_accuracy
 
 from conftest import (_forward_graph, assert_views_of_flat, central_diff, gce_loss,
-                      params_of, ref_optimizer, rel_err, softmax_xent,
+                      kill_unit, params_of, ref_optimizer, rel_err, softmax_xent,
                       tape_loss_and_grads, weighted_mean_loss)
 
 
@@ -374,6 +374,30 @@ def test_closed_form_step_matches_tape_bitwise(case):
     assert len(got) == len(want)
     for g, t in zip(got, want):
         assert g.shape == t.shape and g.tobytes() == t.tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "minus-zero"])
+@pytest.mark.parametrize("loss", ["xent", "gce"])
+def test_closed_form_step_matches_tape_at_a_dead_unit(loss, zero):
+    """A hidden unit whose pre-activation is exactly +-0.0 on every row, in
+    both hidden layers: the mask read from the activations is the tape's
+    ``pre > 0`` there too, so the loss and every gradient match to the bit."""
+    rng = np.random.default_rng(5)
+    params = init_mlp([6, 5, 4, 3], seed=5)
+    params.flat += rng.normal(scale=0.3, size=params.flat.shape)
+    kill_unit(params, 2, zero)
+    x = rng.normal(size=(9, 6))
+    y = rng.integers(0, 3, size=9)
+    w = rng.uniform(0.05, 20.0, size=9)
+
+    want_loss, want = tape_loss_and_grads(params.arrays, x, y, w, loss=loss)
+    fwd = mlp_loss_forward(params, x, y, loss=loss)
+    assert not fwd.acts[1][:, 2].any() and not fwd.acts[2][:, 2].any()
+    got_loss, got = mlp_backward(fwd, w, _grad_buffer(params))
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    for g, t in zip(got, want, strict=True):
+        assert g.shape == t.shape and g.tobytes() == t.tobytes()
+    assert not got[0][:, 2].any()  # no adjoint flows back through the dead unit
 
 
 def test_closed_form_step_keeps_the_tape_checks():

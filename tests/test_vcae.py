@@ -17,7 +17,7 @@ from debiaskit.vcae import (LatentGaussian, VcaeConfig, VcaeParams, encode,
                             log_p_z_given_y, p_y_given_z, train_vcae,
                             vcae_loss_and_grads, vcae_weights)
 
-from conftest import (assert_views_of_flat, central_diff, params_of, ref_optimizer,
+from conftest import (assert_views_of_flat, central_diff, kill_unit, params_of, ref_optimizer,
                       rel_err, tape_vcae_loss_and_grads, vcae_loss)
 
 
@@ -381,6 +381,28 @@ def test_closed_form_vcae_step_matches_tape_bitwise(case):
     assert len(got) == len(want) == len(params.arrays())
     for g, t in zip(got, want):
         assert g.shape == t.shape and g.tobytes() == t.tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "minus-zero"])
+def test_closed_form_vcae_step_matches_tape_at_a_dead_unit(zero):
+    """A hidden unit of the encoder and of the decoder whose pre-activation
+    is exactly +-0.0 on every row, in both hidden layers of each: the loss
+    and the gradient of every array equal the tape's to the bit."""
+    rng = np.random.default_rng(8)
+    cfg = VcaeConfig(num_classes=3, dim_z=2, hidden=(5, 4))
+    params = init_vcae(cfg, input_dim=6, seed=8)
+    params.flat += rng.normal(scale=0.3, size=params.flat.shape)
+    kill_unit(params.encoder, 1, zero)
+    kill_unit(params.decoder, 1, zero)
+    x, y, eps = rng.normal(size=(7, 6)), rng.integers(0, 3, size=7), rng.normal(size=(7, 2))
+
+    want_loss, want = tape_vcae_loss_and_grads(params, x, y, cfg, eps)
+    got_loss, got = vcae_loss_and_grads(params, x, y, cfg, eps, np.empty_like(params.flat))
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    for g, t in zip(got, want, strict=True):
+        assert g.shape == t.shape and g.tobytes() == t.tobytes()
+    n_enc = len(params.encoder.arrays)
+    assert not got[0][:, 1].any() and not got[n_enc][:, 1].any()
 
 
 def test_closed_form_vcae_step_writes_into_out():
