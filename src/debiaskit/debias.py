@@ -326,14 +326,14 @@ class PipelineResult:
     weights: SampleWeights
 
 
-def _make_eval(test_ds, beta_fn, *also: MlpParams, beta_ds: LabeledDataset | None = None):
+def _make_eval(test_ds, beta_fn, beta_ds: LabeledDataset | None = None):
     """``train``'s per-epoch ``eval_fn``: the ``MetricsRow`` of the test-split
-    accuracies and ``beta_fn(step_end, theta, *also, ws)`` of the live model
-    theta and the models of ``also``, as the epoch left them.
+    accuracies of the live model and ``beta_fn(step_end, ws)``, which reads
+    the live models as the epoch left them.
 
     Every evaluation passes its models through ``ws``, one ``BlockWorkspace``
     made here at the first epoch end: for the test split and ``beta_ds``, the
-    split that ``beta_fn`` passes the models over (if any), with a loss
+    split that ``beta_fn`` passes LfF's two models over (if any), with a loss
     vector per model for it and so the log-softmax block of ``mlp_xent``."""
     ws = None
 
@@ -341,11 +341,11 @@ def _make_eval(test_ds, beta_fn, *also: MlpParams, beta_ds: LabeledDataset | Non
         nonlocal ws
         if ws is None:
             ws = (BlockWorkspace(params, len(test_ds)) if beta_ds is None else
-                  BlockWorkspace(params, len(test_ds), len(beta_ds), losses=1 + len(also)))
+                  BlockWorkspace(params, len(test_ds), len(beta_ds), losses=2))
         acc, ba, bc = evaluate_accuracy(params, test_ds, ws)
         return MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
                           test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
-                          beta=beta_fn(stats["step"], params, *also, ws),
+                          beta=beta_fn(stats["step"], ws),
                           seconds=stats["seconds"])
     return eval_fn
 
@@ -379,8 +379,6 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
         raise ValueError(f"the training split has {n_ba} bias-aligned and "
                          f"{len(train_ds) - n_ba} bias-conflicting rows; "
                          f"beta needs at least one of each")
-    anneal = anneal or AnnealConfig()
-
     if scheme == "lff":  # its weights change every step, so it runs its own loop
         return _run_lff(train_ds, test_ds, tau, train_cfg)
 
@@ -399,18 +397,15 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
             vcae_train_cfg=vcae_train_cfg or train_cfg, vcae_weight_cap=vcae_weight_cap)
 
     w_arr = weights.weights
+    ramp = (anneal or AnnealConfig()) if method == "ALW" else AnnealConfig()  # LW: no ramp
     weight_fn = sampler = None
-    if method == "LW":
-        weight_fn = lambda idx, t, fwd: w_arr[idx]
-    elif method == "ALW":
-        weight_fn = lambda idx, t, fwd: anneal_weight(w_arr[idx], t, anneal)
+    if method in ("LW", "ALW"):
+        weight_fn = lambda idx, t, fwd: anneal_weight(w_arr[idx], t, ramp)
     elif method == "WS":
         _, ws_seed = np.random.SeedSequence(train_cfg.seed).generate_state(2)
         sampler = weighted_sampler(w_arr, train_cfg.batch_size, int(ws_seed) ^ 0x5EED)
-
-    def beta_fn(step_end, _theta, _ws):
-        eff = anneal_weight(w_arr, step_end - 1, anneal) if method == "ALW" else w_arr
-        return debias_bc_ratio(eff, train_ds.aligned)
+    beta_fn = lambda step_end, _ws: debias_bc_ratio(
+        anneal_weight(w_arr, step_end - 1, ramp), train_ds.aligned)
 
     params, history = train(train_ds, train_cfg, loss="xent",
                             weight_fn=weight_fn, sampler=sampler,
@@ -449,16 +444,16 @@ def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
         opt_psi.step(psi.flat, grad_psi.flat)
         return w
 
-    full_w = None
+    theta, full_w = init_mlp(sizes, int(seeds[1])), None
 
-    def beta_fn(step_end, theta, psi_end, ws):  # the last epoch's weights are the run's
+    def beta_fn(step_end, ws):  # the last epoch's weights are the run's
         nonlocal full_w
-        full_w = lff_full_weights(psi_end, theta, train_ds, ws)
+        full_w = lff_full_weights(psi, theta, train_ds, ws)
         return debias_bc_ratio(full_w, train_ds.aligned)
 
-    params, history = train(
-        train_ds, cfg, params=init_mlp(sizes, int(seeds[1])), weight_fn=weight_fn,
+    _, history = train(
+        train_ds, cfg, params=theta, weight_fn=weight_fn,
         sampler=shuffle_batches(len(train_ds), cfg.batch_size, int(seeds[2]), cfg.shuffle),
-        eval_fn=_make_eval(test_ds, beta_fn, psi, beta_ds=train_ds))
-    return PipelineResult(params=params, history=history,
+        eval_fn=_make_eval(test_ds, beta_fn, beta_ds=train_ds))
+    return PipelineResult(params=theta, history=history,
                           weights=SampleWeights(full_w, provenance="lff"))

@@ -1,8 +1,9 @@
 """Experiment orchestration: config files, metric CSVs, summaries, sweeps.
 
-Every run writes, under its output directory:
+Every run trains all its seeds, then writes under its output directory (so a
+seed that fails leaves no files):
 
-* ``config.json``   the run's ``RunConfig``, written once the first seed has run
+* ``config.json``   the run's ``RunConfig``
 * ``metrics.csv``   one row per (seed, epoch); byte-identical across reruns
 * ``summary.json``  mean/std of the final-epoch metrics across seeds
 * ``weights_seed<k>.csv``  per-sample weight dump (index,weight,aligned,provenance)
@@ -62,6 +63,11 @@ class RunConfig:
     def __post_init__(self):
         check_fields(self)
         check_pair(self.scheme, self.method)
+        if self.scheme == "vcae" and self.vcae is None:
+            raise ConfigError("the vcae scheme needs a vcae section")
+        if self.vcae and self.dataset and self.vcae.num_classes != self.dataset.num_classes:
+            raise ConfigError(f"vcae.num_classes is {self.vcae.num_classes} but the "
+                              f"dataset has {self.dataset.num_classes} classes")
         if (self.dataset is None) == (self.dataset_path is None):
             raise ConfigError("need exactly one of a dataset spec and a dataset path")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
@@ -142,14 +148,14 @@ def _datasets_for_seed(cfg: RunConfig, run_seed: int):
 
 
 def run_single(cfg: RunConfig, run_seed: int):
-    """Run one seed; returns (pipeline result, train split, test split)."""
+    """Train one seed; return its pipeline result and its training split's aligned flags."""
     train_ds, test_ds = _datasets_for_seed(cfg, run_seed)
     train_cfg = replace(cfg.train, seed=run_seed)
     result = run_debias_pipeline(
         train_ds, test_ds, cfg.scheme, cfg.method,
         train_cfg=train_cfg, gamma=cfg.gamma, t_bias=cfg.t_bias,
         tau=cfg.tau, anneal=cfg.anneal, vcae_cfg=cfg.vcae)
-    return result, train_ds, test_ds
+    return result, train_ds.aligned
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -165,17 +171,15 @@ def summarize(rows: list[dict]) -> dict:
 
 
 def run_experiment(cfg: RunConfig) -> tuple[dict, list[list]]:
-    """Run every seed, write all artifacts; return the summary and the metrics.csv rows."""
+    """Train every seed, then write all artifacts; return the summary and metrics.csv rows."""
+    runs = {run_seed: run_single(cfg, run_seed) for run_seed in cfg.seeds}
     out = Path(cfg.out_dir)
+    write_json(out / "config.json", cfg.to_dict())
     csv_rows, timings = [], {}
-    for run_seed in cfg.seeds:
-        result, train_ds, _ = run_single(cfg, run_seed)
-        if run_seed == cfg.seeds[0]:  # after a seed ran: an unreadable dataset leaves no output
-            write_json(out / "config.json", cfg.to_dict())
+    for run_seed, (result, aligned) in runs.items():
         csv_rows += [[run_seed, *row.csv_values()] for row in result.history]
         timings[str(run_seed)] = sum(r.seconds for r in result.history)
-        write_weights_csv(out / f"weights_seed{run_seed}.csv",
-                          result.weights, train_ds.aligned)
+        write_weights_csv(out / f"weights_seed{run_seed}.csv", result.weights, aligned)
         save_model(result.params, out / f"checkpoint_seed{run_seed}",
                    extra={"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                           "scheme": cfg.scheme, "method": cfg.method})

@@ -153,11 +153,16 @@ def test_a_split_without_conflicting_rows_fails_before_training(tmp_path, capsys
     data, out = tmp_path / "data", tmp_path / "o"
     assert main(["generate", "--n", "50", "--rho", "0.001", "--seed", "1",
                  "--out", str(data)]) == 0
-    trained = []
+    trained, flags = [], []
+    if scheme == "vcae":  # a vcae run needs a config's vcae section, which no flag gives
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "dataset_path": str(data),
+                                   "vcae": {"num_classes": load_dataset(data).num_classes}}))
+        flags = ["--config", str(cfg)]
     for module in (classifier, vcae):
         monkeypatch.setattr(module, "run_epochs", lambda *args: trained.append(args))
-    assert main(["debias", "--data", str(data), "--scheme", scheme, "--method", method,
-                 "--out", str(out)]) == 1
+    assert main(["debias", *flags, "--data", str(data), "--scheme", scheme,
+                 "--method", method, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: the training split has 50 bias-aligned and 0 bias-conflicting rows; "
         "beta needs at least one of each\n")
@@ -175,12 +180,19 @@ _BAD_CONFIGS = [
     {"dataset": {"seed": -1}}, {"dataset": {"sigma_u": -1.0}}, {"dataset": {"sigma_b": -1}},
     {"train": {"hidden": [0]}}, {"vcae": {"hidden": [0]}}, {"train": {"lr": -1}},
     {"train": {"optimizer": "sgd", "momentum": -3}}, {"train": {"weight_decay": -1}},
-    {"train": {"seed": 7}}, {"vcae": {"num_classes": 6}}, {"vcae": {"num_classes": 2}}]
+    {"train": {"seed": 7}}, {"vcae": {"num_classes": 6}}, {"vcae": {"num_classes": 2}},
+    {"scheme": "vcae"}]
 
 
 @pytest.mark.parametrize("raw", _BAD_CONFIGS, ids=json.dumps)
-def test_bad_config_fails_with_a_message_before_any_output(tmp_path, capsys, raw):
-    out = tmp_path / "run"
+def test_bad_config_fails_with_a_message_before_any_output(tmp_path, capsys, monkeypatch,
+                                                          raw):
+    """Before any dataset is generated or loaded, too."""
+    from debiaskit import runner
+    out, read = tmp_path / "run", []
+    for fn in (runner.generate, runner.load_dataset):
+        monkeypatch.setattr(runner, fn.__name__,
+                            lambda *args, fn=fn: read.append(fn.__name__) or fn(*args))
     if isinstance(raw, dict):  # merged into a valid config, section by section
         base = {"schema_version": 1, "dataset": {"num_classes": 3, "n": 60},
                 "test_n": 30, "train": {"epochs": 1, "hidden": [4]}, "out_dir": str(out)}
@@ -193,7 +205,7 @@ def test_bad_config_fails_with_a_message_before_any_output(tmp_path, capsys, raw
     cfg.write_text(json.dumps(raw))
     assert main(["debias", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    assert not out.exists() and read == []
 
 
 # every float field of a run config: JSON has no NaN or inf, so config.json could not hold one

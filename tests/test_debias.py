@@ -891,13 +891,18 @@ def _noting(monkeypatch, name, seen):
 @pytest.mark.parametrize("scheme,method", [("vanilla", "LW"), ("lff", "LW")])
 def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch):
     """theta (and LfF's psi) as each epoch ended."""
-    ends, seen, make_eval = [], [], debias._make_eval
+    ends, seen, make_eval, init, psi = [], [], debias._make_eval, debias.init_mlp, []
 
-    def recording(test_ds, beta_fn, *also, **kwargs):
-        eval_fn = make_eval(test_ds, beta_fn, *also, **kwargs)
+    def init_noting(*args, **kwargs):  # LfF's first init_mlp call makes psi
+        params = init(*args, **kwargs)
+        psi.append(params)
+        return params
+
+    def recording(test_ds, beta_fn, **kwargs):
+        eval_fn = make_eval(test_ds, beta_fn, **kwargs)
 
         def end(epoch, params, stats):
-            ends.append([m.flat.copy() for m in (params, *also)])
+            ends.append([m.flat.copy() for m in (params, *psi[:1])])
             return eval_fn(epoch, params, stats)
         return end
 
@@ -906,6 +911,7 @@ def test_each_evaluation_reads_its_epochs_end_state(scheme, method, monkeypatch)
     seen_fwd = []
     if scheme == "lff":  # its beta passes psi, then theta, over the training set
         _noting(monkeypatch, "mlp_xent", seen_fwd)
+        monkeypatch.setattr(debias, "init_mlp", init_noting)
     _run_pipeline(scheme, method)
     assert len(ends) == 3
     assert [a.tobytes() for a in seen] == [theta.tobytes() for theta, *_ in ends]
@@ -923,11 +929,11 @@ def test_an_evaluation_job_allocates_below_1_mb_with_its_workspace():
     test_ds = generate_two_factor(unbiased_config(gen, n=5000, seed=2))
     theta, psi = (init_mlp([20, 64, 64, 10], seed=s) for s in (1, 2))
 
-    def beta_fn(step_end, theta, psi, ws):
+    def beta_fn(step_end, ws):
         return debias_bc_ratio(lff_full_weights(psi, theta, train_ds, ws), train_ds.aligned)
 
     stats = {"train_loss": 0.0, "step": 1, "seconds": 0.0}
-    eval_fn = debias._make_eval(test_ds, beta_fn, psi, beta_ds=train_ds)
+    eval_fn = debias._make_eval(test_ds, beta_fn, beta_ds=train_ds)
     first = eval_fn(0, theta, stats)  # makes the workspace
     tracemalloc.start()
     try:

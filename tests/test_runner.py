@@ -1,16 +1,18 @@
 import concurrent.futures
 import csv
 import ctypes
+import gc
 import glob
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from debiaskit import blas, classifier, runner
-from debiaskit.classifier import TrainConfig
+from debiaskit.classifier import TrainConfig, TrainingDiverged
 from debiaskit.data import GenConfig, generate, save_dataset
 from debiaskit.debias import AnnealConfig, SampleWeights
 from debiaskit.runner import (METRICS_HEADER, ConfigError, RunConfig, aggregate_report,
@@ -184,6 +186,39 @@ def test_run_experiment_artifacts(tmp_path):
     assert (out / "weights_seed0.csv").exists()
     assert (out / "checkpoint_seed0" / "params.f64le").exists()
     assert summary["n_seeds"] == 2
+
+
+def test_a_run_whose_second_seed_fails_leaves_no_files(tmp_path, monkeypatch):
+    """Every seed trains before any file is written."""
+    pipeline = runner.run_debias_pipeline
+
+    def diverge_on_seed_1(*args, train_cfg, **kwargs):
+        if train_cfg.seed == 1:
+            raise TrainingDiverged("loss blew up")
+        return pipeline(*args, train_cfg=train_cfg, **kwargs)
+
+    monkeypatch.setattr(runner, "run_debias_pipeline", diverge_on_seed_1)
+    cfg = _tiny_cfg(tmp_path)
+    with pytest.raises(TrainingDiverged, match="^loss blew up$"):
+        run_experiment(cfg)
+    assert not Path(cfg.out_dir).exists()
+
+
+def test_a_seeds_splits_are_freed_before_the_next_seed_makes_its_own(tmp_path, monkeypatch):
+    """A run holds one seed's train and test splits at a time."""
+    datasets_for_seed, refs, alive = runner._datasets_for_seed, {}, []
+
+    def noting(cfg, run_seed):
+        if run_seed == 1:
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs[0])
+        splits = datasets_for_seed(cfg, run_seed)
+        refs[run_seed] = [weakref.ref(ds) for ds in splits]
+        return splits
+
+    monkeypatch.setattr(runner, "_datasets_for_seed", noting)
+    run_experiment(_tiny_cfg(tmp_path))
+    assert alive == [False, False]
 
 
 def test_summary_reproducible_from_csv(tmp_path):
