@@ -263,23 +263,13 @@ def shuffle_batches(n: int, batch_size: int, seed: int,
             yield order[start:start + batch_size]
 
 
-def _buf(scratch: dict | None, key, shape: tuple[int, ...], dtype=np.float64):
-    """``scratch[key, shape]``, allocated on first use; a new array without one."""
-    if scratch is None:
-        return np.empty(shape, dtype=dtype)
-    if (a := scratch.get((key, shape))) is None:
-        a = scratch[key, shape] = np.empty(shape, dtype=dtype)
-    return a
-
-
 @dataclass
 class MlpPass:
     """One batch through the MLP, kept for ``mlp_backward``.
 
     ``acts[i]`` is the input to linear layer i: the batch for i = 0, else
-    the output of hidden layer i - 1 after its ReLU. These (but the batch)
-    and ``log_probs`` are buffers of ``scratch``: they live until the next
-    pass through the same scratch, in ``train`` and LfF that model's next step.
+    the output of hidden layer i - 1 after its ReLU. A pass's arrays are
+    its own: no later step writes into them.
     """
 
     params: MlpParams
@@ -289,35 +279,33 @@ class MlpPass:
     nll: np.ndarray                # (B,) -log-probability of the true class
     loss: str
     tau: float
-    scratch: dict
 
     def xent(self) -> np.ndarray:
         """Per-sample cross-entropy capped at XENT_MAX, as ``softmax_xent``."""
         return np.minimum(self.nll, XENT_MAX)
 
 
-def mlp_layers(params: MlpParams, x: np.ndarray, scratch: dict | None = None):
-    """``forward_block`` of the 2-D batch ``x``, one buffer of ``scratch``
-    per layer (new ones without): the output and the input of every linear
-    layer (``x`` first), as ``mlp_layers_backward`` needs them."""
-    outs = [_buf(scratch, ("out", i), (len(x), w)) for i, w in enumerate(params.layer_sizes[1:])]
+def mlp_layers(params: MlpParams, x: np.ndarray):
+    """``forward_block`` of the 2-D batch ``x``, one new array per layer:
+    the output and the input of every linear layer (``x`` first), as
+    ``mlp_layers_backward`` needs them."""
+    outs = [np.empty((len(x), w)) for w in params.layer_sizes[1:]]
     return forward_block(params, x, outs), [x, *outs[:-1]]
 
 
 def mlp_layers_backward(arrays: list[np.ndarray], acts: list[np.ndarray], g: np.ndarray,
-                        grads: list[np.ndarray], input_grad: bool = False,
-                        scratch: dict | None = None):
+                        grads: list[np.ndarray], input_grad: bool = False):
     """Reverse sweep of ``mlp_layers`` from the output adjoint ``g``, in the
-    tape's operation order, with adjoints and ReLU masks in ``scratch``. Writes
-    the gradient of each W, b into ``grads``; returns the adjoint of the input
-    batch when ``input_grad``, else None. A ReLU mask is ``acts[i] > 0``, the
-    tape's ``pre > 0``: ``max(p, 0) > 0`` is ``p > 0`` for every float p."""
+    tape's operation order. Writes the gradient of each W, b into ``grads``;
+    returns the adjoint of the input batch when ``input_grad``, else None. A
+    ReLU mask is ``acts[i] > 0``, the tape's ``pre > 0``: ``max(p, 0) > 0``
+    is ``p > 0`` for every float p."""
     for i in range(len(arrays) // 2 - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            g = np.matmul(g, arrays[2 * i].T, out=_buf(scratch, ("g", i), acts[i].shape))
-            g *= np.greater(acts[i], 0.0, out=_buf(scratch, ("mask", i), g.shape, bool))
+            g = g @ arrays[2 * i].T
+            g *= acts[i] > 0.0
     return g @ arrays[0].T if input_grad else None
 
 
@@ -332,14 +320,13 @@ def check_finite_gradient(flat: np.ndarray, grads: list[np.ndarray],
 
 
 def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
-                     loss: str = "xent", tau: float = 0.7, logit_offset: np.ndarray | None = None,
-                     scratch: dict | None = None) -> MlpPass:
+                     loss: str = "xent", tau: float = 0.7,
+                     logit_offset: np.ndarray | None = None) -> MlpPass:
     """Closed-form forward of the ReLU MLP for an xent or GCE loss.
 
     Performs the numpy operations of the tape graph (the layers, then the
     capped cross-entropy or GCE on the true-class probability) in the same
-    order, so every value matches the tape bit for bit. The pass and its
-    ``mlp_backward`` write into ``scratch``, one dict per model (fresh if None).
+    order, so every value matches the tape bit for bit.
     """
     if loss not in ("xent", "gce"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -348,14 +335,13 @@ def mlp_loss_forward(params: MlpParams, x: np.ndarray, y: np.ndarray, *,
     y = np.asarray(y, dtype=np.int64)
     if (y < 0).any() or (y >= params.layer_sizes[-1]).any():
         raise ValueError("label out of range")
-    scratch = {} if scratch is None else scratch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h, acts = mlp_layers(params, x, scratch)
+    h, acts = mlp_layers(params, x)
     if logit_offset is not None:
         h += logit_offset
-    log_probs = log_softmax_numpy(h, out=_buf(scratch, "log_probs", h.shape))
+    log_probs = log_softmax_numpy(h)
     nll = -log_probs[np.arange(len(h)), y]
-    return MlpPass(params, acts, log_probs, y, nll, loss, float(tau), scratch)
+    return MlpPass(params, acts, log_probs, y, nll, loss, float(tau))
 
 
 def mlp_backward(fwd: MlpPass, weights: np.ndarray,
@@ -390,18 +376,17 @@ def mlp_backward(fwd: MlpPass, weights: np.ndarray,
     else:
         g = -(g / fwd.tau) * fwd.tau * p_floored ** (fwd.tau - 1.0)
         g = g * (p >= P_FLOOR) * p
-    g_lp = _buf(fwd.scratch, "g_lp", fwd.log_probs.shape)
-    g_lp.fill(0.0)
+    g_lp = np.zeros_like(fwd.log_probs)
     g_lp[np.arange(n), fwd.labels] = g
     # g_lp's row sums: a row holds g_n and +0.0s, and any sum of those is
     # g_n + 0.0 to the bit (-0.0 + 0.0 is +0.0), so no reduction is run
-    e = np.exp(fwd.log_probs, out=_buf(fwd.scratch, "g_logits", g_lp.shape))
+    e = np.exp(fwd.log_probs)
     e *= (g + 0.0)[:, None]
     g = np.subtract(g_lp, e, out=e)
     if out.layer_sizes != fwd.params.layer_sizes:
         raise ValueError("gradient and parameter layouts differ")
     grads = out.arrays
-    mlp_layers_backward(fwd.params.arrays, fwd.acts, g, grads, scratch=fwd.scratch)
+    mlp_layers_backward(fwd.params.arrays, fwd.acts, g, grads)
     check_finite_gradient(out.flat, grads, lambda k: f"parameter array {k}")
     return lval, grads
 
@@ -469,14 +454,13 @@ def train(ds: LabeledDataset, cfg: TrainConfig, *,
         sampler = shuffle_batches(len(ds), cfg.batch_size, int(shuffle_seed), cfg.shuffle)
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad = MlpParams(params.layer_sizes, flat=np.empty_like(params.flat))
-    scratch = {}  # the step's buffers, kept across steps
     xent_total = 0.0
 
     def step_fn(idx, step):
         nonlocal xent_total
         fwd = mlp_loss_forward(
             params, ds.features[idx], ds.labels[idx], loss=loss, tau=tau,
-            logit_offset=None if logit_offset is None else logit_offset[idx], scratch=scratch)
+            logit_offset=None if logit_offset is None else logit_offset[idx])
         w = np.ones(len(idx)) if weight_fn is None else np.asarray(weight_fn(idx, step, fwd), dtype=np.float64)
         lval, _ = mlp_backward(fwd, w, out=grad)
         opt.step(params.flat, grad.flat)

@@ -434,11 +434,10 @@ def _run_lff(train_ds, test_ds, tau: float, cfg: TrainConfig) -> PipelineResult:
     psi = init_mlp(sizes, int(seeds[0]))
     opt_psi = make_optimizer(cfg.optimizer, cfg.lr, cfg.momentum, cfg.weight_decay)
     grad_psi = MlpParams(sizes, flat=np.empty_like(psi.flat))
-    scratch_psi = {}  # psi's step buffers
 
     def weight_fn(idx, step, fwd):
         fwd_b = mlp_loss_forward(psi, train_ds.features[idx], train_ds.labels[idx],
-                                 loss="gce", tau=tau, scratch=scratch_psi)
+                                 loss="gce", tau=tau)
         w = lff_weight(fwd_b.xent(), fwd.xent())
         mlp_backward(fwd_b, np.ones(len(idx)), out=grad_psi)
         opt_psi.step(psi.flat, grad_psi.flat)

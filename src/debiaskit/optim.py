@@ -4,9 +4,14 @@ The models keep all their parameters in one contiguous float64 vector
 (``MlpParams.flat``, ``VcaeParams.flat``), so a step takes that vector and
 its gradient and is a handful of whole-vector numpy operations. Each
 optimizer allocates its state and scratch buffers on its first step and
-updates through ``out=`` and in-place operations afterwards. The operations
-run in the order of the textbook expressions in the docstrings, so the
-result is bit-identical to evaluating those expressions array by array.
+updates through ``out=`` and in-place operations afterwards. These vectors
+stay preallocated while a training step makes its per-batch arrays afresh,
+because each spans every parameter: at 54,026 values (the D=768
+classifier) Adam with fresh temporaries took 760-850 µs against 320-345 µs
+in place, at 6,154 (D=20) 46-62 µs against 39-54 µs (one thread of a
+2-vCPU Intel Xeon, numpy 2.4.6). The operations run in the order of the
+textbook expressions in the docstrings, so the result is bit-identical to
+evaluating those expressions array by array.
 """
 
 from __future__ import annotations

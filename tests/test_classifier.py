@@ -533,6 +533,23 @@ def test_train_matches_tape_reference_bitwise(loss, optimizer, weighted):
         assert row["train_loss"] == sum(v * k for v, k in zip(chunk, sizes)) / sum(sizes)
 
 
+def test_each_step_pass_keeps_its_own_arrays():
+    """A ``weight_fn`` may keep its step's pass: no later step writes into it."""
+    ds = generate_two_factor(GenConfig(num_classes=4, n=300, bc_ratio=0.05, seed=8))
+    kept = []
+
+    def weight_fn(idx, step, fwd):
+        kept.append((fwd, fwd.log_probs.copy(), [a.copy() for a in fwd.acts], fwd.nll.copy()))
+        return np.ones(len(idx))
+
+    train(ds, TrainConfig(epochs=2, batch_size=64, hidden=(8, 8), seed=4), weight_fn=weight_fn)
+    assert len(kept) == 10
+    for fwd, log_probs, acts, nll in kept:
+        assert fwd.log_probs.tobytes() == log_probs.tobytes()
+        assert [a.tobytes() for a in fwd.acts] == [a.tobytes() for a in acts]
+        assert fwd.nll.tobytes() == nll.tobytes()
+
+
 @pytest.mark.parametrize("over", [
     {"hidden": (0,)}, {"hidden": [16, 0]}, {"lr": -1.0}, {"lr": 0}, {"lr": float("inf")},
     {"lr": float("nan")}, {"weight_decay": -1e-4}, {"momentum": -3.0}, {"momentum": 1.0},
