@@ -14,11 +14,15 @@ prints the listing of one tree:
     python scripts/output_digest.py ../work-parent --src ../parent/src > parent.txt
 
 The jobs run in WORKDIR (created; it must hold no files yet) through
-``python -m debiaskit.cli``, importing the package from ``--src`` (default:
-the ``src/`` next to this script). Job paths are relative to WORKDIR, so
-``config.json`` bytes compare across trees. One ``sha256  path`` line is
-printed per file but ``timings.json`` (wall-clock seconds), sorted by path,
-then one ``sha256  stdout/NN-<command>`` line per job for what job NN printed.
+``block_recorder.py`` next to this script, which runs the command as
+``python -m debiaskit.cli`` would, importing the package from ``--src``
+(default: the ``src/`` next to this script). Job paths are relative to
+WORKDIR, so ``config.json`` bytes compare across trees. One ``sha256  path``
+line is printed per file but ``timings.json`` (wall-clock seconds), sorted
+by path, then one ``sha256  stdout/NN-<command>`` line per job for what job
+NN printed, then one ``paths/NN-<command>  n=size+size ...`` line per job
+with the distinct row-block partitions (``classifier.row_blocks``) of its
+full-data passes, ``-`` for none.
 The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 1/(rho/(C-1)) and (C-1)/rho differ in the last bit); every valid
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
@@ -26,7 +30,8 @@ scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
 ``report`` on oracle-ub/LW of C=4.
 Then, for one seed and two epochs: biased-confidence/LW, pgd/WS and lff/LW
 on a C=10 two-factor dataset of 5,000 rows, test_n 4,500 and hidden (64, 64),
-whose full-data passes run in two 2048-row blocks; and vcae/LW, oracle-ub/LW
+whose 5,000-row passes run in three blocks of 1,666-1,667 rows and 4,500-row
+passes in two of 2,250; and vcae/LW, oracle-ub/LW
 and oracle-ub/TBA on a small colored-glyphs dataset, the only jobs that read
 the exact p(y|b) table of glyph data. With two epochs, each evaluation
 (the 4,500-row test pass, LfF's 5,000-row loss ratios, the glyph test
@@ -170,15 +175,22 @@ def digest(work: Path, src: Path) -> list[str]:
     for name, config in configs.items():
         (work / f"{name}.json").write_text(json.dumps(config) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    printed = []
-    for k, argv in enumerate(jobs()):
-        stdout = subprocess.run([sys.executable, "-m", "debiaskit.cli", *argv], cwd=work,
-                                env=env, stdout=subprocess.PIPE, check=True).stdout
-        printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout/{k:02d}-{argv[0]}")
+    printed, paths = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, argv in enumerate(jobs()):
+            record = Path(tmp) / f"{k:02d}"
+            stdout = subprocess.run([sys.executable, str(ROOT / "scripts" / "block_recorder.py"),
+                                     str(record), *argv], cwd=work, env=env,
+                                    stdout=subprocess.PIPE, check=True).stdout
+            printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout/{k:02d}-{argv[0]}")
+            parts = (sorted(set(record.read_text().split()),  # by rows, then block sizes
+                            key=lambda p: [int(x) for x in p.replace("+", "=").split("=")])
+                     if record.exists() else ["-"])
+            paths.append(f"paths/{k:02d}-{argv[0]}  " + "  ".join(parts))
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(work).as_posix()}"
             for path in sorted(p for p in work.rglob("*") if p.is_file())
-            if path.name != "timings.json"] + printed
+            if path.name != "timings.json"] + printed + paths
 
 
 def main() -> int:

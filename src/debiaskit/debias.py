@@ -387,9 +387,9 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
     logit_offset = None
     if method == "TBA":
         v = tba_floor(SCHEMES[scheme].rows(train_ds, amplify), gamma)
-        logit_offset = np.log(v)
         # implied correction magnitude per sample, for the beta metric
         implied = np.minimum(1.0 / v[np.arange(len(train_ds)), train_ds.labels], gamma)
+        logit_offset = np.log(v, out=v)  # in place: one (N, C) table, not two
         weights = SampleWeights(implied, provenance=scheme, gamma=gamma)
     else:
         weights = SCHEMES[scheme].weights(

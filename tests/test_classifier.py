@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debiaskit import autodiff as ad
@@ -45,14 +45,15 @@ def test_single_row_matches_batch_row(rng):
 def test_forward_of_a_large_batch_equals_the_plain_layer_chain(rng):
     """The row-blocked, in-place full-data forward gives the bytes of the
     plain chain max(x @ W + b, 0), one fresh array per operation, for one
-    block (4095 rows at 2048-row blocks) and several, with a remainder."""
-    for sizes, blocks in [([20, 64, 64, 10], (1, 2, 2, 4)),
-                          ([768, 64, 64, 10], (1, 2, 2, 4)),  # glyph classifier
+    block of the largest size (3,277 rows at 1,639-row blocks) and several
+    of uneven (4,919 rows) and of equal size."""
+    for sizes, blocks in [([20, 64, 64, 10], (1, 3, 3, 6)),
+                          ([768, 64, 64, 10], (1, 3, 3, 6)),  # glyph classifier
                           ([768, 32, 4], (1, 1, 1, 1))]:     # VCAE encoder, 8192-row blocks
         p = init_mlp(sizes, seed=2)
         for a in p.arrays:
             a += rng.normal(scale=0.1, size=a.shape)
-        for n, n_blocks in zip((4095, 4097, 5000, 10000), blocks):
+        for n, n_blocks in zip((3277, 4919, 5000, 10000), blocks):
             assert len(row_blocks(p, n)) == n_blocks
             x = rng.normal(size=(n, sizes[0]))
             h = x
@@ -63,24 +64,42 @@ def test_forward_of_a_large_batch_equals_the_plain_layer_chain(rng):
                 last = ws.hidden[-1][:rows.stop - rows.start]
                 assert last.tobytes() == h[rows].tobytes(), (sizes, n, rows)
             assert mlp_forward(p, x).tobytes() == (h @ p.arrays[-2] + p.arrays[-1]).tobytes(), (sizes, n)
-    x = rng.normal(size=(20000, 768))  # two VCAE encoder blocks: 8192 rows, 11,808 rows
+    x = rng.normal(size=(20000, 768))  # two VCAE encoder blocks of 10,000 rows
     assert len(row_blocks(p, len(x))) == 2
     h = np.maximum(x @ p.arrays[0] + p.arrays[1], 0.0)
     assert mlp_forward(p, x).tobytes() == (h @ p.arrays[2] + p.arrays[3]).tobytes()
 
 
-def test_row_blocks_tile_the_rows_with_the_remainder_in_the_last():
-    p = init_mlp([20, 64, 64, 10], seed=0)  # 2048-row blocks
-    assert row_blocks(p, 0) == [slice(0, 0)]
-    assert row_blocks(p, 4095) == [slice(0, 4095)]
-    assert row_blocks(p, 6143) == [slice(0, 2048), slice(2048, 6143)]
-    assert row_blocks(p, 6144) == [slice(0, 2048), slice(2048, 4096), slice(4096, 6144)]
-    assert len(row_blocks(init_mlp([16, 4], seed=0), 40000)) == 2  # 16384-row blocks
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1024, 3000), st.lists(st.integers(1, 32), min_size=1, max_size=3),
+       st.integers(0, 50000))
+@example(1024, [1], 0).via("no rows: one empty block")
+@example(1024, [1], 2047).via("the floor: one block of 2 * 1,024 - 1 rows")
+def test_row_blocks_are_equal_and_keep_every_layer_at_block_macs(wide, rest, n):
+    """For an input 1,024 to 3,000 wide and small layers after it, the blocks
+    tile [0, n) in order and differ by at most one row; once n reaches the
+    block size, each has at least 1,024 rows and BLOCK_MACS multiply-adds in
+    every layer, and fewer than twice that size. The workspace holds the
+    largest."""
+    p = init_mlp([wide, *rest], seed=0)
+    blocks = row_blocks(p, n)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n and all(b.step is None for b in blocks)
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    rows = max(1024, math.ceil(classifier.BLOCK_MACS / min(w.size for w in p.arrays[::2])))
+    if n >= rows:
+        assert 1024 <= rows <= min(sizes) and max(sizes) < 2 * rows
+        assert min(sizes) * min(w.size for w in p.arrays[::2]) >= classifier.BLOCK_MACS
+    else:
+        assert sizes == [n]
+    assert BlockWorkspace(p, n).logits.shape[0] == max(sizes)
 
 
 def test_full_data_forward_memory_does_not_grow_with_the_rows(rng):
-    """A 20,000-row forward through hidden (64, 64) holds a few 2048-row
-    blocks, not two (20,000 x 64) activations (20.5 MB when unblocked)."""
+    """A 20,000-row forward through hidden (64, 64) holds a few blocks of
+    1,666-1,667 rows, not two (20,000 x 64) activations (20.5 MB when
+    unblocked)."""
     p = init_mlp([20, 64, 64, 10], seed=2)
     x = rng.normal(size=(20000, 20))
     tracemalloc.start()
@@ -89,7 +108,7 @@ def test_full_data_forward_memory_does_not_grow_with_the_rows(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 4.5e6
 
 
 def test_forward_dim_mismatch():

@@ -729,17 +729,19 @@ def test_pipeline_ws_and_alw_and_tba_run():
         assert np.isfinite(res.history[-1].test_acc)
 
 
-@pytest.mark.parametrize("hidden", [(64, 64), ()], ids=["hidden-64-64", "no-hidden"])
-def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain(hidden):
-    """PGD's weights, computed over 2048-row blocks (two at n = 5,000) or,
-    with no hidden layer, on the input rows, are the bytes of ``pgd_weight``
-    on the whole-array plain layer chain."""
+@pytest.mark.parametrize("hidden,n_blocks", [((64, 64), 3), ((), 1)],
+                         ids=["hidden-64-64", "no-hidden"])
+def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain(hidden, n_blocks):
+    """PGD's weights, computed over blocks of 1,666-1,667 rows (three at
+    n = 5,000) or, with no hidden layer, in one block on the input rows, are
+    the bytes of ``pgd_weight`` on the whole-array plain layer chain."""
     gen = GenConfig(num_classes=10, n=5000, bc_ratio=0.05, seed=7)
     train_ds = generate_two_factor(gen)
     test_ds = generate_two_factor(unbiased_config(gen, n=500, seed=8))
     cfg = TrainConfig(epochs=1, batch_size=128, hidden=hidden, seed=5)
     res = run_debias_pipeline(train_ds, test_ds, "pgd", "WS", train_cfg=cfg, t_bias=1)
     art = train_biased_classifier(train_ds, 0.7, 1, cfg)
+    assert len(row_blocks(art.params, len(train_ds))) == n_blocks
     h = train_ds.features
     for w, b in zip(art.params.arrays[:-2:2], art.params.arrays[1:-2:2]):
         h = np.maximum(h @ w + b, 0.0)
@@ -757,7 +759,7 @@ def _plain_logits(params, x):
     return h @ params.arrays[-2] + params.arrays[-1]
 
 
-@pytest.mark.parametrize("n,n_blocks", [(1000, 1), (5000, 2), (10000, 4)])
+@pytest.mark.parametrize("n,n_blocks", [(1000, 1), (5000, 3), (10000, 6)])
 def test_blockwise_passes_equal_the_whole_pass(n, n_blocks):
     """Accuracies and LfF's weights through a workspace, and the amplifier's
     probabilities by blocks, are the bytes of the whole-array plain chain."""
