@@ -1,36 +1,62 @@
-"""Run one ``debiaskit`` CLI command and record the row blocks of its passes.
+"""Run one ``debiaskit`` CLI command and record the row blocks of its passes
+and the amplification memo's hits and misses.
 
     python scripts/block_recorder.py RECORD debias --config d4.json ...
 
-Wraps ``debiaskit.classifier.row_blocks`` and then calls ``cli.main`` with
-the remaining arguments, so the command prints and writes what
-``python -m debiaskit.cli`` would. Each distinct partition that a call of
-``row_blocks`` returns is appended to the file RECORD as one line,
-``n=size+size+...`` (rows, then the size of each block in order). The
-wrapper is in place before the command starts, so the workers of a
-``sweep --jobs N`` pool, forked from it, append theirs too.
+Wraps ``debiaskit.classifier.row_blocks``, ``debias.train`` and
+``debias.train_biased_classifier`` (with the binding ``cli`` imported), then
+calls ``cli.main`` with the remaining arguments, so the command prints and
+writes what ``python -m debiaskit.cli`` would. Each distinct partition that
+a call of ``row_blocks`` returns is appended to the file RECORD as one line,
+``n=size+size+...`` (rows, then the size of each block in order). Every
+amplification appends ``memo=miss`` (a ``debias.train`` call with
+``loss="gce"``) or ``memo=hit`` (a ``train_biased_classifier`` call that
+returned without one); these are not deduplicated. The wrappers are in
+place before the command starts, so the workers of a ``sweep --jobs N``
+pool, forked from it, append theirs too.
 """
 
 import sys
 
-from debiaskit import classifier, cli
+from debiaskit import classifier, cli, debias
 
 
 def main() -> int:
     record, argv = sys.argv[1], sys.argv[2:]
     seen = set()
-    row_blocks = classifier.row_blocks
+    row_blocks, train, amplify = (classifier.row_blocks, debias.train,
+                                  debias.train_biased_classifier)
+    misses = 0  # this process's; a forked worker starts from its parent's count
+
+    def append(line):
+        with open(record, "a") as f:
+            f.write(line + "\n")
 
     def recorded(params, n):
         blocks = row_blocks(params, n)
         line = f"{n}=" + "+".join(str(b.stop - b.start) for b in blocks)
         if line not in seen:
             seen.add(line)
-            with open(record, "a") as f:
-                f.write(line + "\n")
+            append(line)
         return blocks
 
+    def counted_train(ds, cfg, **kw):
+        nonlocal misses
+        if kw.get("loss") == "gce":
+            misses += 1
+            append("memo=miss")
+        return train(ds, cfg, **kw)
+
+    def counted_amplify(*args, **kwargs):
+        before = misses
+        art = amplify(*args, **kwargs)
+        if misses == before:
+            append("memo=hit")
+        return art
+
     classifier.row_blocks = recorded
+    debias.train = counted_train
+    debias.train_biased_classifier = cli.train_biased_classifier = counted_amplify
     return cli.main(argv)
 
 

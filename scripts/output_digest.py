@@ -20,9 +20,11 @@ The jobs run in WORKDIR (created; it must hold no files yet) through
 WORKDIR, so ``config.json`` bytes compare across trees. One ``sha256  path``
 line is printed per file but ``timings.json`` (wall-clock seconds), sorted
 by path, then one ``sha256  stdout/NN-<command>`` line per job for what job
-NN printed, then one ``paths/NN-<command>  n=size+size ...`` line per job
-with the distinct row-block partitions (``classifier.row_blocks``) of its
-full-data passes, ``-`` for none.
+NN printed, then one ``paths/NN-<command>  n=size+size ...  memo=H/M`` line
+per job with the distinct row-block partitions (``classifier.row_blocks``)
+of its full-data passes, ``-`` for none, and its amplification memo hits H
+and misses M (a miss trains the amplifier), summed over the job's
+processes, ``sweep --jobs`` workers included.
 The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 1/(rho/(C-1)) and (C-1)/rho differ in the last bit); every valid
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
@@ -183,10 +185,12 @@ def digest(work: Path, src: Path) -> list[str]:
                                      str(record), *argv], cwd=work, env=env,
                                     stdout=subprocess.PIPE, check=True).stdout
             printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout/{k:02d}-{argv[0]}")
-            parts = (sorted(set(record.read_text().split()),  # by rows, then block sizes
-                            key=lambda p: [int(x) for x in p.replace("+", "=").split("=")])
-                     if record.exists() else ["-"])
-            paths.append(f"paths/{k:02d}-{argv[0]}  " + "  ".join(parts))
+            lines = record.read_text().split() if record.exists() else []
+            # partitions by rows, then block sizes; the memo's lines are counted
+            parts = sorted({p for p in lines if not p.startswith("memo=")},
+                           key=lambda p: [int(x) for x in p.replace("+", "=").split("=")])
+            memo = f"memo={lines.count('memo=hit')}/{lines.count('memo=miss')}"
+            paths.append(f"paths/{k:02d}-{argv[0]}  " + "  ".join(parts or ["-"]) + f"  {memo}")
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(work).as_posix()}"
             for path in sorted(p for p in work.rglob("*") if p.is_file())

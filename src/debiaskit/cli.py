@@ -16,7 +16,8 @@ from pathlib import Path
 from .classifier import GradientError, TrainConfig, TrainingDiverged, save_model
 from .data import (KINDS, GenConfig, generate, load_dataset, save_dataset, write_csv,
                    write_f64le, write_json)
-from .debias import METHODS, SCHEMES, SampleWeights, train_biased_classifier
+from .debias import (METHODS, SCHEMES, SampleWeights, amplifier_prob_table,
+                     train_biased_classifier)
 from .runner import (ConfigError, RunConfig, aggregate_report, run_experiment, run_sweep,
                      write_weights_csv)
 from .vcae import VCAE_WEIGHT_CAP, VcaeConfig
@@ -61,7 +62,7 @@ def cmd_train_biased(args) -> int:
     save_model(art.params, out, extra={"t_bias": args.t_bias, "tau": args.tau,
                                        "n": len(ds), "num_classes": ds.num_classes})
     write_f64le(out / "confidences.f64le", art.confidences)
-    write_f64le(out / "class_probs.f64le", art.class_probs)
+    write_f64le(out / "class_probs.f64le", amplifier_prob_table(art.params, ds.features))
     lo, hi = art.confidences.min(), art.confidences.max()
     print(f"amplified classifier trained {args.t_bias} epochs; "
           f"confidence range [{lo:.3g}, {hi:.3g}]; artifact in {args.out}")

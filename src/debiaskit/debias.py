@@ -75,11 +75,11 @@ class SampleWeights:
 
 @dataclass
 class BiasedClassifierArtifact:
-    """Frozen amplified classifier with cached per-sample responses."""
+    """Frozen amplified classifier and its true-class confidences; its
+    probability rows come from ``amplifier_prob_blocks``, block by block."""
 
     params: MlpParams
     confidences: np.ndarray        # (N,) true-class probability, in (0, 1]
-    class_probs: np.ndarray        # (N, C) full probability rows
 
     def __post_init__(self):
         self.confidences = np.asarray(self.confidences, dtype=np.float64)
@@ -103,7 +103,7 @@ class AnnealConfig:
 
 
 # Successful amplifications kept per process, least recently used dropped
-# first. Each entry holds an (N, C) probability table and a small MLP.
+# first. Each entry holds an (N,) confidence vector and a small MLP.
 AMPLIFY_MEMO_SIZE = 8
 _amplify_memo: OrderedDict[tuple, BiasedClassifierArtifact] = OrderedDict()
 
@@ -131,9 +131,9 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
     those of one of the last AMPLIFY_MEMO_SIZE successful calls returns that
     call's classifier without retraining. Training is deterministic, so the
     result is the one retraining would give. Every such call shares the
-    artifact's arrays (``params.flat`` and its views ``params.arrays``,
-    ``confidences``, ``class_probs``), so they are read-only: copy before
-    writing.
+    artifact's arrays, ``params.flat`` (and its views ``params.arrays``) and
+    ``confidences``, so they are read-only: copy before writing. No entry
+    keeps an (N, C) table; ``amplifier_prob_blocks`` derives the rows.
     """
     if t_bias < 1:
         raise ValueError("t_bias must be >= 1")
@@ -151,17 +151,14 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
                     f"(loss spiking on rare conflicting samples); lower t_bias or tau")
 
         params, _ = train(train_ds, bias_cfg, loss="gce", tau=tau, eval_fn=check_collapse)
-        # softmax_numpy of the logits, by row blocks: the (N, C) logits never exist
+        conf = np.empty(len(train_ds))
         ws = BlockWorkspace(params, len(train_ds))
-        probs = np.empty((len(train_ds), train_ds.num_classes))
-        for rows, logits in logit_blocks(params, train_ds.features, ws):
-            np.exp(log_softmax_numpy(logits, out=probs[rows]), out=probs[rows])
-        conf = probs[np.arange(len(train_ds)), train_ds.labels]
-        conf = np.maximum(conf, 1e-300)  # keep strictly positive for 1/p
-        for a in (params.flat, conf, probs):
+        for rows, probs in amplifier_prob_blocks(params, train_ds.features, ws):
+            conf[rows] = probs[np.arange(len(probs)), train_ds.labels[rows]]
+        np.maximum(conf, 1e-300, out=conf)  # keep strictly positive for 1/p
+        for a in (params.flat, conf):
             a.flags.writeable = False
-        art = BiasedClassifierArtifact(params=params, confidences=conf,
-                                       class_probs=probs)
+        art = BiasedClassifierArtifact(params=params, confidences=conf)
         _amplify_memo[key] = art
         if len(_amplify_memo) > AMPLIFY_MEMO_SIZE:
             _amplify_memo.popitem(last=False)
@@ -171,6 +168,26 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
     # views come from the read-only vector and so are read-only too, unlike
     # the views made while training
     return replace(art, params=MlpParams(art.params.layer_sizes, flat=art.params.flat))
+
+
+def amplifier_prob_blocks(params: MlpParams, x: np.ndarray,
+                          ws: BlockWorkspace) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, softmax_numpy of the logits of x[rows])`` for each block of
+    ``logit_blocks`` through ``ws``: the one place where the amplifier's
+    logits become probability rows, so a memo entry keeps none. Each block's
+    rows, like its last hidden layer in ``ws``, hold until the next block."""
+    block = np.empty_like(ws.logits)
+    for rows, logits in logit_blocks(params, x, ws):
+        probs = block[:len(logits)]
+        yield rows, np.exp(log_softmax_numpy(logits, out=probs), out=probs)
+
+
+def amplifier_prob_table(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The (N, C) rows of ``amplifier_prob_blocks`` in a fresh table."""
+    table = np.empty((len(x), params.layer_sizes[-1]))
+    for rows, probs in amplifier_prob_blocks(params, x, BlockWorkspace(params, len(x))):
+        table[rows] = probs
+    return table
 
 
 def compute_weights_clamped(confidences: np.ndarray, gamma: float) -> SampleWeights:
@@ -271,13 +288,14 @@ def _confidence_weights(ds, amplify, method, gamma, **_):
 
 
 def _pgd_weights(ds, amplify, method, gamma, **_):
-    """Last-layer gradient norms summing to 1, by ``logit_blocks``: of each block's
-    last hidden layer in the workspace, or of its input rows with none."""
-    art = amplify()
-    ws, raw = BlockWorkspace(art.params, len(ds)), np.empty(len(ds))
-    for rows, _ in logit_blocks(art.params, ds.features, ws):
-        h = ws.hidden[-1][:rows.stop - rows.start] if ws.hidden else ds.features[rows]
-        raw[rows] = pgd_weight(art.class_probs[rows], ds.labels[rows], h)
+    """Last-layer gradient norms summing to 1, by ``amplifier_prob_blocks``: of
+    each block's probability rows and its last hidden layer in the workspace,
+    or its input rows with none."""
+    params = amplify().params
+    ws, raw = BlockWorkspace(params, len(ds)), np.empty(len(ds))
+    for rows, probs in amplifier_prob_blocks(params, ds.features, ws):
+        h = ws.hidden[-1][:len(probs)] if ws.hidden else ds.features[rows]
+        raw[rows] = pgd_weight(probs, ds.labels[rows], h)
     if (total := raw.sum()) <= 0:
         raise ValueError("all gradient-norm weights are zero")
     return SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
@@ -294,8 +312,9 @@ def _vcae_weights(ds, amplify, method, gamma, *, vcae_cfg, vcae_train_cfg, vcae_
 class Scheme:
     """A weighting scheme: the methods it drives; ``rows(ds, amplify)``, the (N, C)
     rows p(y=c | bias evidence of row n) whose floored log is TBA's offset (None:
-    no TBA); ``weights(ds, amplify, method, gamma, **options)``, the training
-    split's ``SampleWeights``. ``amplify()`` trains or recalls the amplifier."""
+    no TBA), in a fresh array that belongs to the caller; ``weights(ds, amplify,
+    method, gamma, **options)``, the training split's ``SampleWeights``.
+    ``amplify()`` trains or recalls the amplifier."""
 
     methods: tuple[str, ...]
     rows: Callable | None = None
@@ -311,8 +330,9 @@ SCHEMES = {
                         weights=lambda ds, *_, **__: SampleWeights(
                             1.0 / estimate_p_y_given_b(ds)[ds.labels, ds.bias],
                             provenance="oracle-yb")),
-    "biased-confidence": Scheme(METHODS, rows=lambda ds, amplify: amplify().class_probs,
-                                weights=_confidence_weights),
+    "biased-confidence": Scheme(
+        METHODS, rows=lambda ds, amplify: amplifier_prob_table(amplify().params, ds.features),
+        weights=_confidence_weights),
     "lff": Scheme(("LW",)),  # no weights of its own: run_debias_pipeline runs _run_lff
     "pgd": Scheme(("WS",), weights=_pgd_weights),
     "vcae": Scheme(("LW", "ALW", "WS"), weights=_vcae_weights),

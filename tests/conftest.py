@@ -188,6 +188,14 @@ def assert_views_of_flat(flat, arrays):
         offset += a.size
 
 
+def plain_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The whole-array plain layer chain, one fresh array per operation."""
+    h = x
+    for w, b in zip(params.arrays[:-2:2], params.arrays[1:-2:2]):
+        h = np.maximum(h @ w + b, 0.0)
+    return h @ params.arrays[-2] + params.arrays[-1]
+
+
 def kill_unit(params: MlpParams, unit: int, zero: float) -> None:
     """Give ``unit`` of every hidden layer of ``params`` a weight column and
     bias of ``zero`` (0.0 or -0.0): its pre-activation is then exactly 0.0

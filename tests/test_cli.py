@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from debiaskit.classifier import load_model, softmax_numpy
 from debiaskit.cli import main
 from debiaskit.data import LabeledDataset, load_dataset, save_dataset
 from debiaskit.runner import METRICS_HEADER
+
+from conftest import plain_logits
 
 
 def _gen(tmp_path, name="data", n=400, rho=0.1, classes=4, seed=5,
@@ -53,6 +56,11 @@ def test_train_biased_artifact(tmp_path):
     assert meta["t_bias"] == 1 and meta["tau"] == 0.7
     conf = np.frombuffer((out / "confidences.f64le").read_bytes(), dtype="<f8")
     assert len(conf) == 400 and conf.min() > 0
+    ds, (params, _) = load_dataset(data), load_model(out)
+    probs = softmax_numpy(plain_logits(params, ds.features))
+    assert (out / "class_probs.f64le").read_bytes() == probs.astype("<f8").tobytes()
+    true_class = np.maximum(probs[np.arange(len(ds)), ds.labels], 1e-300)
+    assert conf.tobytes() == true_class.astype("<f8").tobytes()
 
 
 def test_train_biased_zero_t_bias_names_t_bias(tmp_path, capsys):

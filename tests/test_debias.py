@@ -20,7 +20,8 @@ from debiaskit.data import (SCHEMA_VERSION, GenConfig, LabeledDataset,
                             estimate_p_y_given_b, generate_two_factor, load_dataset,
                             save_dataset, unbiased_config)
 from debiaskit.debias import (AnnealConfig, SampleWeights, Scheme,
-                              _run_lff, anneal_weight, compute_weights_clamped,
+                              _run_lff, amplifier_prob_table, anneal_weight,
+                              compute_weights_clamped,
                               lff_full_weights, lff_weight, oracle_ub_weights, pgd_weight,
                               rescale_weights, run_debias_pipeline,
                               tba_adjusted_probs, train_biased_classifier,
@@ -30,7 +31,8 @@ from debiaskit.metrics import debias_bc_ratio, evaluate_accuracy
 from debiaskit.runner import ConfigError, RunConfig, run_sweep
 from debiaskit.vcae import VcaeConfig
 
-from conftest import assert_views_of_flat, ref_optimizer, tape_loss_and_grads
+from conftest import (assert_views_of_flat, plain_logits, ref_optimizer,
+                      tape_loss_and_grads)
 
 
 # --- clamped weights and rescaling -----------------------------------------
@@ -239,7 +241,7 @@ def test_biased_classifier_separates_conflicting_samples():
     conf_ba = art.confidences[ds.aligned].mean()
     assert conf_bc < conf_ba
     assert art.confidences.min() > 0 and art.confidences.max() <= 1.0
-    assert art.class_probs.shape == (4000, 10)
+    assert amplifier_prob_table(art.params, ds.features).shape == (4000, 10)
 
 
 # --- amplification memo ------------------------------------------------------
@@ -264,9 +266,10 @@ def _amp_setup():
     return ds, 0.7, TrainConfig(batch_size=32, hidden=(8,), seed=1)
 
 
-def _artifact_bytes(art):
+def _artifact_bytes(art, ds):
+    """The memo entry's arrays and the probability rows derived from it."""
     return ([a.tobytes() for a in art.params.arrays], art.confidences.tobytes(),
-            art.class_probs.tobytes())
+            amplifier_prob_table(art.params, ds.features).tobytes())
 
 
 def test_memo_trains_equal_content_once(tmp_path, amp_calls):
@@ -278,7 +281,8 @@ def test_memo_trains_equal_content_once(tmp_path, amp_calls):
     debias._amplify_memo.clear()
     fresh = train_biased_classifier(ds, tau, 2, cfg)
     assert len(amp_calls) == 2
-    assert _artifact_bytes(first) == _artifact_bytes(again) == _artifact_bytes(fresh)
+    assert (_artifact_bytes(first, ds) == _artifact_bytes(again, ds)
+            == _artifact_bytes(fresh, ds))
 
 
 def test_memo_ignores_epochs(amp_calls):
@@ -316,16 +320,30 @@ def test_memo_retrains_when_an_input_changes(amp_calls, what):
     assert len(amp_calls) == 2
 
 
+def _assert_derived_rows_are_the_callers(ds, art):
+    """Two derivations of the probability rows are distinct, writable arrays
+    of equal bytes, and a write to one reaches neither the other nor the memo."""
+    first, second = (debias.SCHEMES["biased-confidence"].rows(ds, lambda: art)
+                     for _ in range(2))
+    assert not np.shares_memory(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    assert first.tobytes() == second.tobytes()
+    kept = _artifact_bytes(art, ds)
+    first[...] = 0.5
+    assert _artifact_bytes(art, ds) == kept and second.tobytes() == kept[2]
+
+
 def test_memo_arrays_are_read_only(amp_calls):
     ds, tau, cfg = _amp_setup()
     art = train_biased_classifier(ds, tau, 1, cfg)
-    for a in (*art.params.arrays, art.confidences, art.class_probs):
+    for a in (*art.params.arrays, art.confidences):
         with pytest.raises(ValueError):
             a[0] = 0.5
-    kept = _artifact_bytes(art)
+    _assert_derived_rows_are_the_callers(ds, art)
+    kept = _artifact_bytes(art, ds)
     art.params.arrays[0] = np.zeros_like(art.params.arrays[0])  # rebinding
     art.confidences = np.full(len(ds), 0.5)
-    assert _artifact_bytes(train_biased_classifier(ds, tau, 1, cfg)) == kept
+    assert _artifact_bytes(train_biased_classifier(ds, tau, 1, cfg), ds) == kept
     assert len(amp_calls) == 1
 
 
@@ -335,15 +353,15 @@ def test_memo_vector_and_every_view_are_read_only(amp_calls):
     ds, tau, cfg = _amp_setup()
     for art in (train_biased_classifier(ds, tau, 1, cfg),
                 train_biased_classifier(ds, tau, 1, cfg)):
-        views = (art.params.flat, *art.params.arrays, art.confidences,
-                 art.class_probs)
+        views = (art.params.flat, *art.params.arrays, art.confidences)
         for a in views:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.5
-        for a in views[1:-2]:
+        for a in views[1:-1]:
             with pytest.raises(ValueError):
                 a.flags.writeable = True
+        _assert_derived_rows_are_the_callers(ds, art)
     assert len(amp_calls) == 1
 
 
@@ -407,6 +425,23 @@ def test_memo_stays_at_its_bound_and_drops_the_least_recent(amp_calls):
     assert amplify(2) == bound + 3
     assert amplify(3) == bound + 4
     assert len(debias._amplify_memo) == bound
+
+
+def test_a_memo_miss_keeps_no_per_class_table(amp_calls):
+    """The memo entry that a miss leaves holds its confidences and the MLP:
+    the memory still traced after the call is below half an (N, C) table."""
+    ds = generate_two_factor(GenConfig(num_classes=10, n=20_000, bc_ratio=0.02, seed=4))
+    cfg = TrainConfig(batch_size=256, hidden=(16,), seed=3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        art = train_biased_classifier(ds, 0.7, 1, cfg)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(amp_calls) == 1 and len(debias._amplify_memo) == 1
+    assert art.confidences.shape == (len(ds),)
+    assert after - before < 8 * len(ds) * ds.num_classes / 2, after - before
 
 
 def test_gamma_sweep_amplifies_once_per_seed(tmp_path, amp_calls):
@@ -558,7 +593,8 @@ def test_conditional_rows_of_each_scheme_and_exactly_those_drive_tba():
     rho, c, idx = 0.1, 4, np.arange(len(train_ds))
     rows = {s: debias.SCHEMES[s].rows(train_ds, lambda: art)
             for s in ("biased-confidence", "oracle-ub", "oracle-yb")}
-    assert rows["biased-confidence"] is art.class_probs
+    assert rows["biased-confidence"].tobytes() == (
+        softmax_numpy(plain_logits(art.params, train_ds.features)).tobytes())
     exact = np.where(np.arange(c) == train_ds.bias[:, None], 1.0 - rho, rho / (c - 1))
     assert rows["oracle-ub"].tobytes() == exact.tobytes()
     emp = rows["oracle-yb"]
@@ -669,7 +705,8 @@ def test_pipeline_tba_offset_is_the_log_of_the_floor(monkeypatch, scheme):
     res = run_debias_pipeline(train_ds, test_ds, scheme, "TBA", train_cfg=cfg,
                               gamma=gamma, t_bias=1)
     if scheme == "biased-confidence":
-        cond = train_biased_classifier(train_ds, 0.7, 1, cfg).class_probs
+        art = train_biased_classifier(train_ds, 0.7, 1, cfg)
+        cond = softmax_numpy(plain_logits(art.params, train_ds.features))
     elif scheme == "oracle-yb":
         cond = estimate_p_y_given_b(train_ds)[:, train_ds.bias].T
     else:
@@ -746,17 +783,9 @@ def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain(hidden, n_block
     for w, b in zip(art.params.arrays[:-2:2], art.params.arrays[1:-2:2]):
         h = np.maximum(h @ w + b, 0.0)
     probs = softmax_numpy(h @ art.params.arrays[-2] + art.params.arrays[-1])
-    assert art.class_probs.tobytes() == probs.tobytes()
+    assert amplifier_prob_table(art.params, train_ds.features).tobytes() == probs.tobytes()
     raw = pgd_weight(probs, train_ds.labels, h)
     assert res.weights.weights.tobytes() == np.maximum(raw / raw.sum(), 1e-300).tobytes()
-
-
-def _plain_logits(params, x):
-    """The whole-array plain layer chain, one fresh array per operation."""
-    h = x
-    for w, b in zip(params.arrays[:-2:2], params.arrays[1:-2:2]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h @ params.arrays[-2] + params.arrays[-1]
 
 
 @pytest.mark.parametrize("n,n_blocks", [(1000, 1), (5000, 3), (10000, 6)])
@@ -769,15 +798,15 @@ def test_blockwise_passes_equal_the_whole_pass(n, n_blocks):
     psi, _ = train(ds, replace(cfg, seed=6), loss="gce")
     assert len(row_blocks(theta, n)) == n_blocks
     ws = BlockWorkspace(theta, n, losses=2)
-    whole = [_plain_logits(m, ds.features) for m in (psi, theta)]
+    whole = [plain_logits(m, ds.features) for m in (psi, theta)]
     correct = whole[1].argmax(axis=1) == ds.labels
     accs = (correct.mean(), correct[ds.aligned].mean(), correct[~ds.aligned].mean())
     assert evaluate_accuracy(theta, ds, ws) == evaluate_accuracy(theta, ds) == accs
     w = lff_weight(*(softmax_xent(f, ds.labels) for f in whole))
     assert lff_full_weights(psi, theta, ds, ws).tobytes() == np.maximum(w, 1e-300).tobytes()
     art = train_biased_classifier(ds, 0.7, 1, cfg)
-    probs = softmax_numpy(_plain_logits(art.params, ds.features))
-    assert art.class_probs.tobytes() == probs.tobytes()
+    probs = softmax_numpy(plain_logits(art.params, ds.features))
+    assert amplifier_prob_table(art.params, ds.features).tobytes() == probs.tobytes()
 
 
 def test_biased_confidence_lw_weights_rescaled():
