@@ -20,11 +20,13 @@ The jobs run in WORKDIR (created; it must hold no files yet) through
 WORKDIR, so ``config.json`` bytes compare across trees. One ``sha256  path``
 line is printed per file but ``timings.json`` (wall-clock seconds), sorted
 by path, then one ``sha256  stdout/NN-<command>`` line per job for what job
-NN printed, then one ``paths/NN-<command>  n=size+size ...  memo=H/M`` line
-per job with the distinct row-block partitions (``classifier.row_blocks``)
-of its full-data passes, ``-`` for none, and its amplification memo hits H
-and misses M (a miss trains the amplifier), summed over the job's
-processes, ``sweep --jobs`` workers included.
+NN printed, then one ``paths/NN-<command>  n=size+size ...  memo=H/M
+passes=P`` line per job with the distinct row-block partitions
+(``classifier.row_blocks``) of its full-data passes, ``-`` for none, its
+amplification memo hits H and misses M (a miss trains the amplifier), and
+its count P of full-data passes (calls of ``classifier.logit_blocks``),
+summed over the job's processes, ``sweep --jobs`` workers included. ``--rev``
+ends by counting the listing's lines of each kind that matched.
 The jobs: two two-factor datasets, C=4 rho=0.049 and C=10 rho=0.007 (where
 1/(rho/(C-1)) and (C-1)/rho differ in the last bit); every valid
 scheme/method pair on both, seeds 0 and 1; ``sweep --gamma 20,200``;
@@ -166,7 +168,8 @@ def jobs() -> list[list[str]]:
 
 def digest(work: Path, src: Path) -> list[str]:
     """Run the job list in ``work`` against the package in ``src``; one
-    ``sha256  path`` line per output file, then one per job's stdout."""
+    ``sha256  path`` line per output file, then one per job's stdout, then
+    one ``paths/`` line per job."""
     work.mkdir(parents=True, exist_ok=True)
     if any(work.iterdir()):
         sys.exit(f"{work} is not empty")
@@ -186,11 +189,12 @@ def digest(work: Path, src: Path) -> list[str]:
                                     stdout=subprocess.PIPE, check=True).stdout
             printed.append(f"{hashlib.sha256(stdout).hexdigest()}  stdout/{k:02d}-{argv[0]}")
             lines = record.read_text().split() if record.exists() else []
-            # partitions by rows, then block sizes; the memo's lines are counted
-            parts = sorted({p for p in lines if not p.startswith("memo=")},
+            # partitions by rows, then block sizes; the memo and pass lines are counted
+            parts = sorted({p for p in lines if p[0].isdigit()},
                            key=lambda p: [int(x) for x in p.replace("+", "=").split("=")])
-            memo = f"memo={lines.count('memo=hit')}/{lines.count('memo=miss')}"
-            paths.append(f"paths/{k:02d}-{argv[0]}  " + "  ".join(parts or ["-"]) + f"  {memo}")
+            counts = (f"memo={lines.count('memo=hit')}/{lines.count('memo=miss')}"
+                      f"  passes={lines.count('pass')}")
+            paths.append(f"paths/{k:02d}-{argv[0]}  " + "  ".join(parts or ["-"]) + f"  {counts}")
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(work).as_posix()}"
             for path in sorted(p for p in work.rglob("*") if p.is_file())
@@ -216,7 +220,10 @@ def main() -> int:
     if diff:
         print(*diff, sep="\n")
         return 1
-    print(f"byte-identical: {len(new)} files")
+    n_stdout = sum("  stdout/" in line for line in new)
+    n_paths = sum(line.startswith("paths/") for line in new)
+    print(f"byte-identical: {len(new) - n_stdout - n_paths} files, "
+          f"{n_stdout} stdout, {n_paths} paths")
     return 0
 
 

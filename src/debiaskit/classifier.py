@@ -164,18 +164,15 @@ def forward_block(params: MlpParams, x: np.ndarray, outs: list[np.ndarray]) -> n
 class BlockWorkspace:
     """The buffers of ``logit_blocks`` passes through MLPs laid out like
     ``params`` over splits of ``ns`` rows: each hidden layer's output and
-    the logits, for the largest block of any split; with ``losses`` loss
-    vectors as long as the longest split, also the logits' log-softmax,
-    which ``mlp_xent`` writes. Made once and written by every pass, so that
-    a pass allocates nothing that grows with rows x width."""
+    the logits, for the largest block of any split. Made once and written by
+    every pass, so that no pass's layers allocate anything that grows with
+    rows x width."""
 
-    def __init__(self, params: MlpParams, *ns: int, losses: int = 0):
+    def __init__(self, params: MlpParams, *ns: int):
         rows = max(b.stop - b.start for n in ns for b in row_blocks(params, n))
         sizes = params.layer_sizes
         self.hidden = [np.empty((rows, w)) for w in sizes[1:-1]]
         self.logits = np.empty((rows, sizes[-1]))
-        self.log_probs = np.empty_like(self.logits) if losses else None
-        self.losses = np.empty((losses, max(ns)))
 
 
 def logit_blocks(params: MlpParams, x: np.ndarray,
@@ -203,13 +200,25 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return logits[0] if x.ndim == 1 else logits
 
 
-def mlp_xent(params: MlpParams, x: np.ndarray, y: np.ndarray, ws: BlockWorkspace,
-             out: np.ndarray) -> np.ndarray:
-    """``softmax_xent(mlp_forward(params, x), y)`` into ``out``, by
-    ``logit_blocks`` through ``ws``: the operations are per row, so the bits
-    are the same."""
+def log_prob_blocks(params: MlpParams, x: np.ndarray,
+                    ws: BlockWorkspace) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, log_softmax_numpy of the logits of x[rows])`` for each block
+    of ``logit_blocks`` through ``ws``: the one place where a full-data
+    pass's logits become log-probabilities. Each block's values go into one
+    buffer that the pass makes, which the caller may overwrite; they hold,
+    like the block's last hidden layer in ``ws``, until the next block."""
+    block = np.empty_like(ws.logits)
     for rows, logits in logit_blocks(params, x, ws):
-        lp = log_softmax_numpy(logits, out=ws.log_probs[:len(logits)])
+        yield rows, log_softmax_numpy(logits, out=block[:len(logits)])
+
+
+def mlp_xent(params: MlpParams, x: np.ndarray, y: np.ndarray,
+             ws: BlockWorkspace) -> np.ndarray:
+    """``softmax_xent(mlp_forward(params, x), y)`` in a fresh vector, by
+    ``log_prob_blocks`` through ``ws``: the operations are per row, so the
+    bits are the same."""
+    out = np.empty(len(x))
+    for rows, lp in log_prob_blocks(params, x, ws):
         np.minimum(-lp[np.arange(len(lp)), y[rows]], XENT_MAX, out=out[rows])
     return out
 

@@ -11,9 +11,9 @@ Two families of training-time corrections:
   ``SCHEMES`` entry gives those rows p(y | bias evidence), if it has them.
 
 Each epoch is evaluated at its end, on the thread that trains, before the
-next epoch starts. Its passes write their row blocks and loss vectors into
-one ``BlockWorkspace`` that the pipeline makes at the first epoch end, so no
-evaluation allocates anything that grows with rows x width.
+next epoch starts. Its passes write their layers' row blocks into one
+``BlockWorkspace`` that the pipeline makes at the first epoch end, so no
+evaluation's layers allocate anything that grows with rows x width.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .classifier import (BlockWorkspace, MlpParams, TrainConfig, TrainingDiverged,
-                         init_mlp, log_softmax_numpy, logit_blocks, mlp_backward,
-                         mlp_loss_forward, mlp_xent, shuffle_batches, softmax_numpy, train)
+                         init_mlp, log_prob_blocks, mlp_backward, mlp_loss_forward,
+                         mlp_xent, shuffle_batches, softmax_numpy, train)
 from .data import (ConfigError, LabeledDataset, check_fields, estimate_p_y_given_b,
                    exact_p_y_given_b)
 from .metrics import MetricsRow, debias_bc_ratio, evaluate_accuracy
@@ -76,7 +76,7 @@ class SampleWeights:
 @dataclass
 class BiasedClassifierArtifact:
     """Frozen amplified classifier and its true-class confidences; its
-    probability rows come from ``amplifier_prob_blocks``, block by block."""
+    probability rows come from ``log_prob_blocks``, block by block."""
 
     params: MlpParams
     confidences: np.ndarray        # (N,) true-class probability, in (0, 1]
@@ -133,7 +133,7 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
     result is the one retraining would give. Every such call shares the
     artifact's arrays, ``params.flat`` (and its views ``params.arrays``) and
     ``confidences``, so they are read-only: copy before writing. No entry
-    keeps an (N, C) table; ``amplifier_prob_blocks`` derives the rows.
+    keeps an (N, C) table; ``log_prob_blocks`` derives the rows.
     """
     if t_bias < 1:
         raise ValueError("t_bias must be >= 1")
@@ -153,8 +153,8 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
         params, _ = train(train_ds, bias_cfg, loss="gce", tau=tau, eval_fn=check_collapse)
         conf = np.empty(len(train_ds))
         ws = BlockWorkspace(params, len(train_ds))
-        for rows, probs in amplifier_prob_blocks(params, train_ds.features, ws):
-            conf[rows] = probs[np.arange(len(probs)), train_ds.labels[rows]]
+        for rows, lp in log_prob_blocks(params, train_ds.features, ws):
+            conf[rows] = np.exp(lp, out=lp)[np.arange(len(lp)), train_ds.labels[rows]]
         np.maximum(conf, 1e-300, out=conf)  # keep strictly positive for 1/p
         for a in (params.flat, conf):
             a.flags.writeable = False
@@ -170,23 +170,12 @@ def train_biased_classifier(train_ds: LabeledDataset, tau: float,
     return replace(art, params=MlpParams(art.params.layer_sizes, flat=art.params.flat))
 
 
-def amplifier_prob_blocks(params: MlpParams, x: np.ndarray,
-                          ws: BlockWorkspace) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, softmax_numpy of the logits of x[rows])`` for each block of
-    ``logit_blocks`` through ``ws``: the one place where the amplifier's
-    logits become probability rows, so a memo entry keeps none. Each block's
-    rows, like its last hidden layer in ``ws``, hold until the next block."""
-    block = np.empty_like(ws.logits)
-    for rows, logits in logit_blocks(params, x, ws):
-        probs = block[:len(logits)]
-        yield rows, np.exp(log_softmax_numpy(logits, out=probs), out=probs)
-
-
 def amplifier_prob_table(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """The (N, C) rows of ``amplifier_prob_blocks`` in a fresh table."""
+    """The amplifier's (N, C) probability rows in a fresh table, each block
+    of ``log_prob_blocks`` exponentiated straight into its rows."""
     table = np.empty((len(x), params.layer_sizes[-1]))
-    for rows, probs in amplifier_prob_blocks(params, x, BlockWorkspace(params, len(x))):
-        table[rows] = probs
+    for rows, lp in log_prob_blocks(params, x, BlockWorkspace(params, len(x))):
+        np.exp(lp, out=table[rows])
     return table
 
 
@@ -288,14 +277,14 @@ def _confidence_weights(ds, amplify, method, gamma, **_):
 
 
 def _pgd_weights(ds, amplify, method, gamma, **_):
-    """Last-layer gradient norms summing to 1, by ``amplifier_prob_blocks``: of
+    """Last-layer gradient norms summing to 1, by ``log_prob_blocks``: of
     each block's probability rows and its last hidden layer in the workspace,
     or its input rows with none."""
     params = amplify().params
     ws, raw = BlockWorkspace(params, len(ds)), np.empty(len(ds))
-    for rows, probs in amplifier_prob_blocks(params, ds.features, ws):
-        h = ws.hidden[-1][:len(probs)] if ws.hidden else ds.features[rows]
-        raw[rows] = pgd_weight(probs, ds.labels[rows], h)
+    for rows, lp in log_prob_blocks(params, ds.features, ws):
+        h = ws.hidden[-1][:len(lp)] if ws.hidden else ds.features[rows]
+        raw[rows] = pgd_weight(np.exp(lp, out=lp), ds.labels[rows], h)
     if (total := raw.sum()) <= 0:
         raise ValueError("all gradient-norm weights are zero")
     return SampleWeights(np.maximum(raw / total, 1e-300), provenance="pgd")
@@ -352,16 +341,14 @@ def _make_eval(test_ds, beta_fn, beta_ds: LabeledDataset | None = None):
     the live models as the epoch left them.
 
     Every evaluation passes its models through ``ws``, one ``BlockWorkspace``
-    made here at the first epoch end: for the test split and ``beta_ds``, the
-    split that ``beta_fn`` passes LfF's two models over (if any), with a loss
-    vector per model for it and so the log-softmax block of ``mlp_xent``."""
+    made here at the first epoch end, for the test split and ``beta_ds``, the
+    split that ``beta_fn`` passes LfF's two models over (if any)."""
     ws = None
 
     def eval_fn(epoch, params, stats):
         nonlocal ws
         if ws is None:
-            ws = (BlockWorkspace(params, len(test_ds)) if beta_ds is None else
-                  BlockWorkspace(params, len(test_ds), len(beta_ds), losses=2))
+            ws = BlockWorkspace(params, len(test_ds), len(test_ds if beta_ds is None else beta_ds))
         acc, ba, bc = evaluate_accuracy(params, test_ds, ws)
         return MetricsRow(epoch=epoch, train_loss=stats["train_loss"],
                           test_acc=acc, test_acc_ba=ba, test_acc_bc=bc,
@@ -437,10 +424,10 @@ def run_debias_pipeline(train_ds: LabeledDataset, test_ds: LabeledDataset,
 def lff_full_weights(psi: MlpParams, theta: MlpParams, ds: LabeledDataset,
                      ws: BlockWorkspace) -> np.ndarray:
     """LfF's weights over ``ds``: the loss ratios of the amplified model psi
-    and the debiased theta, floored at 1e-300. Their cross-entropies pass by
-    row blocks through ``ws`` into its first two loss vectors."""
-    lb = mlp_xent(psi, ds.features, ds.labels, ws, ws.losses[0, :len(ds)])
-    ld = mlp_xent(theta, ds.features, ds.labels, ws, ws.losses[1, :len(ds)])
+    and the debiased theta, floored at 1e-300. Their cross-entropies
+    (``mlp_xent``) pass by row blocks through ``ws``."""
+    lb = mlp_xent(psi, ds.features, ds.labels, ws)
+    ld = mlp_xent(theta, ds.features, ds.labels, ws)
     return np.maximum(lff_weight(lb, ld), 1e-300)
 
 

@@ -642,6 +642,29 @@ print(sorted(m for m in sys.modules if m.startswith("debiaskit")))
     assert "debiaskit.autodiff" not in loaded
 
 
+def test_block_recorder_counts_a_gamma_sweeps_passes_blocks_and_memo(tmp_path):
+    """``scripts/block_recorder.py`` on a one-seed, one-epoch sweep of two
+    gammas (biased-confidence/LW): the first point trains the amplifier (a
+    miss) and the second recalls it (a hit). Three full-data passes, each in
+    one block: the amplifier's confidences over the 300 training rows and
+    each point's evaluation of the 200 test rows."""
+    import debiaskit
+    data = _gen(tmp_path, n=300)
+    cfg = _debias_config(tmp_path, data, scheme="biased-confidence", test_n=200, t_bias=1,
+                         train={"epochs": 1, "batch_size": 64, "hidden": [16]})
+    script = Path(__file__).resolve().parents[1] / "scripts" / "block_recorder.py"
+    src = str(Path(debiaskit.__file__).resolve().parents[1])
+    record = tmp_path / "record"
+    done = subprocess.run([sys.executable, str(script), str(record), "sweep", "--config",
+                           str(cfg), "--gamma", "20,50", "--out", str(tmp_path / "sw")],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src}, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert sorted(record.read_text().splitlines()) == [
+        "200=200", "300=300", "memo=hit", "memo=miss", "pass", "pass", "pass"]
+    assert (tmp_path / "sw" / "gamma=50" / "metrics.csv").exists()
+
+
 def test_serial_sweep_leaves_the_pool_and_colorsys_unimported(tmp_path):
     """Importing the CLI and running a ``--jobs 1`` sweep on two-factor data
     loads neither the process pool (``concurrent.futures``, and through it

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from debiaskit import classifier, cli, debias
 from debiaskit.classifier import (BlockWorkspace, TrainConfig, TrainingDiverged, init_mlp,
-                                  mlp_forward, row_blocks, shuffle_batches, softmax_xent,
-                                  train)
+                                  mlp_forward, mlp_xent, row_blocks, shuffle_batches,
+                                  softmax_xent, train)
 from debiaskit.data import (SCHEMA_VERSION, GenConfig, LabeledDataset,
                             estimate_p_y_given_b, generate_two_factor, load_dataset,
                             save_dataset, unbiased_config)
@@ -790,15 +790,20 @@ def test_pgd_weights_by_blocks_equal_the_whole_array_plain_chain(hidden, n_block
 
 @pytest.mark.parametrize("n,n_blocks", [(1000, 1), (5000, 3), (10000, 6)])
 def test_blockwise_passes_equal_the_whole_pass(n, n_blocks):
-    """Accuracies and LfF's weights through a workspace, and the amplifier's
-    probabilities by blocks, are the bytes of the whole-array plain chain."""
+    """Accuracies, cross-entropies and LfF's weights through a workspace, and
+    the amplifier's probabilities by blocks, are the bytes of the whole-array
+    plain chain; each cross-entropy comes in a fresh vector."""
     ds = generate_two_factor(GenConfig(num_classes=10, n=n, bc_ratio=0.05, seed=n))
     cfg = TrainConfig(epochs=1, batch_size=128, hidden=(64, 64), seed=5)
     theta, _ = train(ds, cfg)
     psi, _ = train(ds, replace(cfg, seed=6), loss="gce")
     assert len(row_blocks(theta, n)) == n_blocks
-    ws = BlockWorkspace(theta, n, losses=2)
+    ws = BlockWorkspace(theta, n)
     whole = [plain_logits(m, ds.features) for m in (psi, theta)]
+    xents = [mlp_xent(m, ds.features, ds.labels, ws) for m in (psi, theta)]
+    for xent, f in zip(xents, whole):
+        assert xent.tobytes() == softmax_xent(f, ds.labels).tobytes()
+    assert not np.shares_memory(*xents)
     correct = whole[1].argmax(axis=1) == ds.labels
     accs = (correct.mean(), correct[ds.aligned].mean(), correct[~ds.aligned].mean())
     assert evaluate_accuracy(theta, ds, ws) == evaluate_accuracy(theta, ds) == accs
